@@ -14,7 +14,12 @@
 // fused-vs-(transpose + blocked GEMM) ratio for transparency. The fusion
 // phase (ISSUE 10) runs a 4-op dense elementwise chain through the
 // single-pass tape interpreter versus the unfused kernel sequence that
-// materializes every intermediate, verifying bitwise identity.
+// materializes every intermediate, verifying bitwise identity. The
+// skinny phase times the six tall-thin products one GNMF / GD pass runs
+// on a 120000 x 47 operand at rank 10 (30000 rows under --quick), on one
+// thread; it reports GFLOP/s for information only (no floor) but exits
+// non-zero if any result differs from MultiplyReferenceNaive on the
+// materialized operands.
 //
 // This binary parses its own flags (it needs gate thresholds the shared
 // harness does not know about): --quick --json --threads=N
@@ -105,10 +110,16 @@ Options ParseArgs(int argc, char** argv) {
   return options;
 }
 
-Matrix DenseRandom(int64_t rows, int64_t cols, uint64_t seed) {
+/// Gaussian entries; with `zero_frac` > 0 that share of them is exactly
+/// zero (every tenth of those -0.0), so the kernels' zero skip runs.
+Matrix DenseRandom(int64_t rows, int64_t cols, uint64_t seed,
+                   double zero_frac = 0.0) {
   Rng rng(seed);
   DenseMatrix m(rows, cols);
-  for (int64_t i = 0; i < m.size(); ++i) m.data()[i] = rng.NextGaussian();
+  for (int64_t i = 0; i < m.size(); ++i) {
+    const bool zero = zero_frac > 0.0 && rng.NextDouble() < zero_frac;
+    m.data()[i] = zero ? (i % 10 == 0 ? -0.0 : 0.0) : rng.NextGaussian();
+  }
   return Matrix::WrapDense(std::move(m));
 }
 
@@ -227,7 +238,64 @@ int RunBench(const Options& options) {
       fusion_unfused_s, fusion_fused_s, fusion_speedup,
       options.min_fusion_speedup);
 
-  // --- 4. thread scaling (informational) --------------------------------
+  // --- 4. skinny shapes, one thread (informational + bitwise check) -----
+  // V is the data, W / H the rank-10 factors, x the GD weights: the six
+  // dense products of one GNMF / GD pass.
+  struct SkinnyRow {
+    const char* name;
+    double seconds;
+    double gflops;
+  };
+  std::vector<SkinnyRow> skinny;
+  const int64_t skinny_rows = options.quick ? 30000 : 120000;
+  {
+    const int64_t d = 47, rank = 10;
+    const Matrix v = DenseRandom(skinny_rows, d, 111, /*zero_frac=*/0.4);
+    const Matrix w = DenseRandom(skinny_rows, rank, 112);
+    const Matrix h = DenseRandom(rank, d, 113);
+    const Matrix hht = DenseRandom(rank, rank, 114);
+    const Matrix x = DenseRandom(d, 1, 115);
+    const Matrix vx = Multiply(v, x).value();
+    const struct {
+      const char* name;
+      const Matrix& a;
+      bool a_t;
+      const Matrix& b;
+      bool b_t;
+    } shapes[] = {{"WtV", w, true, v, false},
+                  {"VHt", v, false, h, true},
+                  {"WtW", w, true, w, false},
+                  {"W(HHt)", w, false, hht, false},
+                  {"Vx", v, false, x, false},
+                  {"Vt(Vx)", v, true, vx, false}};
+    SetKernelThreads(1);
+    for (const auto& s : shapes) {
+      auto run = [&] {
+        return MultiplyTransposed(s.a, s.a_t, s.b, s.b_t).value();
+      };
+      const Matrix out = run();
+      const Matrix expected =
+          MultiplyReferenceNaive(s.a_t ? Transpose(s.a) : s.a,
+                                 s.b_t ? Transpose(s.b) : s.b)
+              .value();
+      if (!BitwiseEqualDense(out, expected)) {
+        std::fprintf(stderr, "FATAL: skinny %s differs from naive\n", s.name);
+        return 1;
+      }
+      const double seconds = BestOf(reps, [&] { run(); });
+      const int64_t depth = s.a_t ? s.a.rows() : s.a.cols();
+      const double gflops =
+          2.0 * static_cast<double>(out.rows() * depth * out.cols()) /
+          seconds / 1e9;
+      skinny.push_back({s.name, seconds, gflops});
+      std::printf("  skinny %-7s (%lldx%lld): %.4fs  %.2f GFLOP/s\n", s.name,
+                  static_cast<long long>(out.rows()),
+                  static_cast<long long>(out.cols()), seconds, gflops);
+    }
+    SetKernelThreads(options.threads);  // 0 restores the hardware default
+  }
+
+  // --- 5. thread scaling (informational) --------------------------------
   const int64_t sn = options.quick ? 512 : 1024;
   const Matrix sa = DenseRandom(sn, sn, 103);
   const Matrix sb = DenseRandom(sn, sn, 104);
@@ -257,7 +325,7 @@ int RunBench(const Options& options) {
   const bool fusion_ok = fusion_speedup >= options.min_fusion_speedup;
   const bool all_ok = gemm_ok && fused_ok && fusion_ok;
 
-  // --- 5. BENCH_kernels.json --------------------------------------------
+  // --- 6. BENCH_kernels.json --------------------------------------------
   FILE* out = std::fopen("BENCH_kernels.json", "w");
   if (out == nullptr) {
     std::fprintf(stderr, "cannot write BENCH_kernels.json\n");
@@ -275,13 +343,24 @@ int RunBench(const Options& options) {
                " \"fusion\": {\"chain_ops\": %d, \"unfused_seconds\": %.9g, "
                "\"fused_seconds\": %.9g, \"speedup\": %.4g, "
                "\"min_required\": %.4g},\n"
-               " \"thread_scaling_shape\": %lld,\n \"thread_scaling\": [",
+               " \"skinny_rows\": %lld,\n \"skinny\": [",
                static_cast<long long>(n), reps, naive_s, blocked_s,
                gemm_speedup, options.min_gemm_speedup, mat_naive_s,
                mat_blocked_s, fused_s, fused_speedup, fused_vs_blocked,
                options.min_fused_speedup,
                static_cast<int>(tape.steps.size()), fusion_unfused_s,
                fusion_fused_s, fusion_speedup, options.min_fusion_speedup,
+               static_cast<long long>(skinny_rows));
+  for (size_t i = 0; i < skinny.size(); ++i) {
+    std::fprintf(out,
+                 "%s{\"shape\": \"%s\", \"seconds\": %.9g, "
+                 "\"gflops\": %.4g}",
+                 i == 0 ? "" : ", ", skinny[i].name, skinny[i].seconds,
+                 skinny[i].gflops);
+  }
+  std::fprintf(out,
+               "],\n \"thread_scaling_shape\": %lld,\n "
+               "\"thread_scaling\": [",
                static_cast<long long>(sn));
   for (size_t i = 0; i < rows.size(); ++i) {
     std::fprintf(out,

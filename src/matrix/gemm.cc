@@ -1,13 +1,198 @@
 #include "matrix/kernel_internal.h"
 
-#if REMAC_KERNEL_AVX2
+/// AVX2 tiles are compiled (behind a runtime CPU check) only for x86-64
+/// GCC/Clang; everything else runs the scalar tile.
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define REMAC_KERNEL_AVX2 1
 #include <immintrin.h>
+#else
+#define REMAC_KERNEL_AVX2 0
 #endif
 
 namespace remac {
 namespace internal {
+namespace {
 
-bool KernelHasAvx2() {
+/// A tile is kGemmTileRows output rows x kGemmTileCols columns
+/// (kGemvTileRows rows x 1 column when n = 1), held in registers while it
+/// accumulates one kGemmDepthBlock-long block of the shared index. Per
+/// block, the left rows of a group of kGemmGroupTiles row tiles
+/// (64 x 256 doubles = 128 KB) stay in L2 and a 256 x 16 slice of B
+/// (32 KB) in L1 while the group's tiles sweep them (sized for 48 KB L1d
+/// and 2 MiB L2 per core).
+constexpr int64_t kGemmTileRows = 4;
+constexpr int64_t kGemmTileCols = 16;
+constexpr int64_t kGemvTileRows = 16;
+constexpr int64_t kGemmDepthBlock = 256;
+constexpr int64_t kGemmGroupTiles = 16;
+
+/// One dense product C (rows x n) = L (rows x depth) * R (depth x n) as
+/// strided views: L(i, j) = a[i * rs + j * js], so rs = 1 walks a stored
+/// row of A in place when L is Aᵀ; R(j, x) = b[j * ldb + x]; C is
+/// row-major with row stride ldc.
+struct GemmOperands {
+  const double* a;
+  int64_t rs;
+  int64_t js;
+  const double* b;
+  int64_t ldb;
+  double* c;
+  int64_t ldc;
+};
+
+/// Accumulates tile C(i0 .. i0+rows, x0 .. x0+cols) over j in [j0, j1):
+/// loads the tile, adds the j-terms in ascending order, stores it back.
+using TileFn = void (*)(const GemmOperands& g, int64_t i0, int64_t x0,
+                        int64_t j0, int64_t j1, int64_t rows, int64_t cols);
+
+void TileScalar(const GemmOperands& g, int64_t i0, int64_t x0, int64_t j0,
+                int64_t j1, int64_t rows, int64_t cols) {
+  double acc[kGemvTileRows][kGemmTileCols];
+  for (int64_t r = 0; r < rows; ++r) {
+    const double* cr = g.c + (i0 + r) * g.ldc + x0;
+    for (int64_t x = 0; x < cols; ++x) acc[r][x] = cr[x];
+  }
+  for (int64_t j = j0; j < j1; ++j) {
+    const double* bj = g.b + j * g.ldb + x0;
+    for (int64_t r = 0; r < rows; ++r) {
+      const double v = g.a[(i0 + r) * g.rs + j * g.js];
+      if (v == 0.0) continue;
+      for (int64_t x = 0; x < cols; ++x) acc[r][x] += v * bj[x];
+    }
+  }
+  for (int64_t r = 0; r < rows; ++r) {
+    double* cr = g.c + (i0 + r) * g.ldc + x0;
+    for (int64_t x = 0; x < cols; ++x) cr[x] = acc[r][x];
+  }
+}
+
+#if REMAC_KERNEL_AVX2
+// Compiled for AVX2 via the target attribute instead of a TU-wide flag, so
+// the rest of the build keeps the baseline ISA. AVX2 does not imply FMA,
+// so nothing here can be contracted: every lane rounds exactly like the
+// scalar `acc += v * b`.
+#define REMAC_AVX2 __attribute__((target("avx2")))
+
+/// Lanes [0, count) set: the mask of a partial vector (count in 1..4).
+REMAC_AVX2 inline __m256i LaneMask(int64_t count) {
+  return _mm256_cmpgt_epi64(_mm256_set1_epi64x(count),
+                            _mm256_setr_epi64x(0, 1, 2, 3));
+}
+
+REMAC_AVX2 inline __m256d Load(const double* p, bool masked, __m256i mask) {
+  return masked ? _mm256_maskload_pd(p, mask) : _mm256_loadu_pd(p);
+}
+
+REMAC_AVX2 inline void Store(double* p, __m256d v, bool masked, __m256i mask) {
+  if (masked) {
+    _mm256_maskstore_pd(p, mask, v);
+  } else {
+    _mm256_storeu_pd(p, v);
+  }
+}
+
+/// The reference kernel's `if (v == 0.0) continue; acc += v * b;` without
+/// a branch, in separate mul and add (never FMA). Lanes whose left value is
+/// ±0 add +0.0 instead of v * b, so 0 * Inf and 0 * NaN never reach acc,
+/// and acc + (+0.0) == acc bit for bit because an accumulator is never
+/// -0.0: it starts at +0.0, and under round-to-nearest a sum is -0.0 only
+/// when both addends are. This masked addend measured about 20% faster on
+/// the tall-skinny shapes than blendv(acc + v * b, acc, v == 0).
+REMAC_AVX2 inline __m256d MulAddSkip(__m256d acc, __m256d v, __m256d b) {
+  const __m256d skip = _mm256_cmp_pd(v, _mm256_setzero_pd(), _CMP_EQ_OQ);
+  return _mm256_add_pd(acc, _mm256_andnot_pd(skip, _mm256_mul_pd(v, b)));
+}
+
+/// R rows x NV vectors of columns, columns in the lanes: per j one
+/// broadcast of each row's left value times the R-row slice of B. The
+/// last vector is masked to the tile's column count.
+template <int R, int NV>
+REMAC_AVX2 void TileAvx2(const GemmOperands& g, int64_t i0, int64_t x0,
+                         int64_t j0, int64_t j1, int64_t /*rows*/,
+                         int64_t cols) {
+  const __m256i tail = LaneMask(cols - 4 * (NV - 1));
+  const int64_t rs = g.rs, js = g.js, ldb = g.ldb, ldc = g.ldc;
+  const double* a = g.a + i0 * rs + j0 * js;
+  const double* bj = g.b + j0 * ldb + x0;
+  double* c = g.c + i0 * ldc + x0;
+  __m256d acc[R][NV];
+#pragma GCC unroll 4
+  for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 4
+    for (int q = 0; q < NV; ++q) {
+      acc[r][q] = Load(c + r * ldc + 4 * q, q == NV - 1, tail);
+    }
+  }
+  for (int64_t j = j0; j < j1; ++j, a += js, bj += ldb) {
+    __m256d bv[NV];
+#pragma GCC unroll 4
+    for (int q = 0; q < NV; ++q) bv[q] = Load(bj + 4 * q, q == NV - 1, tail);
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) {
+      const __m256d v = _mm256_broadcast_sd(a + r * rs);
+#pragma GCC unroll 4
+      for (int q = 0; q < NV; ++q) acc[r][q] = MulAddSkip(acc[r][q], v, bv[q]);
+    }
+  }
+#pragma GCC unroll 4
+  for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 4
+    for (int q = 0; q < NV; ++q) {
+      Store(c + r * ldc + 4 * q, acc[r][q], q == NV - 1, tail);
+    }
+  }
+}
+
+/// n = 1 (GEMV): up to 16 output rows in the lanes of NV vectors. Each
+/// row's left value is a contiguous load when L is Aᵀ (rs = 1) and a
+/// gather otherwise; the one right value per j is broadcast.
+template <bool kContiguous, int NV>
+REMAC_AVX2 void GemvAvx2(const GemmOperands& g, int64_t i0, int64_t x0,
+                         int64_t j0, int64_t j1, int64_t rows,
+                         int64_t /*cols*/) {
+  const __m256i tail = LaneMask(rows - 4 * (NV - 1));
+  const int64_t rs = g.rs, js = g.js, ldb = g.ldb;
+  const __m256i offsets = _mm256_setr_epi64x(0, rs, 2 * rs, 3 * rs);
+  const double* aj = g.a + i0 * rs + j0 * js;
+  const double* bj = g.b + j0 * ldb + x0;
+  double* c = g.c + i0 * g.ldc + x0;  // ldc = 1: the rows are contiguous
+  __m256d acc[NV];
+#pragma GCC unroll 4
+  for (int q = 0; q < NV; ++q) acc[q] = Load(c + 4 * q, q == NV - 1, tail);
+  for (int64_t j = j0; j < j1; ++j, aj += js, bj += ldb) {
+    const __m256d b = _mm256_broadcast_sd(bj);
+#pragma GCC unroll 4
+    for (int q = 0; q < NV; ++q) {
+      const __m256i mask = q == NV - 1 ? tail : _mm256_set1_epi64x(-1);
+      const __m256d v =
+          kContiguous ? Load(aj + 4 * q, q == NV - 1, tail)
+                      : _mm256_mask_i64gather_pd(
+                            _mm256_setzero_pd(), aj + 4 * q * rs, offsets,
+                            _mm256_castsi256_pd(mask), 8);
+      acc[q] = MulAddSkip(acc[q], v, b);
+    }
+  }
+#pragma GCC unroll 4
+  for (int q = 0; q < NV; ++q) Store(c + 4 * q, acc[q], q == NV - 1, tail);
+}
+
+/// Indexed by [rows - 1][vectors - 1] and [contiguous][vectors - 1].
+constexpr TileFn kTilesAvx2[4][4] = {
+    {TileAvx2<1, 1>, TileAvx2<1, 2>, TileAvx2<1, 3>, TileAvx2<1, 4>},
+    {TileAvx2<2, 1>, TileAvx2<2, 2>, TileAvx2<2, 3>, TileAvx2<2, 4>},
+    {TileAvx2<3, 1>, TileAvx2<3, 2>, TileAvx2<3, 3>, TileAvx2<3, 4>},
+    {TileAvx2<4, 1>, TileAvx2<4, 2>, TileAvx2<4, 3>, TileAvx2<4, 4>}};
+constexpr TileFn kGemvAvx2[2][4] = {
+    {GemvAvx2<false, 1>, GemvAvx2<false, 2>, GemvAvx2<false, 3>,
+     GemvAvx2<false, 4>},
+    {GemvAvx2<true, 1>, GemvAvx2<true, 2>, GemvAvx2<true, 3>,
+     GemvAvx2<true, 4>}};
+#endif  // REMAC_KERNEL_AVX2
+
+/// True when the running CPU supports AVX2 (cached after the first call).
+/// Dispatching on this cannot change any result: the AVX2 tiles are
+/// bitwise-identical to the scalar one lane-for-lane.
+bool HasAvx2() {
 #if REMAC_KERNEL_AVX2
   static const bool has = __builtin_cpu_supports("avx2");
   return has;
@@ -16,45 +201,7 @@ bool KernelHasAvx2() {
 #endif
 }
 
-#if REMAC_KERNEL_AVX2
-// Compiled for AVX2 via the target attribute instead of a TU-wide flag,
-// so the rest of the file (and the whole build) keeps the baseline ISA
-// and the compiler cannot auto-contract anything into FMA elsewhere.
-// Separate mul + add intrinsics keep each lane's rounding identical to
-// the scalar `acc += v * b` it replaces; the v == 0.0 skip is preserved
-// per left value, so skipped terms never round -0.0 accumulators.
-__attribute__((target("avx2"))) void MicroKernel4x16Avx2(
-    const double* a0, const double* a1, const double* a2, const double* a3,
-    int64_t stride, int64_t j_count, const double* b, int64_t ldb, double* c0,
-    double* c1, double* c2, double* c3) {
-  __m256d acc[4][4];
-  for (int r = 0; r < 4; ++r) {
-    for (int q = 0; q < 4; ++q) acc[r][q] = _mm256_setzero_pd();
-  }
-  for (int64_t j = 0; j < j_count; ++j) {
-    const double* bj = b + j * ldb;
-    const __m256d b0 = _mm256_loadu_pd(bj);
-    const __m256d b1 = _mm256_loadu_pd(bj + 4);
-    const __m256d b2 = _mm256_loadu_pd(bj + 8);
-    const __m256d b3 = _mm256_loadu_pd(bj + 12);
-    const double vs[4] = {a0[j * stride], a1[j * stride], a2[j * stride],
-                          a3[j * stride]};
-    for (int r = 0; r < 4; ++r) {
-      const double v = vs[r];
-      if (v == 0.0) continue;
-      const __m256d vv = _mm256_set1_pd(v);
-      acc[r][0] = _mm256_add_pd(acc[r][0], _mm256_mul_pd(vv, b0));
-      acc[r][1] = _mm256_add_pd(acc[r][1], _mm256_mul_pd(vv, b1));
-      acc[r][2] = _mm256_add_pd(acc[r][2], _mm256_mul_pd(vv, b2));
-      acc[r][3] = _mm256_add_pd(acc[r][3], _mm256_mul_pd(vv, b3));
-    }
-  }
-  double* cs[4] = {c0, c1, c2, c3};
-  for (int r = 0; r < 4; ++r) {
-    for (int q = 0; q < 4; ++q) _mm256_storeu_pd(cs[r] + 4 * q, acc[r][q]);
-  }
-}
-#endif  // REMAC_KERNEL_AVX2
+}  // namespace
 
 DenseMatrix MultiplyDenseDenseNaive(const DenseMatrix& a,
                                     const DenseMatrix& b) {
@@ -80,67 +227,62 @@ DenseMatrix MultiplyDenseDenseNaive(const DenseMatrix& a,
   return c;
 }
 
-DenseMatrix MultiplyDenseDenseBlocked(const DenseMatrix& a,
-                                      const DenseMatrix& b) {
-  const int64_t m = a.rows();
-  const int64_t k = a.cols();
-  const int64_t n = b.cols();
-  DenseMatrix c(m, n);
-  const double* pa = a.data();
-  const double* pb = b.data();
-  double* pc = c.data();
+DenseMatrix MultiplyDenseDense(const DenseMatrix& a, bool a_transposed,
+                               const DenseMatrix& b, bool b_transposed) {
+  const int64_t rows = a_transposed ? a.cols() : a.rows();
+  const int64_t depth = a_transposed ? a.rows() : a.cols();
+  const int64_t n = b_transposed ? b.rows() : b.cols();
+  DenseMatrix c(rows, n);
   Metrics().gemm_blocked->Add();
-  const bool avx = KernelHasAvx2();
-  // Column panels keep the active B slab (k x panel doubles) L2 resident
-  // while the row blocks of this range sweep over it. The wider AVX2 tile
-  // amortizes each B load over 4 rows, so it tolerates a wider panel.
-  const int64_t panel = avx ? kGemmPanelCols : kGemmColBlock;
-  ParallelForRows(m, n * std::max<int64_t>(1, k), [&](int64_t r0, int64_t r1) {
-    for (int64_t x0 = 0; x0 < n; x0 += panel) {
-      const int64_t xe = std::min(n, x0 + panel);
-      int64_t i = r0;
+  // Bᵀ is packed once into a depth x n panel, so every variant runs the
+  // AB tiles; Aᵀ is read in place through the strides.
+  std::vector<double> panel;
+  const double* pb = b.data();
+  if (b_transposed) {
+    panel.resize(static_cast<size_t>(depth * n));
+    for (int64_t x = 0; x < n; ++x) {
+      for (int64_t j = 0; j < depth; ++j) panel[j * n + x] = pb[x * depth + j];
+    }
+    pb = panel.data();
+  }
+  const GemmOperands g{a.data(), a_transposed ? 1 : depth,
+                       a_transposed ? rows : 1, pb, n, c.data(), n};
+  const bool gemv = n == 1;
+  const int64_t tile_rows = gemv ? kGemvTileRows : kGemmTileRows;
+  const int64_t tile_cols = gemv ? 1 : kGemmTileCols;
+  [[maybe_unused]] const bool avx = HasAvx2();
+  auto run_tile = [&](int64_t i0, int64_t x0, int64_t j0, int64_t j1) {
+    const int64_t tr = std::min(tile_rows, rows - i0);
+    const int64_t tc = std::min(tile_cols, n - x0);
+    TileFn tile = TileScalar;
 #if REMAC_KERNEL_AVX2
-      if (avx) {
-        for (; i + 4 <= r1; i += 4) {
-          const double* a0 = pa + i * k;
-          int64_t x = x0;
-          for (; x + 16 <= xe; x += 16) {
-            MicroKernel4x16Avx2(a0, a0 + k, a0 + 2 * k, a0 + 3 * k,
-                                /*stride=*/1, k, pb + x, n, pc + i * n + x,
-                                pc + (i + 1) * n + x, pc + (i + 2) * n + x,
-                                pc + (i + 3) * n + x);
-          }
-          for (; x < xe; ++x) {
-            for (int64_t r = 0; r < 4; ++r) {
-              pc[(i + r) * n + x] = DotStrided(a0 + r * k, 1, k, pb + x, n);
+    if (avx) {
+      tile = gemv ? kGemvAvx2[g.rs == 1][(tr + 3) / 4 - 1]
+                  : kTilesAvx2[tr - 1][(tc + 3) / 4 - 1];
+    }
+#endif
+    tile(g, i0, x0, j0, j1, tr, tc);
+  };
+  // Parallel chunks are whole row tiles. Within a chunk, groups of row
+  // tiles sweep the j-blocks in ascending order, each tile storing its C
+  // between blocks: a stored double reloads exactly, so per element the
+  // j-terms still accumulate in ascending order from +0.0.
+  const int64_t row_tiles = (rows + tile_rows - 1) / tile_rows;
+  ParallelForRows(
+      row_tiles, tile_rows * n * std::max<int64_t>(1, depth),
+      [&](int64_t t0, int64_t t1) {
+        for (int64_t g0 = t0; g0 < t1; g0 += kGemmGroupTiles) {
+          const int64_t g1 = std::min(t1, g0 + kGemmGroupTiles);
+          for (int64_t j0 = 0; j0 < depth; j0 += kGemmDepthBlock) {
+            const int64_t j1 = std::min(depth, j0 + kGemmDepthBlock);
+            for (int64_t x0 = 0; x0 < n; x0 += tile_cols) {
+              for (int64_t t = g0; t < g1; ++t) {
+                run_tile(t * tile_rows, x0, j0, j1);
+              }
             }
           }
         }
-      }
-#endif
-      // Scalar 2x8 path: all rows on non-AVX2 hardware, the <= 3
-      // trailing rows of the range otherwise.
-      for (; i + 2 <= r1; i += 2) {
-        const double* a0 = pa + i * k;
-        const double* a1 = a0 + k;
-        int64_t x = x0;
-        for (; x + 8 <= xe; x += 8) {
-          MicroKernel2x8(a0, a1, /*stride=*/1, k, pb + x, n, pc + i * n + x,
-                         pc + (i + 1) * n + x);
-        }
-        for (; x < xe; ++x) {
-          pc[i * n + x] = DotStrided(a0, 1, k, pb + x, n);
-          pc[(i + 1) * n + x] = DotStrided(a1, 1, k, pb + x, n);
-        }
-      }
-      if (i < r1) {  // odd trailing row of this range
-        const double* a0 = pa + i * k;
-        for (int64_t x = x0; x < xe; ++x) {
-          pc[i * n + x] = DotStrided(a0, 1, k, pb + x, n);
-        }
-      }
-    }
-  });
+      });
   return c;
 }
 

@@ -18,10 +18,11 @@
 /// (kernels.cc, gemm.cc, fused_multiply.cc). Not part of the public API.
 ///
 /// Determinism contract (docs/INTERNALS.md Section 12): every kernel here
-/// produces bitwise-identical results at any thread count. Row-parallel
-/// kernels compute each output row serially, so chunk boundaries cannot
-/// change any floating-point accumulation order; reductions always sum
-/// fixed-size chunks and fold the partials in chunk order.
+/// produces bitwise-identical results at any thread count. Parallel
+/// kernels compute each output row (the dense multiply: each output tile)
+/// serially, so chunk boundaries cannot change any floating-point
+/// accumulation order; reductions always sum fixed-size chunks and fold
+/// the partials in chunk order.
 
 namespace remac {
 namespace internal {
@@ -34,24 +35,6 @@ inline constexpr int64_t kParallelGrainWork = 1 << 15;
 /// Fixed reduction chunk length. Independent of the thread count, so
 /// chunked SumAll / FrobeniusNorm are deterministic at any parallelism.
 inline constexpr int64_t kReductionChunk = 1 << 15;
-
-/// Cache-blocking parameters for the dense GEMM family: MR output rows
-/// are accumulated per register tile over NC output columns, so the B
-/// panel (k x NC doubles) stays cache-resident across an i-block pass.
-/// kGemmColBlock sizes the scalar 2x8 path's panel; kGemmPanelCols sizes
-/// the wider AVX2 4x16 path's panel (256 cols x 1024 rows of B = 2 MB,
-/// the L2 capacity of the target part, which has no L3).
-inline constexpr int64_t kGemmRowBlock = 8;
-inline constexpr int64_t kGemmColBlock = 64;
-inline constexpr int64_t kGemmPanelCols = 256;
-
-/// AVX2 micro-kernels are compiled (behind a runtime CPU check) only for
-/// x86-64 GCC/Clang; everything else uses the scalar micro-kernels.
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define REMAC_KERNEL_AVX2 1
-#else
-#define REMAC_KERNEL_AVX2 0
-#endif
 
 /// Kernel-layer telemetry (INTERNALS.md Section 12). Resolving the struct
 /// once registers every name, so a metrics snapshot always carries the
@@ -286,98 +269,17 @@ CsrMatrix MultiplySparseSparseCore(const LeftRows& a, const RightRows& b,
   return c;
 }
 
-/// 2 x 8 register micro-kernel: accumulates C(i0..i0+1, x0..x0+7) over the
-/// full shared dimension in 16 named scalars the compiler keeps in SIMD
-/// registers, so the inner loop does zero accumulator loads/stores (the
-/// naive kernel pays 2 loads + 1 store per multiply-add; that memory-port
-/// pressure, not cache misses, is what bounds it on one core).
-///
-/// `a0`/`a1` point at the j_count-long streams of the two output rows'
-/// left operands; `stride` is the distance between consecutive j elements
-/// (1 when the left operand is a plain row, the row width when it is a
-/// column of a row-major matrix standing in for a transposed row). Per
-/// output element the j-terms accumulate in ascending order from +0.0
-/// with the same v == 0.0 skip as the naive kernel, so the result is
-/// bitwise-identical.
-inline void MicroKernel2x8(const double* a0, const double* a1, int64_t stride,
-                           int64_t j_count, const double* b, int64_t ldb,
-                           double* c0, double* c1) {
-  double c00 = 0.0, c01 = 0.0, c02 = 0.0, c03 = 0.0;
-  double c04 = 0.0, c05 = 0.0, c06 = 0.0, c07 = 0.0;
-  double c10 = 0.0, c11 = 0.0, c12 = 0.0, c13 = 0.0;
-  double c14 = 0.0, c15 = 0.0, c16 = 0.0, c17 = 0.0;
-  for (int64_t j = 0; j < j_count; ++j) {
-    const double* bj = b + j * ldb;
-    const double v0 = a0[j * stride];
-    if (v0 != 0.0) {
-      c00 += v0 * bj[0];
-      c01 += v0 * bj[1];
-      c02 += v0 * bj[2];
-      c03 += v0 * bj[3];
-      c04 += v0 * bj[4];
-      c05 += v0 * bj[5];
-      c06 += v0 * bj[6];
-      c07 += v0 * bj[7];
-    }
-    const double v1 = a1[j * stride];
-    if (v1 != 0.0) {
-      c10 += v1 * bj[0];
-      c11 += v1 * bj[1];
-      c12 += v1 * bj[2];
-      c13 += v1 * bj[3];
-      c14 += v1 * bj[4];
-      c15 += v1 * bj[5];
-      c16 += v1 * bj[6];
-      c17 += v1 * bj[7];
-    }
-  }
-  c0[0] = c00; c0[1] = c01; c0[2] = c02; c0[3] = c03;
-  c0[4] = c04; c0[5] = c05; c0[6] = c06; c0[7] = c07;
-  c1[0] = c10; c1[1] = c11; c1[2] = c12; c1[3] = c13;
-  c1[4] = c14; c1[5] = c15; c1[6] = c16; c1[7] = c17;
-}
-
-/// Remainder path for the dense GEMM family: one output element as a
-/// (possibly strided) dot product with the same ascending-j order and
-/// v == 0.0 skip as the naive kernel.
-inline double DotStrided(const double* a, int64_t stride, int64_t j_count,
-                         const double* b, int64_t ldb) {
-  double s = 0.0;
-  for (int64_t j = 0; j < j_count; ++j) {
-    const double v = a[j * stride];
-    if (v == 0.0) continue;
-    s += v * b[j * ldb];
-  }
-  return s;
-}
-
-/// True when the running CPU supports AVX2 (cached after the first call).
-/// Dispatching on this cannot change any result: the AVX2 micro-kernel is
-/// bitwise-identical to the scalar one lane-for-lane.
-bool KernelHasAvx2();
-
-#if REMAC_KERNEL_AVX2
-/// 4 x 16 AVX2 micro-kernel (defined in gemm.cc with the `avx2` target
-/// attribute; call only when KernelHasAvx2()). Same contract as
-/// MicroKernel2x8 scaled up: 16 __m256d accumulators, per j one broadcast
-/// of each left value guarded by the v == 0.0 skip, separate
-/// _mm256_mul_pd + _mm256_add_pd (no FMA, so no contraction), j ascending
-/// — every lane performs exactly the scalar kernel's operation sequence,
-/// so results are bitwise-identical to the naive loop.
-void MicroKernel4x16Avx2(const double* a0, const double* a1, const double* a2,
-                         const double* a3, int64_t stride, int64_t j_count,
-                         const double* b, int64_t ldb, double* c0, double* c1,
-                         double* c2, double* c3);
-#endif
-
-/// Naive reference GEMM (the pre-blocking i-j-x loop). Kept as the
-/// bitwise oracle for the blocked kernel and as the bench baseline.
+/// Naive reference GEMM (the i-j-x loop). Kept as the bitwise oracle for
+/// the tiled kernel and as the bench baseline.
 DenseMatrix MultiplyDenseDenseNaive(const DenseMatrix& a,
                                     const DenseMatrix& b);
 
-/// Cache-blocked, bitwise-identical replacement (see gemm.cc).
-DenseMatrix MultiplyDenseDenseBlocked(const DenseMatrix& a,
-                                      const DenseMatrix& b);
+/// op(A) op(B) for dense operands, op = transpose where flagged: the
+/// register-tiled core behind Multiply and MultiplyTransposed, bitwise
+/// identical to MultiplyDenseDenseNaive on the materialized operands
+/// (see gemm.cc).
+DenseMatrix MultiplyDenseDense(const DenseMatrix& a, bool a_transposed,
+                               const DenseMatrix& b, bool b_transposed);
 
 }  // namespace internal
 }  // namespace remac

@@ -62,7 +62,7 @@ namespace {
 using internal::kReductionChunk;
 using internal::CsrRows;
 using internal::Metrics;
-using internal::MultiplyDenseDenseBlocked;
+using internal::MultiplyDenseDense;
 using internal::MultiplyDenseDenseNaive;
 using internal::MultiplySparseDenseCore;
 using internal::MultiplySparseSparseCore;
@@ -239,7 +239,8 @@ Result<Matrix> Multiply(const Matrix& a, const Matrix& b) {
   if (a.cols() != b.rows()) return ShapeError("multiply", a, b);
   Metrics().multiplies->Add();
   if (a.is_dense() && b.is_dense()) {
-    return Matrix::FromDense(MultiplyDenseDenseBlocked(a.dense(), b.dense()));
+    return Matrix::FromDense(
+        MultiplyDenseDense(a.dense(), false, b.dense(), false));
   }
   if (!a.is_dense() && b.is_dense()) {
     return Matrix::FromDense(

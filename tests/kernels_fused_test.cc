@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <tuple>
 #include <vector>
 
@@ -11,11 +13,12 @@
 #include "plan/plan_builder.h"
 #include "runtime/executor.h"
 
-/// Bitwise-identity tests for the kernel layer (ISSUE 5): fused
-/// transpose-multiply vs materialize-then-multiply for every format combo
-/// and transpose pattern, blocked GEMM vs the naive reference, and
-/// thread-count determinism for the parallel/chunked kernels. Suites are
-/// named Kernels* so scripts/check.sh runs them under TSan/ASan/UBSan.
+/// Bitwise-identity tests for the kernel layer: fused transpose-multiply
+/// vs materialize-then-multiply-naive for every format combo and transpose
+/// pattern, the tiled dense GEMM vs the naive reference and vs a textbook
+/// loop on tall-skinny shapes, and thread-count determinism for the
+/// parallel/chunked kernels. Suites are named Kernels* so
+/// scripts/check.sh runs them under TSan/ASan/UBSan.
 
 namespace remac {
 namespace {
@@ -75,11 +78,13 @@ struct ThreadGuard {
 class KernelsFusedTest
     : public ::testing::TestWithParam<std::tuple<bool, bool, int>> {};
 
+/// The oracle multiplies the materialized operands with the naive
+/// reference, so a bug in the tiled dense core cannot hide on both sides.
 void CheckFusedAgainstMaterialized(const Matrix& a, bool a_t, const Matrix& b,
                                    bool b_t) {
   const Matrix ea = a_t ? Transpose(a) : a;
   const Matrix eb = b_t ? Transpose(b) : b;
-  auto expected = Multiply(ea, eb);
+  auto expected = MultiplyReferenceNaive(ea, eb);
   ASSERT_TRUE(expected.ok()) << expected.status().ToString();
   auto fused = MultiplyTransposed(a, a_t, b, b_t);
   ASSERT_TRUE(fused.ok()) << fused.status().ToString();
@@ -167,19 +172,20 @@ TEST(KernelsFused, BumpsFusedMetricsAndAvoidsTransposeKernel) {
             static_cast<int64_t>(a.SizeInBytes()));
 }
 
-/// Blocked GEMM must be bit-identical to the naive reference, which is in
-/// turn bit-identical to a textbook triple loop (per output element the
+/// The tiled GEMM must be bit-identical to the naive reference, which is
+/// in turn bit-identical to a textbook triple loop (per output element the
 /// shared index ascends and the accumulator starts at +0.0).
 class KernelsBlockedGemmTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(KernelsBlockedGemmTest, BitwiseMatchesNaive) {
   ThreadGuard guard;
   SetKernelThreads(GetParam());
-  // Shapes straddling the MR=8 / NC=64 tile boundaries, with zeros so the
-  // v == 0.0 skip path is exercised.
+  // Shapes straddling the 4 x 16 tile and 256-deep j-block boundaries,
+  // with zeros so the v == 0.0 skip path is exercised.
   const struct {
     int64_t m, k, n;
-  } shapes[] = {{150, 70, 130}, {8, 64, 64}, {9, 65, 65}, {1, 40, 200}};
+  } shapes[] = {{150, 70, 130}, {8, 64, 64},  {9, 65, 65},
+                {1, 40, 200},   {6, 513, 18}, {33, 257, 1}};
   for (const auto& s : shapes) {
     const Matrix a = RandomMatrix(s.m, s.k, 0.6, 51 + s.m, true);
     const Matrix b = RandomMatrix(s.k, s.n, 0.6, 52 + s.n, true);
@@ -206,6 +212,156 @@ TEST_P(KernelsBlockedGemmTest, BitwiseMatchesNaive) {
 
 INSTANTIATE_TEST_SUITE_P(Threads, KernelsBlockedGemmTest,
                          ::testing::Values(1, 2, 8));
+
+/// --- tall-skinny dense products vs a textbook loop ------------------------
+
+/// Equal bits, or both NaN: which NaN an add of two NaNs returns depends on
+/// its operand order, which the compiler may commute, so payloads are not
+/// part of the contract. Signed zeros and infinities are.
+::testing::AssertionResult SameValues(const DenseMatrix& got,
+                                      const DenseMatrix& want) {
+  if (got.rows() != want.rows() || got.cols() != want.cols()) {
+    return ::testing::AssertionFailure() << "shape mismatch";
+  }
+  for (int64_t i = 0; i < got.size(); ++i) {
+    const double g = got.data()[i];
+    const double w = want.data()[i];
+    if (std::isnan(g) && std::isnan(w)) continue;
+    if (std::memcmp(&g, &w, sizeof(double)) != 0) {
+      return ::testing::AssertionFailure()
+             << "element (" << i / got.cols() << ", " << i % got.cols()
+             << "): got " << g << " want " << w;
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+DenseMatrix TransposeCopy(const DenseMatrix& m) {
+  DenseMatrix t(m.cols(), m.rows());
+  for (int64_t i = 0; i < m.rows(); ++i) {
+    for (int64_t j = 0; j < m.cols(); ++j) t.At(j, i) = m.At(i, j);
+  }
+  return t;
+}
+
+/// C = L R the textbook way: per element, j ascending from +0.0, skipping
+/// zero left values.
+DenseMatrix TextbookMultiply(const DenseMatrix& l, const DenseMatrix& r) {
+  DenseMatrix c(l.rows(), r.cols());
+  for (int64_t i = 0; i < l.rows(); ++i) {
+    for (int64_t x = 0; x < r.cols(); ++x) {
+      double sum = 0.0;
+      for (int64_t j = 0; j < l.cols(); ++j) {
+        const double v = l.At(i, j);
+        if (v == 0.0) continue;
+        sum += v * r.At(j, x);
+      }
+      c.At(i, x) = sum;
+    }
+  }
+  return c;
+}
+
+/// Effective left operand (rows x depth): about 40% zeros, a tenth of them
+/// -0.0. Row 0 is nonzero only at j = 0, where it is negative.
+DenseMatrix SkinnyLeft(int64_t rows, int64_t depth, uint64_t seed) {
+  Rng rng(seed);
+  DenseMatrix l(rows, depth);
+  for (int64_t i = 0; i < l.size(); ++i) {
+    const bool zero = rng.NextDouble() < 0.4 || (i < depth && i > 0);
+    l.data()[i] = zero ? (rng.NextDouble() < 0.1 ? -0.0 : 0.0)
+                       : rng.NextGaussian();
+  }
+  if (rows > 0 && depth > 0) l.At(0, 0) = -1.5;
+  return l;
+}
+
+/// Effective right operand (depth x n). Row 0 is all +0.0, so output row 0
+/// sums only -0.0 products and must come out +0.0. The last column holds
+/// +Inf, -Inf and NaN at j = 1, depth / 2 and depth - 1: output row 0's
+/// left values are zero there, so the skip must keep them out of it,
+/// while other rows pick them up wherever their left value is nonzero.
+DenseMatrix SkinnyRight(int64_t depth, int64_t n, uint64_t seed) {
+  Rng rng(seed);
+  DenseMatrix r(depth, n);
+  for (int64_t i = n; i < r.size(); ++i) r.data()[i] = rng.NextGaussian();
+  const double specials[] = {std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::quiet_NaN()};
+  const int64_t rows[] = {1, depth / 2, depth - 1};
+  for (int s = 0; s < 3; ++s) {
+    if (n > 0 && rows[s] > 0 && rows[s] < depth) {
+      r.At(rows[s], n - 1) = specials[s];
+    }
+  }
+  return r;
+}
+
+/// AB, AᵀB, ABᵀ and AᵀBᵀ with the long dimension m against the textbook
+/// loop at 1, 2, 3, 4 and 8 threads. m is the output row count of AB /
+/// ABᵀ and the shared dimension of AᵀB / AᵀBᵀ (257, 1000 and 4099 cross
+/// the 256-deep j-blocks); k and n run over every tail mod 4 and mod 16.
+class KernelsTallSkinnyTest : public ::testing::TestWithParam<int64_t> {};
+
+TEST_P(KernelsTallSkinnyTest, AllVariantsMatchTextbookLoop) {
+  ThreadGuard guard;
+  const int64_t m = GetParam();
+  const int64_t dims[] = {1, 2, 3, 4, 5, 9, 10, 15, 16, 17, 47};
+  constexpr int kDims = 11;
+  // Every (k, n) pair for the short m; for the long ones a permutation
+  // pairing that still covers each value once on both sides.
+  std::vector<std::pair<int64_t, int64_t>> pairs;
+  for (int i = 0; i < kDims; ++i) {
+    if (m <= 257) {
+      for (int64_t n : dims) pairs.emplace_back(dims[i], n);
+    } else {
+      pairs.emplace_back(dims[i], dims[(3 * i + 5) % kDims]);
+    }
+  }
+  uint64_t seed = 1000 + static_cast<uint64_t>(m);
+  for (const auto& [k, n] : pairs) {
+    for (const bool a_t : {false, true}) {
+      for (const bool b_t : {false, true}) {
+        const int64_t rows = a_t ? k : m;
+        const int64_t depth = a_t ? m : k;
+        const DenseMatrix l = SkinnyLeft(rows, depth, ++seed);
+        const DenseMatrix r = SkinnyRight(depth, n, ++seed);
+        const DenseMatrix expected = TextbookMultiply(l, r);
+        const Matrix a = Matrix::WrapDense(a_t ? TransposeCopy(l) : l);
+        const Matrix b = Matrix::WrapDense(b_t ? TransposeCopy(r) : r);
+        for (int threads : {1, 2, 3, 4, 8}) {
+          SetKernelThreads(threads);
+          auto got = MultiplyTransposed(a, a_t, b, b_t);
+          ASSERT_TRUE(got.ok()) << got.status().ToString();
+          ASSERT_TRUE(SameValues(got->ToDense(), expected))
+              << "m=" << m << " k=" << k << " n=" << n << " a_t=" << a_t
+              << " b_t=" << b_t << " threads=" << threads;
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Rows, KernelsTallSkinnyTest,
+                         ::testing::Values(1, 3, 257, 1000, 4099));
+
+/// t(W) %*% V with rank 10, bitwise at 3 and 4 threads, where the 10
+/// output rows split into whole tiles of 4/4/2 rows (a plain row split
+/// would give 3/3/3/1-row chunks that hold no whole tile).
+TEST(KernelsTallSkinny, RankTenAtBAtThreeAndFourThreads) {
+  ThreadGuard guard;
+  const DenseMatrix w = SkinnyLeft(10, 3000, 81);  // Wᵀ
+  const DenseMatrix v = SkinnyRight(3000, 47, 82);
+  const DenseMatrix expected = TextbookMultiply(w, v);
+  const Matrix stored_w = Matrix::WrapDense(TransposeCopy(w));
+  const Matrix stored_v = Matrix::WrapDense(v);
+  for (int threads : {3, 4}) {
+    SetKernelThreads(threads);
+    auto got = MultiplyTransposed(stored_w, true, stored_v, false);
+    ASSERT_TRUE(got.ok());
+    EXPECT_TRUE(SameValues(got->ToDense(), expected)) << threads;
+  }
+}
 
 /// Every parallelized kernel must produce the same bits at any thread
 /// count (chunk boundaries depend only on KernelThreads(); reductions use
