@@ -439,11 +439,9 @@ int BenchLoadMain(int argc, char** argv) {
   std::printf("scaling gate (%d core(s), 4T/1T %.2fx): %s\n", cores,
               speedup_4t, scaling_ok ? "ok" : "FAIL");
   const ServiceStats load_stats = service.stats();
-  std::printf("admission: %lld shed, %lld degraded, %lld coalesced of "
-              "%lld request(s)\n",
+  std::printf("admission: %lld shed, %lld degraded of %lld request(s)\n",
               static_cast<long long>(load_stats.shed_requests),
               static_cast<long long>(load_stats.degraded_requests),
-              static_cast<long long>(load_stats.coalesced_requests),
               static_cast<long long>(load_stats.requests));
 
   Tracer::Global().SetProfiling(false);
@@ -535,11 +533,10 @@ int BenchLoadMain(int argc, char** argv) {
                    saturation[i].second);
     }
     std::fprintf(out,
-                 "], \"shed_requests\": %lld, \"coalesced_requests\": %lld, "
+                 "], \"shed_requests\": %lld, "
                  "\"speedup_4t_over_1t\": %.3f, \"scaling_ok\": %s, "
                  "\"trace_identity\": %s}\n",
                  static_cast<long long>(load_stats.shed_requests),
-                 static_cast<long long>(load_stats.coalesced_requests),
                  speedup_4t, scaling_ok ? "true" : "false",
                  identical ? "true" : "false");
     std::fclose(out);

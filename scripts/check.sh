@@ -86,69 +86,49 @@ sanitizer_gate() {  # sanitizer_gate NAME DIR SANITIZE_VALUE ENV_VAR
     "$dir/tests/remac_tests" --gtest_filter="$FILTER"
 }
 
+# run_bench NAME ARGS...: builds bench target NAME in $BENCH_DIR, runs it
+# with ARGS and tees its stdout to $BENCH_DIR/NAME.out; fails when the
+# build fails, the binary is missing or the bench exits non-zero.
+run_bench() {
+  local name="$1"
+  shift
+  cmake --build "$BENCH_DIR" -j --target "$name" || return 1
+  local bin="$BENCH_DIR/bench/$name"
+  if [[ ! -x "$bin" ]]; then
+    bin="$(find "$BENCH_DIR" -name "$name" -type f | head -1)"
+  fi
+  if [[ -z "$bin" ]]; then
+    echo "error: $name binary not found under '$BENCH_DIR'" >&2
+    return 1
+  fi
+  "$bin" "$@" | tee "$BENCH_DIR/$name.out"
+}
+
 bench_smoke_gate() {
   require_cache "$BENCH_DIR" "" || return 1
   cmake -B "$BENCH_DIR" -S . || return 1
-  cmake --build "$BENCH_DIR" -j --target bench_smoke || return 1
-  local bin="$BENCH_DIR/bench/bench_smoke"
-  if [[ ! -x "$bin" ]]; then
-    bin="$(find "$BENCH_DIR" -name bench_smoke -type f | head -1)"
-  fi
-  if [[ -z "$bin" ]]; then
-    echo "error: bench_smoke binary not found under '$BENCH_DIR'" >&2
-    return 1
-  fi
-  local out="$BENCH_DIR/bench_smoke.out"
-  "$bin" --quick --json | tee "$out" || return 1
+  run_bench bench_smoke --quick --json || return 1
   python3 tools/validate_metrics.py --manifest tools/metrics_manifest.txt \
-    "$out" || return 1
+    "$BENCH_DIR/bench_smoke.out" || return 1
   # Kernel perf gate: bench_kernels exits non-zero when the blocked GEMM,
   # fused transpose-multiply, or elementwise-fusion speedup falls below
   # its floor (the manifest validation above stays on bench_smoke output,
   # which runs the full pipeline and therefore registers every manifest
   # metric).
-  cmake --build "$BENCH_DIR" -j --target bench_kernels || return 1
-  local kbin="$BENCH_DIR/bench/bench_kernels"
-  if [[ ! -x "$kbin" ]]; then
-    kbin="$(find "$BENCH_DIR" -name bench_kernels -type f | head -1)"
-  fi
-  if [[ -z "$kbin" ]]; then
-    echo "error: bench_kernels binary not found under '$BENCH_DIR'" >&2
-    return 1
-  fi
-  "$kbin" --quick --json | tee "$BENCH_DIR/bench_kernels.out" || return 1
+  run_bench bench_kernels --quick --json || return 1
   # Intermediate-reuse perf gate: bench_service exits non-zero when
   # serving a shared chain from the matcache is less than 2x faster than
   # recomputing it per session (writes BENCH_service.json).
-  cmake --build "$BENCH_DIR" -j --target bench_service || return 1
-  local sbin="$BENCH_DIR/bench/bench_service"
-  if [[ ! -x "$sbin" ]]; then
-    sbin="$(find "$BENCH_DIR" -name bench_service -type f | head -1)"
-  fi
-  if [[ -z "$sbin" ]]; then
-    echo "error: bench_service binary not found under '$BENCH_DIR'" >&2
-    return 1
-  fi
-  "$sbin" --quick --json | tee "$BENCH_DIR/bench_service.out" || return 1
+  run_bench bench_service --quick --json || return 1
   # Serving-tier load gate: bench_load drives the open-loop Zipf workload
   # (writes BENCH_service.json), exits non-zero when tracing perturbs
   # results (bitwise on-vs-off identity), and emits per-request span
   # trees that validate_trace.py checks for rooted-tree integrity
   # (every parent exists, child intervals and durations within the
   # parent's).
-  cmake --build "$BENCH_DIR" -j --target bench_load || return 1
-  local lbin="$BENCH_DIR/bench/bench_load"
-  if [[ ! -x "$lbin" ]]; then
-    lbin="$(find "$BENCH_DIR" -name bench_load -type f | head -1)"
-  fi
-  if [[ -z "$lbin" ]]; then
-    echo "error: bench_load binary not found under '$BENCH_DIR'" >&2
-    return 1
-  fi
   local trace_dir="$BENCH_DIR/bench_load_traces"
   rm -rf "$trace_dir" && mkdir -p "$trace_dir"
-  "$lbin" --quick --json --trace-dir="$trace_dir" \
-    | tee "$BENCH_DIR/bench_load.out" || return 1
+  run_bench bench_load --quick --json --trace-dir="$trace_dir" || return 1
   python3 tools/validate_trace.py "$trace_dir"/trace-*.json || return 1
   # Saturation scaling gate: re-apply bench_load's hardware-aware rule to
   # the BENCH_service.json it just wrote, so a recorded curve that
@@ -159,16 +139,7 @@ bench_smoke_gate() {
   # SUMMA path moves strictly fewer TransmissionLedger bytes than forced
   # 1D on at least one sparse/skewed program, with bitwise-identical
   # results (writes BENCH_dist2d.json).
-  cmake --build "$BENCH_DIR" -j --target bench_distributed || return 1
-  local dbin="$BENCH_DIR/bench/bench_distributed"
-  if [[ ! -x "$dbin" ]]; then
-    dbin="$(find "$BENCH_DIR" -name bench_distributed -type f | head -1)"
-  fi
-  if [[ -z "$dbin" ]]; then
-    echo "error: bench_distributed binary not found under '$BENCH_DIR'" >&2
-    return 1
-  fi
-  "$dbin" --quick --json | tee "$BENCH_DIR/bench_distributed.out"
+  run_bench bench_distributed --quick --json
 }
 
 if sanitizer_gate ThreadSanitizer "$TSAN_DIR" thread TSAN_OPTIONS; then

@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "obs/trace_context.h"
-#include "sched/thread_pool.h"
 
 namespace remac {
 
@@ -34,18 +33,12 @@ MatExecContext::MatExecContext(
       ++stats_.hits;
       cache_->RecordFlopsSaved(candidate.predicted_flops);
     } else {
-      auto [flight, leader] = cache_->JoinFlight(state->key);
+      auto [flight, leader] = cache_->flights().Join(state->key);
       if (leader) {
-        // With single-flight disabled JoinFlight reports everyone as a
-        // flightless leader: still compute-and-admit, just with nobody
-        // to publish to (CompleteFlight is a no-op without a flight).
         state->leader = true;
-        if (flight != nullptr) {
-          leads_any_ = true;
-          ++stats_.flights_led;
-        }
+        leads_any_ = true;
+        ++stats_.flights_led;
       } else {
-        state->follower = true;
         state->flight = std::move(flight);
       }
     }
@@ -61,7 +54,7 @@ MatExecContext::~MatExecContext() {
   // them to compute locally.
   for (const auto& state : states_) {
     if (state->leader && !state->completed) {
-      cache_->CancelFlight(state->key);
+      cache_->flights().Complete(state->key, nullptr);
     }
   }
 }
@@ -77,11 +70,11 @@ const RtValue* MatExecContext::Lookup(const PlanNode* node) {
   if (it == by_node_.end()) return nullptr;
   KeyState* state = it->second;
 
-  std::shared_ptr<MatCache::Flight> flight;
+  std::shared_ptr<MatFlights::Call> flight;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (const RtValue* served = ServedLocked(*state)) return served;
-    if (!state->follower) return nullptr;  // leader or local: compute
+    if (state->flight == nullptr) return nullptr;  // leader or local
     if (leads_any_) {
       // Leader-never-waits: a context that owes results to followers
       // elsewhere must not block on another leader (two leaders waiting
@@ -91,29 +84,18 @@ const RtValue* MatExecContext::Lookup(const PlanNode* node) {
     flight = state->flight;
   }
 
-  // Pure waiter: block on the leader's result, helping drain its own
-  // lane meanwhile so a fleet of waiting sessions cannot starve the
-  // leader's nested tasks.
+  // Pure waiter: block on the leader's result (SingleFlight::Wait helps
+  // drain this thread's lane meanwhile).
   const double wait_start_us = TraceNowMicros();
-  if (ThreadPool* self = ThreadPool::CurrentPool(); self != nullptr) {
-    while (true) {
-      {
-        std::unique_lock<std::mutex> lock(flight->mu);
-        if (flight->done) break;
-      }
-      if (!self->TryRunOne()) break;
-    }
-  }
   std::shared_ptr<const MaterializedIntermediate> served =
-      cache_->WaitFlight(flight.get());
+      MatFlights::Wait(*flight);
   const double wait_end_us = TraceNowMicros();
   cache_->RecordFlightWait((wait_end_us - wait_start_us) * 1e-6);
   RecordWaitSpan("matcache-flight-wait", wait_start_us, wait_end_us);
 
   std::lock_guard<std::mutex> lock(mu_);
   ++stats_.flight_waits;
-  state->follower = false;  // resolved either way; never wait again
-  state->flight.reset();
+  state->flight.reset();  // resolved either way; never wait again
   if (served == nullptr) return nullptr;  // cancelled: compute locally
   state->served = std::move(served);
   cache_->RecordFlopsSaved(state->candidate->predicted_flops);
@@ -148,7 +130,7 @@ void MatExecContext::Offer(const PlanNode* node, const RtValue& value) {
   std::shared_ptr<const MaterializedIntermediate> entry = cache_->Offer(
       state->key, value, state->candidate->predicted_flops,
       state->candidate->datasets);
-  cache_->CompleteFlight(state->key, entry);
+  cache_->flights().Complete(state->key, entry);
   std::lock_guard<std::mutex> lock(mu_);
   state->served = std::move(entry);
 }

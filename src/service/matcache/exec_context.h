@@ -33,9 +33,9 @@ struct MatRequestStats {
 /// IntermediateStore:
 ///
 ///   Lookup  — serves pinned hits by node pointer; single-flight
-///             followers block on the leader's result here (helping
-///             drain the shared pool while they wait, the plan-service
-///             idiom). A context that leads any flight never waits — a
+///             followers block on the leader's result here
+///             (SingleFlight::Wait, which helps drain the waiter's
+///             lane). A context that leads any flight never waits — a
 ///             leader blocking on another leader could deadlock in a
 ///             cycle, so leaders compute follower misses locally.
 ///   Offer   — a led key's first computed value completes its flight
@@ -77,9 +77,9 @@ class MatExecContext : public IntermediateStore {
     std::string key;
     const SubplanCandidate* candidate = nullptr;
     bool leader = false;
-    bool follower = false;   // cleared after the flight resolves
     bool completed = false;  // led flight was completed (or cancelled)
-    std::shared_ptr<MatCache::Flight> flight;  // followers only
+    /// Followers only; reset once the flight resolves.
+    std::shared_ptr<MatFlights::Call> flight;
     /// Pinned cache entry (probe hit, leader offer, or flight result).
     std::shared_ptr<const MaterializedIntermediate> served;
     /// Locally computed value when no cache entry applies (cancelled

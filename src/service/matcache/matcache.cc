@@ -3,12 +3,10 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
-#include <functional>
 #include <utility>
 #include <vector>
 
 #include "obs/metrics.h"
-#include "obs/trace_context.h"
 
 namespace remac {
 
@@ -73,86 +71,53 @@ double BenefitScore(const MaterializedIntermediate& entry) {
 
 }  // namespace
 
-MatCache::MatCache(MatCacheOptions options) : options_(options) {
-  Metrics();  // register the remac.matcache.* family up front
-  const int64_t capacity = std::max<int64_t>(options_.capacity_bytes, 0);
-  const size_t n = static_cast<size_t>(
-      std::clamp<int>(options_.shards <= 0 ? 1 : options_.shards, 1, 64));
-  shards_.reserve(n);
-  const int64_t base = capacity / static_cast<int64_t>(n);
-  const int64_t rem = capacity % static_cast<int64_t>(n);
-  for (size_t i = 0; i < n; ++i) {
-    auto shard = std::make_unique<Shard>();
-    shard->capacity_bytes =
-        base + (static_cast<int64_t>(i) < rem ? 1 : 0);
-    shards_.push_back(std::move(shard));
-  }
+MatCache::MatCache(MatCacheOptions options)
+    : options_(options),
+      lru_(options_.capacity_bytes, options_.shards,
+           [](const std::shared_ptr<const MaterializedIntermediate>& entry) {
+             return BenefitScore(*entry);
+           },
+           Metrics().lock_wait, "matcache-lock") {}
+
+void MatCache::Track(const MaterializedIntermediate& entry, int sign) {
+  const int64_t bytes = sign * entry.bytes;
+  resident_bytes_.fetch_add(bytes, std::memory_order_relaxed);
+  Metrics().entries->Add(sign);
+  Metrics().resident_bytes->Add(static_cast<double>(bytes));
 }
 
-MatCache::Shard& MatCache::ShardFor(const std::string& key) {
-  return *shards_[std::hash<std::string>{}(key) % shards_.size()];
-}
-
-int64_t MatCache::ProbeCount(const std::string& key) {
+void MatCache::CountProbe(const std::string& key) {
   std::lock_guard<std::mutex> lock(ghost_mu_);
   if (ghost_probes_.size() > kMaxGhostKeys) {
-    // Halve by dropping the low-frequency tail; exactness does not
-    // matter, the map only biases admission toward re-requested keys.
+    // Age the map: halve every count and drop the zeros. Once-probed keys
+    // go at once and re-probed ones decay, so the map stays bounded and a
+    // key probed after it filled still counts up. A pass halves counts
+    // the probes themselves built, so its cost amortizes to O(1) per
+    // probe. Exactness does not matter: the map only biases admission
+    // toward re-requested keys.
     for (auto it = ghost_probes_.begin(); it != ghost_probes_.end();) {
-      it = it->second <= 1 ? ghost_probes_.erase(it) : std::next(it);
+      it->second /= 2;
+      it = it->second == 0 ? ghost_probes_.erase(it) : std::next(it);
     }
   }
-  return ++ghost_probes_[key];
+  ++ghost_probes_[key];
 }
 
 std::shared_ptr<const MaterializedIntermediate> MatCache::Get(
     const std::string& key) {
   probes_.fetch_add(1, std::memory_order_relaxed);
   Metrics().probes->Add();
-  ProbeCount(key);
-  Shard& shard = ShardFor(key);
-  TimedMutexLock lock(shard.mu, Metrics().lock_wait, "matcache-lock");
-  auto it = shard.index.find(key);
-  if (it == shard.index.end()) {
+  CountProbe(key);
+  std::shared_ptr<const MaterializedIntermediate> entry = lru_.Get(key);
+  if (entry == nullptr) {
     misses_.fetch_add(1, std::memory_order_relaxed);
     Metrics().misses->Add();
     return nullptr;
   }
-  shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
   hits_.fetch_add(1, std::memory_order_relaxed);
   Metrics().hits->Add();
-  it->second->value->hits.fetch_add(1, std::memory_order_relaxed);
-  return it->second->value;
-}
-
-std::list<MatCache::Entry>::iterator MatCache::RemoveLocked(
-    Shard* shard, std::list<Entry>::iterator it) {
-  shard->resident_bytes -= it->value->bytes;
-  Metrics().entries->Add(-1.0);
-  Metrics().resident_bytes->Add(-static_cast<double>(it->value->bytes));
-  shard->index.erase(it->key);
-  return shard->lru.erase(it);
-}
-
-void MatCache::EvictLocked(Shard* shard) {
-  while (shard->resident_bytes > shard->capacity_bytes &&
-         !shard->lru.empty()) {
-    // Sample the tail (up to 3 LRU entries, never the just-inserted MRU)
-    // and drop the lowest benefit — cost-aware LRU like the plan cache.
-    auto victim = std::prev(shard->lru.end());
-    auto candidate = victim;
-    for (int probe = 1; probe < 3; ++probe) {
-      if (candidate == shard->lru.begin()) break;
-      candidate = std::prev(candidate);
-      if (candidate == shard->lru.begin()) break;
-      if (BenefitScore(*candidate->value) < BenefitScore(*victim->value)) {
-        victim = candidate;
-      }
-    }
-    RemoveLocked(shard, victim);
-    evictions_.fetch_add(1, std::memory_order_relaxed);
-    Metrics().evictions->Add();
-  }
+  entry->hits.fetch_add(1, std::memory_order_relaxed);
+  return entry;
 }
 
 std::shared_ptr<const MaterializedIntermediate> MatCache::Offer(
@@ -166,9 +131,8 @@ std::shared_ptr<const MaterializedIntermediate> MatCache::Offer(
   entry->predicted_flops = predicted_flops;
   entry->datasets = std::move(datasets);
 
-  Shard& shard = ShardFor(key);
-  const bool fits =
-      entry->bytes <= shard.capacity_bytes && options_.capacity_bytes > 0;
+  const bool fits = entry->bytes <= lru_.BudgetFor(key) &&
+                    options_.capacity_bytes > 0;
   bool admit = fits;
   if (admit && options_.admit_flops_per_byte > 0.0) {
     // Cost-aware admission: the predicted recompute work, amortized over
@@ -191,90 +155,39 @@ std::shared_ptr<const MaterializedIntermediate> MatCache::Offer(
     return entry;  // still published to followers, just not resident
   }
 
-  TimedMutexLock lock(shard.mu, Metrics().lock_wait, "matcache-lock");
-  auto it = shard.index.find(key);
-  if (it != shard.index.end()) RemoveLocked(&shard, it->second);
-  shard.lru.push_front(Entry{key, entry});
-  shard.index[key] = shard.lru.begin();
-  shard.resident_bytes += entry->bytes;
   admits_.fetch_add(1, std::memory_order_relaxed);
   Metrics().admits->Add();
-  Metrics().entries->Add(1.0);
-  Metrics().resident_bytes->Add(static_cast<double>(entry->bytes));
-  EvictLocked(&shard);
+  Track(*entry, +1);
+  auto displaced = lru_.Put(key, entry, entry->bytes);
+  if (displaced.replaced != nullptr) Track(*displaced.replaced, -1);
+  for (const auto& victim : displaced.evicted) {
+    Track(*victim, -1);
+    evictions_.fetch_add(1, std::memory_order_relaxed);
+    Metrics().evictions->Add();
+  }
   return entry;
 }
 
 int MatCache::EraseDatasets(const std::vector<std::string>& names) {
-  int dropped = 0;
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    for (auto it = shard->lru.begin(); it != shard->lru.end();) {
-      const bool stale = std::any_of(
-          it->value->datasets.begin(), it->value->datasets.end(),
-          [&](const std::string& ds) {
-            return std::find(names.begin(), names.end(), ds) != names.end();
-          });
-      if (stale) {
-        it = RemoveLocked(shard.get(), it);
-        ++dropped;
-      } else {
-        ++it;
-      }
-    }
-  }
-  invalidations_.fetch_add(dropped, std::memory_order_relaxed);
-  Metrics().invalidations->Add(dropped);
-  return dropped;
-}
-
-std::pair<std::shared_ptr<MatCache::Flight>, bool> MatCache::JoinFlight(
-    const std::string& key) {
-  if (!options_.single_flight) return {nullptr, true};
-  std::lock_guard<std::mutex> lock(flights_mu_);
-  auto it = flights_.find(key);
-  if (it != flights_.end()) return {it->second, false};
-  auto flight = std::make_shared<Flight>();
-  flights_.emplace(key, flight);
-  return {flight, true};
-}
-
-void MatCache::CompleteFlight(
-    const std::string& key,
-    std::shared_ptr<const MaterializedIntermediate> served) {
-  std::shared_ptr<Flight> flight;
-  {
-    std::lock_guard<std::mutex> lock(flights_mu_);
-    auto it = flights_.find(key);
-    if (it == flights_.end()) return;
-    flight = it->second;
-    flights_.erase(it);
-  }
-  {
-    std::lock_guard<std::mutex> lock(flight->mu);
-    flight->done = true;
-    flight->served = std::move(served);
-  }
-  flight->cv.notify_all();
-}
-
-void MatCache::CancelFlight(const std::string& key) {
-  CompleteFlight(key, nullptr);
-}
-
-std::shared_ptr<const MaterializedIntermediate> MatCache::WaitFlight(
-    Flight* flight) {
-  std::unique_lock<std::mutex> lock(flight->mu);
-  flight->cv.wait(lock, [&] { return flight->done; });
-  return flight->served;
+  const auto dropped = lru_.EraseIf(
+      [&names](const std::shared_ptr<const MaterializedIntermediate>& entry) {
+        return std::any_of(
+            entry->datasets.begin(), entry->datasets.end(),
+            [&](const std::string& ds) {
+              return std::find(names.begin(), names.end(), ds) != names.end();
+            });
+      });
+  for (const auto& entry : dropped) Track(*entry, -1);
+  const int count = static_cast<int>(dropped.size());
+  invalidations_.fetch_add(count, std::memory_order_relaxed);
+  Metrics().invalidations->Add(count);
+  return count;
 }
 
 void MatCache::RecordFlightWait(double wait_seconds) {
   flight_waits_.fetch_add(1, std::memory_order_relaxed);
   Metrics().flight_waits->Add();
-  if (wait_seconds >= 0.0) {
-    Metrics().flight_wait_seconds->Observe(wait_seconds);
-  }
+  Metrics().flight_wait_seconds->Observe(wait_seconds);
 }
 
 void MatCache::RecordFlopsSaved(double flops) {
@@ -296,24 +209,6 @@ MatCacheStats MatCache::stats() const {
   stats.resident_bytes = resident_bytes();
   stats.flops_saved = flops_saved_.load(std::memory_order_relaxed);
   return stats;
-}
-
-int64_t MatCache::resident_bytes() const {
-  int64_t total = 0;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    total += shard->resident_bytes;
-  }
-  return total;
-}
-
-size_t MatCache::size() const {
-  size_t total = 0;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    total += shard->lru.size();
-  }
-  return total;
 }
 
 double MeasuredAdmitFlopsPerByte() {

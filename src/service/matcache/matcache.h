@@ -2,9 +2,7 @@
 #define REMAC_SERVICE_MATCACHE_MATCACHE_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -12,6 +10,8 @@
 #include <vector>
 
 #include "runtime/executor.h"
+#include "service/sharded_lru.h"
+#include "service/single_flight.h"
 
 namespace remac {
 
@@ -48,9 +48,6 @@ struct MatCacheOptions {
   /// per byte to earn residency. 0 admits everything that fits;
   /// MeasuredAdmitFlopsPerByte() derives a machine-specific default.
   double admit_flops_per_byte = 0.0;
-  /// Single-flight: concurrent misses on one key compute once, the rest
-  /// wait for the leader's result (see MatExecContext).
-  bool single_flight = true;
 };
 
 struct MatCacheStats {
@@ -69,35 +66,30 @@ struct MatCacheStats {
   double flops_saved = 0.0;
 };
 
+/// Single-flight over cold intermediate keys. The leader completes with
+/// the entry it offered (admitted or not); null means it was cancelled
+/// before offering, and followers then recompute locally.
+using MatFlights =
+    SingleFlight<std::shared_ptr<const MaterializedIntermediate>>;
+
 /// \brief Sharded, byte-bounded, cost-aware cache of materialized
 /// sub-plan results (the cross-request redundancy store).
 ///
-/// Keys are opaque strings built by IntermediateCacheKey. Eviction is
-/// benefit-aware LRU like the plan cache: when a shard overflows its
-/// byte budget, the least valuable of the few least-recently-used
-/// entries — scored by predicted recompute FLOPs, amortized hit count
-/// and footprint — is dropped first.
+/// Keys are opaque strings built by IntermediateCacheKey. Each entry is
+/// charged its bytes against the budget and scored by predicted
+/// recompute FLOPs, amortized hit count and footprint, so eviction
+/// (ShardedLru) drops the least valuable of the few least-recently-used
+/// entries first.
 ///
-/// Single-flight bookkeeping lives here too (JoinFlight / WaitFlight /
-/// CompleteFlight / CancelFlight) so concurrent sessions missing on the
-/// same key compute the value once; the per-request leader/follower
-/// protocol is in exec_context.cc.
+/// The cache also owns the single-flight over its keys, so concurrent
+/// sessions missing on the same key compute the value once; the
+/// per-request leader/follower protocol is in exec_context.cc.
 class MatCache {
  public:
   explicit MatCache(MatCacheOptions options = {});
 
   MatCache(const MatCache&) = delete;
   MatCache& operator=(const MatCache&) = delete;
-
-  /// A computed value published to single-flight followers. `served`
-  /// stays null when the leader was cancelled before offering; followers
-  /// then recompute locally.
-  struct Flight {
-    std::mutex mu;
-    std::condition_variable cv;
-    bool done = false;
-    std::shared_ptr<const MaterializedIntermediate> served;
-  };
 
   /// Returns the entry (promoting and pinning it) or null. Every call
   /// counts a probe into the ghost-frequency map the admission policy
@@ -117,69 +109,34 @@ class MatCache {
   /// dataset changed). Returns the number dropped.
   int EraseDatasets(const std::vector<std::string>& names);
 
-  /// Joins the single-flight for `key`: returns {flight, true} when this
-  /// caller is the first (the leader, expected to compute and
-  /// CompleteFlight) and {flight, false} for followers. With
-  /// single_flight disabled, returns {nullptr, true} — everyone
-  /// computes.
-  std::pair<std::shared_ptr<Flight>, bool> JoinFlight(const std::string& key);
+  /// The single-flight over this cache's keys.
+  MatFlights& flights() { return flights_; }
 
-  /// Publishes the leader's value (post-admission entry) and wakes
-  /// followers.
-  void CompleteFlight(const std::string& key,
-                      std::shared_ptr<const MaterializedIntermediate> served);
-
-  /// Cancels a flight whose leader will never offer (request failed or
-  /// finished without evaluating the node — e.g. an early loop exit).
-  /// Followers wake and compute locally.
-  void CancelFlight(const std::string& key);
-
-  /// Blocks until `flight` completes; returns the served entry or null
-  /// if the flight was cancelled. Callers on the shared pool should help
-  /// drain it while waiting (exec_context.cc does).
-  std::shared_ptr<const MaterializedIntermediate> WaitFlight(Flight* flight);
-
-  /// Counts one flight wait (kept here so stats stay in one place); a
-  /// non-negative duration is also observed into the
-  /// remac.matcache.flight_wait_seconds histogram.
-  void RecordFlightWait(double wait_seconds = -1.0);
+  /// Counts one flight wait (kept here so stats stay in one place) and
+  /// observes its duration into remac.matcache.flight_wait_seconds.
+  void RecordFlightWait(double wait_seconds);
   /// Credits a served hit's predicted recompute cost to flops_saved.
   void RecordFlopsSaved(double flops);
 
   MatCacheStats stats() const;
-  int64_t resident_bytes() const;
-  size_t size() const;
+  int64_t resident_bytes() const {
+    return resident_bytes_.load(std::memory_order_relaxed);
+  }
+  size_t size() const { return lru_.size(); }
   const MatCacheOptions& options() const { return options_; }
 
  private:
-  struct Entry {
-    std::string key;
-    std::shared_ptr<const MaterializedIntermediate> value;
-  };
-  struct Shard {
-    mutable std::mutex mu;
-    std::list<Entry> lru;  // front = most recently used
-    std::unordered_map<std::string, std::list<Entry>::iterator> index;
-    int64_t capacity_bytes = 0;
-    int64_t resident_bytes = 0;
-  };
-
-  Shard& ShardFor(const std::string& key);
-  void EvictLocked(Shard* shard);
-  /// Removes the entry at `it` from `shard` (locked by the caller),
-  /// keeping byte accounting and gauges consistent.
-  std::list<Entry>::iterator RemoveLocked(Shard* shard,
-                                          std::list<Entry>::iterator it);
-  int64_t ProbeCount(const std::string& key);
+  /// Books one entry entering (+1) or leaving (-1) the cache into the
+  /// entry and byte counts.
+  void Track(const MaterializedIntermediate& entry, int sign);
+  void CountProbe(const std::string& key);
 
   MatCacheOptions options_;
-  std::vector<std::unique_ptr<Shard>> shards_;
-
-  std::mutex flights_mu_;
-  std::unordered_map<std::string, std::shared_ptr<Flight>> flights_;
+  ShardedLru<std::shared_ptr<const MaterializedIntermediate>> lru_;
+  MatFlights flights_;
 
   /// Ghost frequency: probes per key, including misses, bounded by
-  /// dropping ~half the map when it outgrows kMaxGhostKeys.
+  /// halving every count (dropping zeros) when it outgrows kMaxGhostKeys.
   static constexpr size_t kMaxGhostKeys = 4096;
   std::mutex ghost_mu_;
   std::unordered_map<std::string, int64_t> ghost_probes_;
@@ -192,6 +149,7 @@ class MatCache {
   std::atomic<int64_t> evictions_{0};
   std::atomic<int64_t> invalidations_{0};
   std::atomic<int64_t> flight_waits_{0};
+  std::atomic<int64_t> resident_bytes_{0};
   std::atomic<double> flops_saved_{0.0};
 };
 

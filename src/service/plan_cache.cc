@@ -1,10 +1,8 @@
 #include "service/plan_cache.h"
 
 #include <algorithm>
-#include <functional>
 
 #include "obs/metrics.h"
-#include "obs/trace_context.h"
 
 namespace remac {
 
@@ -69,119 +67,56 @@ int64_t CachedPlan::EstimateResidentBytes() const {
 }
 
 PlanCache::PlanCache(size_t capacity, int shards)
-    : capacity_(std::max<size_t>(capacity, 1)) {
-  const size_t n = std::clamp<size_t>(shards <= 0 ? 1 : shards, 1, capacity_);
-  shards_.reserve(n);
-  const size_t base = capacity_ / n;
-  const size_t rem = capacity_ % n;
-  for (size_t i = 0; i < n; ++i) {
-    auto shard = std::make_unique<Shard>();
-    shard->capacity = base + (i < rem ? 1 : 0);
-    shards_.push_back(std::move(shard));
-  }
-}
+    : capacity_(std::max<size_t>(capacity, 1)),
+      lru_(static_cast<int64_t>(capacity_), shards,
+           [](const std::shared_ptr<const CachedPlan>& plan) {
+             return plan->build_wall_seconds;
+           },
+           Metrics().lock_wait, "plancache-lock") {}
 
-PlanCache::Shard& PlanCache::ShardFor(const std::string& key) {
-  return *shards_[std::hash<std::string>{}(key) % shards_.size()];
+void PlanCache::Track(const CachedPlan& plan, int sign) {
+  const int64_t bytes =
+      sign * (plan.resident_bytes > 0 ? plan.resident_bytes
+                                      : plan.EstimateResidentBytes());
+  resident_bytes_.fetch_add(bytes, std::memory_order_relaxed);
+  Metrics().entries->Add(sign);
+  Metrics().resident_bytes->Add(static_cast<double>(bytes));
 }
 
 std::shared_ptr<const CachedPlan> PlanCache::Get(const std::string& key) {
-  Shard& shard = ShardFor(key);
-  TimedMutexLock lock(shard.mu, Metrics().lock_wait, "plancache-lock");
-  auto it = shard.index.find(key);
-  if (it == shard.index.end()) {
+  std::shared_ptr<const CachedPlan> plan = lru_.Get(key);
+  if (plan == nullptr) {
     misses_.fetch_add(1, std::memory_order_relaxed);
     Metrics().misses->Add();
-    return nullptr;
+  } else {
+    hits_.fetch_add(1, std::memory_order_relaxed);
+    Metrics().hits->Add();
   }
-  shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-  hits_.fetch_add(1, std::memory_order_relaxed);
-  Metrics().hits->Add();
-  return it->second->plan;
+  return plan;
 }
 
-void PlanCache::EvictLocked(Shard* shard) {
-  while (shard->lru.size() > shard->capacity) {
-    // Sample the tail (up to 3 LRU entries) and drop the cheapest to
-    // rebuild — cost-aware LRU.
-    auto victim = std::prev(shard->lru.end());
-    auto candidate = victim;
-    for (int probe = 1; probe < 3; ++probe) {
-      if (candidate == shard->lru.begin()) break;
-      candidate = std::prev(candidate);
-      // Never consider the MRU entry — it is the one just inserted.
-      if (candidate == shard->lru.begin()) break;
-      if (candidate->plan->build_wall_seconds <
-          victim->plan->build_wall_seconds) {
-        victim = candidate;
-      }
-    }
-    DropLocked(shard, victim);
+void PlanCache::Put(const std::string& key,
+                    std::shared_ptr<const CachedPlan> plan) {
+  Track(*plan, +1);
+  auto displaced = lru_.Put(key, std::move(plan), /*charge=*/1);
+  if (displaced.replaced != nullptr) Track(*displaced.replaced, -1);
+  for (const auto& victim : displaced.evicted) {
+    Track(*victim, -1);
     evictions_.fetch_add(1, std::memory_order_relaxed);
     Metrics().evictions->Add();
   }
 }
 
-std::list<PlanCache::Entry>::iterator PlanCache::DropLocked(
-    Shard* shard, std::list<Entry>::iterator it) {
-  resident_bytes_.fetch_sub(it->bytes, std::memory_order_relaxed);
-  Metrics().entries->Add(-1.0);
-  Metrics().resident_bytes->Add(-static_cast<double>(it->bytes));
-  shard->index.erase(it->key);
-  return shard->lru.erase(it);
-}
-
-void PlanCache::Put(const std::string& key,
-                    std::shared_ptr<const CachedPlan> plan) {
-  const int64_t bytes = plan->resident_bytes > 0
-                            ? plan->resident_bytes
-                            : plan->EstimateResidentBytes();
-  Shard& shard = ShardFor(key);
-  TimedMutexLock lock(shard.mu, Metrics().lock_wait, "plancache-lock");
-  auto it = shard.index.find(key);
-  if (it != shard.index.end()) {
-    resident_bytes_.fetch_add(bytes - it->second->bytes,
-                              std::memory_order_relaxed);
-    Metrics().resident_bytes->Add(
-        static_cast<double>(bytes - it->second->bytes));
-    it->second->plan = std::move(plan);
-    it->second->bytes = bytes;
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    return;
-  }
-  shard.lru.push_front(Entry{key, std::move(plan), bytes});
-  shard.index[key] = shard.lru.begin();
-  resident_bytes_.fetch_add(bytes, std::memory_order_relaxed);
-  Metrics().entries->Add(1.0);
-  Metrics().resident_bytes->Add(static_cast<double>(bytes));
-  EvictLocked(&shard);
-}
-
-bool PlanCache::Erase(const std::string& key) {
-  Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.index.find(key);
-  if (it == shard.index.end()) return false;
-  DropLocked(&shard, it->second);
-  return true;
-}
-
 int PlanCache::ErasePlansForProgram(uint64_t program_hash) {
-  int dropped = 0;
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    for (auto it = shard->lru.begin(); it != shard->lru.end();) {
-      if (it->plan->program_hash == program_hash) {
-        it = DropLocked(shard.get(), it);
-        ++dropped;
-      } else {
-        ++it;
-      }
-    }
-  }
-  invalidations_.fetch_add(dropped, std::memory_order_relaxed);
-  Metrics().invalidations->Add(dropped);
-  return dropped;
+  const auto dropped = lru_.EraseIf(
+      [program_hash](const std::shared_ptr<const CachedPlan>& plan) {
+        return plan->program_hash == program_hash;
+      });
+  for (const auto& plan : dropped) Track(*plan, -1);
+  const int count = static_cast<int>(dropped.size());
+  invalidations_.fetch_add(count, std::memory_order_relaxed);
+  Metrics().invalidations->Add(count);
+  return count;
 }
 
 PlanCacheStats PlanCache::stats() const {
@@ -193,15 +128,6 @@ PlanCacheStats PlanCache::stats() const {
   stats.entries = static_cast<int64_t>(size());
   stats.resident_bytes = resident_bytes();
   return stats;
-}
-
-size_t PlanCache::size() const {
-  size_t total = 0;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    total += shard->lru.size();
-  }
-  return total;
 }
 
 }  // namespace remac

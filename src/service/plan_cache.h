@@ -3,16 +3,14 @@
 
 #include <atomic>
 #include <cstdint>
-#include <list>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/adaptive_optimizer.h"
 #include "plan/plan_builder.h"
 #include "service/matcache/intermediate_key.h"
+#include "service/sharded_lru.h"
 
 namespace remac {
 
@@ -41,11 +39,6 @@ struct CachedPlan {
   /// Approximate resident footprint of this entry (plan trees, sources,
   /// candidate keys), computed once at insertion.
   int64_t resident_bytes = 0;
-  /// The optimized program references no stochastic builtin (rand), so
-  /// executing it twice against unchanged inputs is bitwise identical.
-  /// Gate for warm-hit coalescing: only deterministic plans may share
-  /// one execution across concurrent identical requests.
-  bool deterministic = false;
 
   /// Estimates `resident_bytes` from the entry's actual contents.
   int64_t EstimateResidentBytes() const;
@@ -66,16 +59,16 @@ struct PlanCacheStats {
 /// \brief Sharded, thread-safe LRU cache of optimized programs.
 ///
 /// Keys are opaque strings (the service combines program fingerprint,
-/// input-metadata bucket and optimizer-config digest). Eviction is
-/// cost-aware: when a shard overflows, the cheapest-to-rebuild entry
-/// among the few least-recently-used ones is dropped, so a plan that
-/// took seconds to optimize is not displaced by one that took
-/// microseconds just because it is marginally older.
+/// input-metadata bucket and optimizer-config digest). Each entry is
+/// charged 1 against the capacity and scored by build_wall_seconds, so
+/// eviction (ShardedLru) drops the cheapest-to-rebuild of the few
+/// least-recently-used plans: a plan that took seconds to optimize is
+/// not displaced by one that took microseconds.
 class PlanCache {
  public:
   /// `capacity` is the total entry budget across shards (min 1). The
-  /// shard count is clamped to [1, capacity] so tiny caches still
-  /// enforce their capacity exactly.
+  /// shard count is clamped to [1, min(capacity, 64)] so tiny caches
+  /// still enforce their capacity exactly.
   explicit PlanCache(size_t capacity, int shards = 8);
 
   PlanCache(const PlanCache&) = delete;
@@ -88,45 +81,24 @@ class PlanCache {
   /// Inserts or replaces; evicts while the shard is over budget.
   void Put(const std::string& key, std::shared_ptr<const CachedPlan> plan);
 
-  /// Drops one key; true if it was present. Not counted as an eviction.
-  bool Erase(const std::string& key);
-
   /// Drops every entry of `program_hash` (explicit invalidation when the
   /// input metadata leaves its bucket). Returns the number dropped.
   int ErasePlansForProgram(uint64_t program_hash);
 
   PlanCacheStats stats() const;
-  size_t size() const;
+  size_t size() const { return lru_.size(); }
   size_t capacity() const { return capacity_; }
   int64_t resident_bytes() const {
     return resident_bytes_.load(std::memory_order_relaxed);
   }
 
  private:
-  struct Entry {
-    std::string key;
-    std::shared_ptr<const CachedPlan> plan;
-    /// Byte footprint charged for this entry (fixed at insertion so the
-    /// removal credit always matches).
-    int64_t bytes = 0;
-  };
-  struct Shard {
-    mutable std::mutex mu;
-    std::list<Entry> lru;  // front = most recently used
-    std::unordered_map<std::string, std::list<Entry>::iterator> index;
-    size_t capacity = 1;
-  };
-
-  Shard& ShardFor(const std::string& key);
-  /// Evicts from `shard` (locked by the caller) until within budget.
-  void EvictLocked(Shard* shard);
-  /// Removes the entry at `it` from `shard` (locked by the caller),
-  /// keeping byte accounting and gauges consistent.
-  std::list<Entry>::iterator DropLocked(Shard* shard,
-                                        std::list<Entry>::iterator it);
+  /// Books one plan entering (+1) or leaving (-1) the cache into the
+  /// entry and byte counts.
+  void Track(const CachedPlan& plan, int sign);
 
   size_t capacity_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  ShardedLru<std::shared_ptr<const CachedPlan>> lru_;
   mutable std::atomic<int64_t> hits_{0};
   mutable std::atomic<int64_t> misses_{0};
   std::atomic<int64_t> evictions_{0};

@@ -41,9 +41,6 @@ struct ServiceMetrics {
   /// Requests shed by admission control (a subset of `degraded`).
   Counter* shed =
       MetricsRegistry::Global().GetCounter("remac.service.shed");
-  /// Warm hits served by another request's in-flight execution.
-  Counter* coalesced =
-      MetricsRegistry::Global().GetCounter("remac.service.coalesced");
 };
 
 ServiceMetrics& Metrics() {
@@ -102,7 +99,6 @@ PlanService::PlanService(const DataCatalog* catalog, ServiceOptions options)
           .shards = options.mat_cache_shards,
           .admit_flops_per_byte =
               ResolveAdmitFlopsPerByte(options.mat_admit_flops_per_byte),
-          .single_flight = options.mat_single_flight,
       }) {}
 
 Result<std::shared_ptr<const CachedPlan>> PlanService::BuildPlan(
@@ -125,11 +121,6 @@ Result<std::shared_ptr<const CachedPlan>> PlanService::BuildPlan(
   optimize_span.Stop();
   timing->optimize_seconds += SecondsSince(optimize_start);
   plan.optimized_source = optimized.ToString();
-  // Coalescing eligibility, decided once per build: a plan that calls
-  // rand() produces a different (seed-streamed) result per execution, so
-  // two requests must never share one run of it.
-  plan.deterministic =
-      plan.optimized_source.find("rand(") == std::string::npos;
   plan.program = std::make_shared<const CompiledProgram>(std::move(optimized));
   if (options_.mat_cache_bytes > 0) {
     // Extract the matcache candidates once per build against the final
@@ -257,92 +248,41 @@ Result<ServiceReport> PlanService::RunQueued(
 
   if (plan == nullptr) {
     // Single-flight: one thread optimizes a cold key, the rest wait.
-    std::shared_ptr<Flight> flight;
-    bool leader = false;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      auto it = flights_.find(report.cache_key);
-      if (it != flights_.end()) {
-        flight = it->second;
-      } else {
-        // A finishing flight publishes to the cache before removing
-        // itself, so a re-probe under this lock closes the window where
-        // a request misses the cache, then finds no flight either —
-        // without it the optimizer could run twice for one key.
-        plan = cache_.Get(report.cache_key);
-        if (plan != nullptr) {
-          report.cache_hit = true;
-        } else {
-          flight = std::make_shared<Flight>();
-          flights_.emplace(report.cache_key, flight);
-          leader = true;
-        }
-      }
-    }
+    auto [call, leader] = plan_flights_.Join(report.cache_key);
     if (leader) {
-      // Children (parse/optimize) nest under the build span.
-      ScopedTraceSpan build_span("build-plan", "stage", /*enter=*/true);
-      auto built = BuildPlan(request, alias.program_hash, metadata_key,
-                             &report.timing);
-      build_span.Stop();
-      if (built.ok()) {
+      // A leader publishes to the cache before Complete erases its key,
+      // so re-probing after winning Join closes the window where this
+      // request missed the cache while the previous leader finished —
+      // without it the optimizer could run twice for one key.
+      plan = cache_.Get(report.cache_key);
+      report.cache_hit = plan != nullptr;
+      if (plan != nullptr) {
+        plan_flights_.Complete(report.cache_key, plan);
+      } else {
+        // Children (parse/optimize) nest under the build span.
+        ScopedTraceSpan build_span("build-plan", "stage", /*enter=*/true);
+        auto built = BuildPlan(request, alias.program_hash, metadata_key,
+                               &report.timing);
+        build_span.Stop();
+        if (built.ok()) cache_.Put(report.cache_key, built.value());
+        plan_flights_.Complete(report.cache_key, built);
+        if (!built.ok()) return built.status();
         plan = std::move(built).value();
-        cache_.Put(report.cache_key, plan);
       }
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        flights_.erase(report.cache_key);
-      }
-      {
-        std::lock_guard<std::mutex> lock(flight->mu);
-        flight->done = true;
-        if (built.ok()) {
-          flight->plan = plan;
-        } else {
-          flight->status = built.status();
-        }
-      }
-      flight->cv.notify_all();
-      if (!built.ok()) return built.status();
-    } else if (flight != nullptr) {
+    } else {
       single_flight_waits_.fetch_add(1, std::memory_order_relaxed);
       Metrics().flight_waits->Add();
       report.shared_flight = true;
       const auto wait_start = Clock::now();
       const double wait_start_us = TraceNowMicros();
-      if (ThreadPool* self = ThreadPool::CurrentPool(); self != nullptr) {
-        // A pool task helps drain its own lane while it waits, so a
-        // fleet of hammering sessions cannot starve the leader's nested
-        // work — a request-lane waiter drains queued requests, an
-        // exec-lane waiter drains DAG tasks.
-        while (true) {
-          {
-            std::unique_lock<std::mutex> lock(flight->mu);
-            if (flight->done) break;
-          }
-          if (!self->TryRunOne()) {
-            // Queues are dry: sleep until the leader's notify. The
-            // leader never needs this thread — its nested RunAndWait
-            // drains its own sub-tasks — so parking here cannot wedge
-            // the flight.
-            std::unique_lock<std::mutex> lock(flight->mu);
-            flight->cv.wait(lock, [&] { return flight->done; });
-            break;
-          }
-        }
-      } else {
-        std::unique_lock<std::mutex> lock(flight->mu);
-        flight->cv.wait(lock, [&] { return flight->done; });
-      }
+      Result<std::shared_ptr<const CachedPlan>> shared =
+          plan_flights_.Wait(*call);
       const double wait_seconds = SecondsSince(wait_start);
       report.timing.optimize_seconds += wait_seconds;
       Metrics().flight_wait_seconds->Observe(wait_seconds);
       RecordWaitSpan("flight-wait", wait_start_us, TraceNowMicros());
-      {
-        std::lock_guard<std::mutex> lock(flight->mu);
-        if (!flight->status.ok()) return flight->status;
-        plan = flight->plan;
-      }
+      if (!shared.ok()) return shared.status();
+      plan = std::move(shared).value();
     }
   }
 
@@ -354,48 +294,6 @@ Result<ServiceReport> PlanService::RunQueued(
       report.timing.parse_seconds + report.timing.optimize_seconds;
   TransmissionLedger ledger(request.config.cluster);
   ledger.AddCompilationSeconds(report.run.compile_wall_seconds);
-
-  // Tail bookkeeping shared by the normal and coalesced return paths.
-  auto finish = [&] {
-    report.timing.total_seconds = SecondsSince(start);
-    Metrics().request_seconds->Observe(report.timing.total_seconds);
-    if (report.cache_hit) {
-      warm_requests_.fetch_add(1, std::memory_order_relaxed);
-      AtomicAdd(&warm_seconds_, report.timing.total_seconds);
-      Metrics().warm_hits->Add();
-      Metrics().warm_seconds->Observe(report.timing.total_seconds);
-    } else {
-      cold_requests_.fetch_add(1, std::memory_order_relaxed);
-      AtomicAdd(&cold_seconds_, report.timing.total_seconds);
-      Metrics().cold_misses->Add();
-      Metrics().cold_seconds->Observe(report.timing.total_seconds);
-    }
-    if (trace != nullptr) trace->CloseRoot("request");
-  };
-
-  // Warm-hit coalescing state: when this request leads a result flight,
-  // every exit path below must publish exactly once.
-  std::shared_ptr<ResultFlight> rflight;
-  bool rleader = false;
-  std::string result_key;
-  auto publish_result = [&](const Status& status) {
-    if (!rleader) return;
-    rleader = false;  // publish exactly once
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      result_flights_.erase(result_key);
-    }
-    {
-      std::lock_guard<std::mutex> lock(rflight->mu);
-      rflight->done = true;
-      if (status.ok()) {
-        rflight->report = std::make_shared<const ServiceReport>(report);
-      } else {
-        rflight->status = status;
-      }
-    }
-    rflight->cv.notify_all();
-  };
 
   if (request.config.execute) {
     const auto execute_start = Clock::now();
@@ -416,64 +314,6 @@ Result<ServiceReport> PlanService::RunQueued(
         Metrics().shed->Add();
       }
     };
-
-    // Coalescing: an identical warm request on a deterministic plan is
-    // already executing — ride its result instead of re-executing. Only
-    // plans with no stochastic builtins qualify (decided at build time),
-    // and only plain requests (no faults, no tracing) so a shared run is
-    // bitwise indistinguishable from a private one.
-    if (options_.coalesce_warm_hits && report.cache_hit &&
-        plan->deterministic && trace == nullptr &&
-        !request.config.faults.enabled &&
-        request.config.trace_path.empty()) {
-      // The plan-cache key excludes execution-only knobs, so fold the
-      // result-affecting ones back in: iteration horizon, scheduler and
-      // the ledger's input-partition accounting mode.
-      result_key =
-          report.cache_key +
-          StringFormat("|x%d,s%d,p%d", request.config.executed_iterations,
-                       static_cast<int>(request.config.scheduler),
-                       request.config.count_input_partition ? 1 : 0);
-      std::lock_guard<std::mutex> lock(mu_);
-      auto it = result_flights_.find(result_key);
-      if (it != result_flights_.end()) {
-        rflight = it->second;
-      } else {
-        rflight = std::make_shared<ResultFlight>();
-        result_flights_.emplace(result_key, rflight);
-        rleader = true;
-      }
-    }
-    if (rflight != nullptr && !rleader) {
-      coalesced_requests_.fetch_add(1, std::memory_order_relaxed);
-      Metrics().coalesced->Add();
-      if (ThreadPool* self = ThreadPool::CurrentPool(); self != nullptr) {
-        // Help drain this worker's own lane while waiting (same
-        // leader-never-needs-us argument as the plan flight above).
-        while (true) {
-          {
-            std::unique_lock<std::mutex> lock(rflight->mu);
-            if (rflight->done) break;
-          }
-          if (!self->TryRunOne()) break;
-        }
-      }
-      std::shared_ptr<const ServiceReport> shared;
-      {
-        std::unique_lock<std::mutex> lock(rflight->mu);
-        rflight->cv.wait(lock, [&] { return rflight->done; });
-        if (!rflight->status.ok()) return rflight->status;
-        shared = rflight->report;
-      }
-      // The leader's finished run IS this request's result: same plan,
-      // same inputs, deterministic execution. Matrix payloads are shared
-      // immutable buffers, so the copy is one pointer bump per value.
-      report.run = shared->run;
-      report.coalesced = true;
-      report.timing.execute_seconds = SecondsSince(execute_start);
-      finish();
-      return report;
-    }
 
     if (exec.scheduler == SchedulerKind::kTaskGraph) {
       // Admission control. Shedding never rejects: the request still
@@ -531,15 +371,24 @@ Result<ServiceReport> PlanService::RunQueued(
     // The context's destructor cancels any flight it led but never
     // offered (failed executions), so followers are never stranded.
     if (mat_context != nullptr) report.matcache = mat_context->stats();
-    if (!executed.ok()) {
-      publish_result(executed);
-      return executed;
-    }
+    if (!executed.ok()) return executed;
     report.timing.execute_seconds = SecondsSince(execute_start);
   }
   report.run.breakdown = ledger.Breakdown();
-  publish_result(Status::OK());
-  finish();
+  report.timing.total_seconds = SecondsSince(start);
+  Metrics().request_seconds->Observe(report.timing.total_seconds);
+  if (report.cache_hit) {
+    warm_requests_.fetch_add(1, std::memory_order_relaxed);
+    AtomicAdd(&warm_seconds_, report.timing.total_seconds);
+    Metrics().warm_hits->Add();
+    Metrics().warm_seconds->Observe(report.timing.total_seconds);
+  } else {
+    cold_requests_.fetch_add(1, std::memory_order_relaxed);
+    AtomicAdd(&cold_seconds_, report.timing.total_seconds);
+    Metrics().cold_misses->Add();
+    Metrics().cold_seconds->Observe(report.timing.total_seconds);
+  }
+  if (trace != nullptr) trace->CloseRoot("request");
   return report;
 }
 
@@ -559,8 +408,6 @@ ServiceStats PlanService::stats() const {
   stats.degraded_requests =
       degraded_requests_.load(std::memory_order_relaxed);
   stats.shed_requests = shed_requests_.load(std::memory_order_relaxed);
-  stats.coalesced_requests =
-      coalesced_requests_.load(std::memory_order_relaxed);
   stats.warm_seconds = warm_seconds_.load(std::memory_order_relaxed);
   stats.cold_seconds = cold_seconds_.load(std::memory_order_relaxed);
   return stats;

@@ -2,7 +2,6 @@
 #define REMAC_SERVICE_PLAN_SERVICE_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <future>
 #include <memory>
@@ -19,6 +18,7 @@
 #include "service/matcache/matcache.h"
 #include "service/plan_cache.h"
 #include "service/program_fingerprint.h"
+#include "service/single_flight.h"
 
 namespace remac {
 
@@ -66,9 +66,6 @@ struct ServiceReport {
   /// (backlog or queue-eaten deadline); it still ran — degraded — and
   /// returned the exact result.
   bool shed = false;
-  /// This warm hit rode another in-flight identical request's execution
-  /// instead of executing the plan itself.
-  bool coalesced = false;
   /// This request's materialized-intermediate cache interaction: probes,
   /// hits served without recomputation, flights led and waited on.
   MatRequestStats matcache;
@@ -94,7 +91,6 @@ struct ServiceStats {
   int64_t cold_requests = 0;  // optimized (or waited on an optimize)
   int64_t degraded_requests = 0;  // fell back to the serial executor
   int64_t shed_requests = 0;  // degraded by admission control
-  int64_t coalesced_requests = 0;  // warm hits served by a shared run
   double warm_seconds = 0.0;  // summed request latency, warm
   double cold_seconds = 0.0;  // summed request latency, cold
 };
@@ -110,15 +106,10 @@ struct ServiceOptions {
   /// shed the same way ("shed-deadline"). <= 0 disables the backlog
   /// check (deadline shedding still applies).
   double admission_backlog_factor = 8.0;
-  /// Coalesce concurrent identical warm hits: when an identical request
-  /// (same cache key + execution knobs) on a deterministic plan is
-  /// already executing, followers wait for its result instead of
-  /// re-executing. Off by default; pure win for read-heavy hot keys.
-  bool coalesce_warm_hits = false;
   /// Materialized-intermediate cache (src/service/matcache): byte
   /// budget (0 disables cross-request intermediate sharing entirely),
-  /// shard count, admission threshold and single-flight toggle — see
-  /// MatCacheOptions for the semantics of each knob.
+  /// shard count and admission threshold — see MatCacheOptions for the
+  /// semantics of each knob.
   int64_t mat_cache_bytes = 256ll << 20;
   int mat_cache_shards = 8;
   /// Admission FLOP density. Negative (the default) derives the
@@ -126,7 +117,6 @@ struct ServiceOptions {
   /// (MeasuredAdmitFlopsPerByte); 0 admits everything that fits;
   /// positive values are passed through verbatim.
   double mat_admit_flops_per_byte = -1.0;
-  bool mat_single_flight = true;
 };
 
 /// \brief Long-lived optimize-and-execute front end with a plan cache.
@@ -198,24 +188,6 @@ class PlanService {
   Session NewSession() { return Session(this); }
 
  private:
-  /// A cold key being optimized; concurrent requests wait on `cv`.
-  struct Flight {
-    std::mutex mu;
-    std::condition_variable cv;
-    bool done = false;
-    Status status = Status::OK();
-    std::shared_ptr<const CachedPlan> plan;
-  };
-  /// An identical warm request currently executing; coalesced followers
-  /// wait on `cv` and copy the leader's finished report (Matrix payloads
-  /// are shared immutable buffers, so the copy is cheap).
-  struct ResultFlight {
-    std::mutex mu;
-    std::condition_variable cv;
-    bool done = false;
-    Status status = Status::OK();
-    std::shared_ptr<const ServiceReport> report;
-  };
   /// What the source-text fast path remembers about a script: its
   /// canonical identity, so repeat requests skip the parser entirely.
   struct SourceAlias {
@@ -246,15 +218,13 @@ class PlanService {
   PlanCache cache_;
   MatCache mat_cache_;
 
-  mutable std::mutex mu_;  // aliases_, last_metadata_, flights_,
-                           // dataset_fragments_
+  /// Cold plan keys being optimized: one build per key, concurrent
+  /// requests on it wait for the leader's plan or error.
+  SingleFlight<Result<std::shared_ptr<const CachedPlan>>> plan_flights_;
+
+  mutable std::mutex mu_;  // aliases_, last_metadata_, dataset_fragments_
   std::unordered_map<std::string, SourceAlias> aliases_;
   std::unordered_map<uint64_t, std::string> last_metadata_;
-  std::unordered_map<std::string, std::shared_ptr<Flight>> flights_;
-  /// In-flight executions keyed by cache key + execution knobs, the
-  /// warm-hit coalescing map (empty unless coalesce_warm_hits).
-  std::unordered_map<std::string, std::shared_ptr<ResultFlight>>
-      result_flights_;
   /// Last-seen strict fragment (metadata + version) per dataset, the
   /// trigger for dataset-level matcache invalidation.
   std::unordered_map<std::string, std::string> dataset_fragments_;
@@ -266,7 +236,6 @@ class PlanService {
   std::atomic<int64_t> cold_requests_{0};
   std::atomic<int64_t> degraded_requests_{0};
   std::atomic<int64_t> shed_requests_{0};
-  std::atomic<int64_t> coalesced_requests_{0};
   std::atomic<double> warm_seconds_{0.0};
   std::atomic<double> cold_seconds_{0.0};
 };

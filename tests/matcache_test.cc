@@ -134,23 +134,33 @@ TEST(MatCache, ZeroCapacityDisablesAdmission) {
 }
 
 TEST(MatCache, AdmissionBarScalesWithObservedProbes) {
-  MatCacheOptions options;
-  options.capacity_bytes = 1 << 20;
-  options.shards = 1;
-  // 128-byte value must predict >= 128k FLOPs on first sight.
-  options.admit_flops_per_byte = 1000.0;
-  MatCache cache(options);
+  // Second input: the ghost-frequency map first filled past its bound
+  // with twice-probed keys; a key probed afterwards must still count up.
+  for (const int twice_probed_keys : {0, 5000}) {
+    SCOPED_TRACE(twice_probed_keys);
+    MatCacheOptions options;
+    options.capacity_bytes = 1 << 20;
+    options.shards = 1;
+    // 128-byte value must predict >= 128k FLOPs on first sight.
+    options.admit_flops_per_byte = 1000.0;
+    MatCache cache(options);
+    for (int i = 0; i < twice_probed_keys; ++i) {
+      const std::string key = "filler" + std::to_string(i);
+      (void)cache.Get(key);
+      (void)cache.Get(key);
+    }
 
-  cache.Offer("k", DenseValue(4, 4, 1.0), 1e3, {"ds"});
-  EXPECT_EQ(cache.size(), 0u);  // 1e3 FLOPs * 1 probe < bar: rejected
+    cache.Offer("k", DenseValue(4, 4, 1.0), 1e3, {"ds"});
+    EXPECT_EQ(cache.size(), 0u);  // 1e3 FLOPs * 1 probe < bar: rejected
 
-  // The same key probed repeatedly earns residency: the ghost-frequency
-  // map amortizes the per-byte bar over demonstrated demand.
-  for (int i = 0; i < 200; ++i) (void)cache.Get("k");
-  cache.Offer("k", DenseValue(4, 4, 1.0), 1e3, {"ds"});
-  EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(cache.stats().admits, 1);
-  EXPECT_EQ(cache.stats().rejects, 1);
+    // The same key probed repeatedly earns residency: the ghost-frequency
+    // map amortizes the per-byte bar over demonstrated demand.
+    for (int i = 0; i < 200; ++i) (void)cache.Get("k");
+    cache.Offer("k", DenseValue(4, 4, 1.0), 1e3, {"ds"});
+    EXPECT_EQ(cache.size(), 1u);
+    EXPECT_EQ(cache.stats().admits, 1);
+    EXPECT_EQ(cache.stats().rejects, 1);
+  }
 }
 
 TEST(MatCache, EraseDatasetsDropsEveryIntersectingEntry) {
@@ -170,43 +180,30 @@ TEST(MatCache, EraseDatasetsDropsEveryIntersectingEntry) {
 
 TEST(MatCache, SingleFlightPublishesTheLeadersValue) {
   MatCache cache;
-  auto lead = cache.JoinFlight("k");
+  auto lead = cache.flights().Join("k");
   ASSERT_TRUE(lead.second);
-  auto follow = cache.JoinFlight("k");
+  auto follow = cache.flights().Join("k");
   ASSERT_FALSE(follow.second);
   ASSERT_EQ(lead.first, follow.first);
 
   std::shared_ptr<const MaterializedIntermediate> received;
-  std::shared_ptr<MatCache::Flight> flight = follow.first;
-  std::thread waiter(
-      [&cache, flight, &received] { received = cache.WaitFlight(flight.get()); });
+  std::shared_ptr<MatFlights::Call> call = follow.first;
+  std::thread waiter([call, &received] { received = MatFlights::Wait(*call); });
   auto entry = cache.Offer("k", DenseValue(2, 2, 4.0), 10.0, {"ds"});
-  cache.CompleteFlight("k", entry);
+  cache.flights().Complete("k", entry);
   waiter.join();
   ASSERT_EQ(received, entry);
   // The flight is gone: the next miss starts a fresh one.
-  EXPECT_TRUE(cache.JoinFlight("k").second);
+  EXPECT_TRUE(cache.flights().Join("k").second);
 }
 
 TEST(MatCache, CancelledFlightWakesFollowersEmptyHanded) {
   MatCache cache;
-  ASSERT_TRUE(cache.JoinFlight("k").second);
-  auto follow = cache.JoinFlight("k");
+  ASSERT_TRUE(cache.flights().Join("k").second);
+  auto follow = cache.flights().Join("k");
   ASSERT_FALSE(follow.second);
-  cache.CancelFlight("k");
-  EXPECT_EQ(cache.WaitFlight(follow.first.get()), nullptr);
-}
-
-TEST(MatCache, SingleFlightDisabledMakesEveryoneALeader) {
-  MatCacheOptions options;
-  options.single_flight = false;
-  MatCache cache(options);
-  auto a = cache.JoinFlight("k");
-  auto b = cache.JoinFlight("k");
-  EXPECT_TRUE(a.second);
-  EXPECT_TRUE(b.second);
-  EXPECT_EQ(a.first, nullptr);
-  EXPECT_EQ(b.first, nullptr);
+  cache.flights().Complete("k", nullptr);
+  EXPECT_EQ(MatFlights::Wait(*follow.first), nullptr);
 }
 
 // ---------------------------------------------------------------------

@@ -95,6 +95,14 @@ TEST(ThreadPool, TryRunOneDrainsSubmittedWork) {
   for (int i = 0; i < 10000 && !ran.load(); ++i) pool.TryRunOne();
   while (!ran.load()) {
   }
+  // The worker counts a task only after it returns, so `ran` can be seen
+  // first; give the counter a bounded wait too.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (pool.tasks_executed() < 1 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
   EXPECT_TRUE(ran.load());
   EXPECT_GE(pool.tasks_executed(), 1);
 }
@@ -238,6 +246,15 @@ TEST(LanePool, LaneMetricsMirrorTasksAndThreads) {
   ThreadPool::Global().Submit([&done] { done.fetch_add(1); });
   ThreadPool::RequestLane().Submit([&done] { done.fetch_add(1); });
   while (done.load() < 2) std::this_thread::yield();
+  // WorkerLoop bumps a lane counter only after the task returns, so
+  // `done` can be seen first; give the counters a bounded wait too.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while ((exec_tasks->Value() < exec_before + 1 ||
+          request_tasks->Value() < request_before + 1) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
   EXPECT_GE(exec_tasks->Value(), exec_before + 1);
   EXPECT_GE(request_tasks->Value(), request_before + 1);
   EXPECT_EQ(registry.GetGauge("remac.pool.lane.exec.threads")->Value(),

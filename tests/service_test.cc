@@ -1,11 +1,13 @@
 // Plan-service tests: fingerprint canonicalization, cache semantics
 // (LRU + cost-aware eviction, explicit invalidation), warm-hit bitwise
-// identity across the four evaluation algorithms, and the concurrent
-// single-flight guarantee. The Service*/PlanCache*/Fingerprint* suites
-// run under both TSan and ASan via scripts/check.sh.
+// identity across the four evaluation algorithms, the SingleFlight
+// primitive and the concurrent single-flight guarantee. The
+// Service*/PlanCache*/Fingerprint* suites run under both TSan and ASan
+// via scripts/check.sh.
 
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -20,6 +22,7 @@
 #include "service/plan_cache.h"
 #include "service/plan_service.h"
 #include "service/program_fingerprint.h"
+#include "service/single_flight.h"
 
 namespace remac {
 namespace {
@@ -238,6 +241,84 @@ TEST(PlanCache, EraseProgramDropsEveryBucketOfThatProgram) {
   EXPECT_EQ(cache.Get("p1-bucketB"), nullptr);
   EXPECT_NE(cache.Get("p2-bucketA"), nullptr);
   EXPECT_EQ(cache.stats().invalidations, 2);
+}
+
+// ---------------------------------------------------------------------
+// SingleFlight
+
+using PlanFlights = SingleFlight<Result<std::shared_ptr<const CachedPlan>>>;
+
+/// Joins `key` `n` times as a follower and waits on each call from its
+/// own thread; returns the waiters' futures.
+template <typename V>
+std::vector<std::future<V>> BlockedFollowers(SingleFlight<V>* flights,
+                                             const std::string& key, int n) {
+  std::vector<std::future<V>> followers;
+  for (int i = 0; i < n; ++i) {
+    auto [call, leader] = flights->Join(key);
+    EXPECT_FALSE(leader);
+    followers.push_back(std::async(std::launch::async, [call] {
+      return SingleFlight<V>::Wait(*call);
+    }));
+  }
+  return followers;
+}
+
+TEST(ServiceSingleFlight, FollowersReceiveTheLeadersValue) {
+  PlanFlights flights;
+  ASSERT_TRUE(flights.Join("k").second);
+  auto followers = BlockedFollowers(&flights, "k", 4);
+  const auto plan = MakePlan(1.0);
+  flights.Complete("k", plan);
+  for (auto& follower : followers) {
+    Result<std::shared_ptr<const CachedPlan>> got = follower.get();
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(got.value(), plan);
+  }
+  // Complete erased the key: the next Join leads a fresh call.
+  EXPECT_TRUE(flights.Join("k").second);
+}
+
+TEST(ServiceSingleFlight, LeaderErrorReachesEveryFollower) {
+  PlanFlights flights;
+  ASSERT_TRUE(flights.Join("k").second);
+  auto followers = BlockedFollowers(&flights, "k", 4);
+  flights.Complete("k", Status::InvalidArgument("optimizer failed"));
+  for (auto& follower : followers) {
+    const Status status = follower.get().status();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(status.message(), "optimizer failed");
+  }
+}
+
+TEST(ServiceSingleFlight, CancelledCompletionWakesFollowersEmptyHanded) {
+  SingleFlight<std::shared_ptr<const CachedPlan>> flights;
+  ASSERT_TRUE(flights.Join("k").second);
+  auto followers = BlockedFollowers(&flights, "k", 3);
+  flights.Complete("k", nullptr);
+  for (auto& follower : followers) EXPECT_EQ(follower.get(), nullptr);
+}
+
+TEST(ServiceSingleFlight, WaiterOnOneThreadLaneHelpsDrainIt) {
+  // The waiter occupies the lane's only worker and the leader's
+  // completion is queued behind it: only the waiter itself can run it.
+  ThreadPool lane(1);
+  SingleFlight<int> flights;
+  ASSERT_TRUE(flights.Join("k").second);
+  std::promise<int> received;
+  lane.Submit([&] {
+    auto [call, leader] = flights.Join("k");
+    EXPECT_FALSE(leader);
+    lane.Submit([&flights] { flights.Complete("k", 42); });
+    received.set_value(SingleFlight<int>::Wait(*call));
+  });
+  std::future<int> result = received.get_future();
+  if (result.wait_for(std::chrono::seconds(30)) !=
+      std::future_status::ready) {
+    ADD_FAILURE() << "waiter never ran the queued completion";
+    flights.Complete("k", -1);  // unblock the worker so the test ends
+  }
+  EXPECT_EQ(result.get(), 42);
 }
 
 // ---------------------------------------------------------------------
@@ -497,7 +578,7 @@ TEST(ServiceConcurrency, HammerAcrossKeysOptimizesOncePerKey) {
 }
 
 // ---------------------------------------------------------------------
-// Admission control + warm-hit coalescing
+// Admission control
 
 TEST(Admission, QueueEatenDeadlineShedsToSerial) {
   ThreadPool::SetGlobalThreads(1);
@@ -557,74 +638,6 @@ TEST(Admission, UnloadedSessionRequestIsNotShed) {
   EXPECT_FALSE(results[0].value().degraded);
   EXPECT_EQ(service.stats().shed_requests, 0);
   ThreadPool::SetGlobalThreads(0);
-}
-
-TEST(Admission, CoalescedWarmHitsShareOneExecution) {
-  ServiceOptions options;
-  options.coalesce_warm_hits = true;
-  PlanService service(&ServiceCatalog(), options);
-  const ServiceRequest request{DfpScript("ds", 3), SmallConfig()};
-  auto reference = service.Run(request);  // warm the key
-  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
-
-  Counter* coalesced_metric =
-      MetricsRegistry::Global().GetCounter("remac.service.coalesced");
-  const int64_t metric_before = coalesced_metric->Value();
-
-  // Barrier-released identical warm requests overlap with overwhelming
-  // probability; retry a few rounds so scheduler noise cannot flake the
-  // test. Every round asserts bitwise identity regardless of overlap.
-  int64_t coalesced = 0;
-  for (int attempt = 0; attempt < 20 && coalesced == 0; ++attempt) {
-    constexpr int kClients = 8;
-    std::vector<Result<ServiceReport>> results(
-        static_cast<size_t>(kClients), Status::Internal("unset"));
-    std::atomic<int> ready{0};
-    std::vector<std::thread> clients;
-    clients.reserve(kClients);
-    for (int c = 0; c < kClients; ++c) {
-      clients.emplace_back([&, c] {
-        ready.fetch_add(1);
-        while (ready.load() < kClients) std::this_thread::yield();
-        results[static_cast<size_t>(c)] = service.Run(request);
-      });
-    }
-    for (std::thread& client : clients) client.join();
-    for (const auto& result : results) {
-      ASSERT_TRUE(result.ok()) << result.status().ToString();
-      EXPECT_TRUE(result.value().cache_hit);
-      ExpectBitwiseEqual(reference->run.env.at("x"),
-                         result.value().run.env.at("x"), "coalesced");
-    }
-    coalesced = service.stats().coalesced_requests;
-  }
-  EXPECT_GT(coalesced, 0) << "no two identical requests ever overlapped";
-  EXPECT_EQ(coalesced_metric->Value() - metric_before, coalesced);
-}
-
-TEST(Admission, StochasticPlansNeverCoalesce) {
-  ServiceOptions options;
-  options.coalesce_warm_hits = true;
-  PlanService service(&ServiceCatalog(), options);
-  // GNMF initializes with rand(): its plan is flagged non-deterministic
-  // at build time, so concurrent identical requests must each run.
-  const ServiceRequest request{GnmfScript("ds", 3, 3), SmallConfig()};
-  ASSERT_TRUE(service.Run(request).ok());
-  constexpr int kClients = 6;
-  std::atomic<int> ready{0};
-  std::atomic<int> failed{0};
-  std::vector<std::thread> clients;
-  clients.reserve(kClients);
-  for (int c = 0; c < kClients; ++c) {
-    clients.emplace_back([&] {
-      ready.fetch_add(1);
-      while (ready.load() < kClients) std::this_thread::yield();
-      if (!service.Run(request).ok()) failed.fetch_add(1);
-    });
-  }
-  for (std::thread& client : clients) client.join();
-  EXPECT_EQ(failed.load(), 0);
-  EXPECT_EQ(service.stats().coalesced_requests, 0);
 }
 
 }  // namespace

@@ -41,8 +41,6 @@
 //                            to the serial executor when either lane's
 //                            backlog exceeds FACTOR x lane size (default 8;
 //                            0 disables shedding)
-//   --coalesce               serve mode: coalesce concurrent warm hits on
-//                            the same deterministic plan into one execution
 //   --no-fuse                disable elementwise-chain fusion (results are
 //                            bitwise-identical either way; for A/B timing)
 //   --stats                  print the telemetry snapshot (metrics registry
@@ -90,7 +88,7 @@ int Usage() {
                "[--print VAR] [--repeat N] [--cache-size N] "
                "[--mat-cache-mb N] [--threads N] "
                "[--chaos SEED] [--deadline SEC] "
-               "[--backlog FACTOR] [--coalesce] "
+               "[--backlog FACTOR] "
                "[--dist2d auto|off|force2d] [--no-fuse] "
                "[--stats] [--metrics-out PATH] [--trace-dir DIR]\n"
                "       remac trace TRACE.json\n"
@@ -394,7 +392,6 @@ int Main(int argc, char** argv) {
   std::string trace_dir;
   double deadline_seconds = 0.0;
   double backlog_factor = 8.0;
-  bool coalesce = false;
   for (int i = 3; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&]() -> const char* {
@@ -505,8 +502,6 @@ int Main(int argc, char** argv) {
                      "(0 disables backlog shedding)\n");
         return 2;
       }
-    } else if (arg == "--coalesce") {
-      coalesce = true;
     } else if (arg == "--dist2d") {
       const char* value = next();
       if (value == nullptr) return Usage();
@@ -565,7 +560,6 @@ int Main(int argc, char** argv) {
     options.cache_capacity = cache_size;
     options.mat_cache_bytes = static_cast<int64_t>(mat_cache_mb) << 20;
     options.admission_backlog_factor = backlog_factor;
-    options.coalesce_warm_hits = coalesce;
     PlanService service(&catalog, options);
     if (!trace_dir.empty()) {
       std::error_code ec;
@@ -670,10 +664,6 @@ int Main(int argc, char** argv) {
       std::printf("degraded requests: %lld (shed %lld)\n",
                   static_cast<long long>(stats.degraded_requests),
                   static_cast<long long>(stats.shed_requests));
-    }
-    if (stats.coalesced_requests > 0) {
-      std::printf("coalesced requests: %lld\n",
-                  static_cast<long long>(stats.coalesced_requests));
     }
     const double cold_mean =
         stats.cold_requests > 0 ? stats.cold_seconds / stats.cold_requests
