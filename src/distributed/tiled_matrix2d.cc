@@ -1,5 +1,6 @@
 #include "distributed/tiled_matrix2d.h"
 
+#include <algorithm>
 #include <cassert>
 
 #include "cost/physical_model.h"
@@ -28,24 +29,33 @@ TiledMatrix2D TiledMatrix2D::Partition(const Matrix& data, bool transposed,
   t.grid_cols_ = NumBlocks(t.cols_, t.tile_size_);
   t.tile_nnz_.assign(static_cast<size_t>(t.grid_rows_ * t.grid_cols_), 0);
   const int64_t ts = t.tile_size_;
-  const auto bump = [&](int64_t r, int64_t c) {
-    // Bucket the transposed coordinate without materializing op(M).
-    const int64_t tr = (transposed ? c : r) / ts;
-    const int64_t tc = (transposed ? r : c) / ts;
-    ++t.tile_nnz_[static_cast<size_t>(tr * t.grid_cols_ + tc)];
+  // Tile index of stored cell (r, c): op(M) buckets (c, r) instead of
+  // (r, c), so the transpose is never materialized.
+  const auto tile_index = [&](int64_t row_tile, int64_t col_tile) {
+    return static_cast<size_t>(transposed ? col_tile * t.grid_cols_ + row_tile
+                                          : row_tile * t.grid_cols_ + col_tile);
   };
   if (data.is_dense()) {
+    // Each stored row splits into ts-wide segments, one per tile: count
+    // a segment in one contiguous pass and bump its tile once.
     const DenseMatrix& d = data.dense();
+    const int64_t cols = d.cols();
     for (int64_t r = 0; r < d.rows(); ++r) {
-      for (int64_t c = 0; c < d.cols(); ++c) {
-        if (d.At(r, c) != 0.0) bump(r, c);
+      const double* row = d.data() + r * cols;
+      const int64_t row_tile = r / ts;
+      for (int64_t c0 = 0, col_tile = 0; c0 < cols; c0 += ts, ++col_tile) {
+        const int64_t c1 = std::min(cols, c0 + ts);
+        int64_t nnz = 0;
+        for (int64_t c = c0; c < c1; ++c) nnz += row[c] != 0.0;
+        t.tile_nnz_[tile_index(row_tile, col_tile)] += nnz;
       }
     }
   } else {
     const CsrMatrix& s = data.csr();
     for (int64_t r = 0; r < s.rows(); ++r) {
+      const int64_t row_tile = r / ts;
       for (int64_t p = s.row_ptr()[r]; p < s.row_ptr()[r + 1]; ++p) {
-        bump(r, s.col_idx()[p]);
+        ++t.tile_nnz_[tile_index(row_tile, s.col_idx()[p] / ts)];
       }
     }
   }

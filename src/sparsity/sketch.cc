@@ -1,7 +1,11 @@
 #include "sparsity/sketch.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <iterator>
+#include <limits>
 
 namespace remac {
 
@@ -94,6 +98,10 @@ std::vector<std::pair<double, double>> BucketCounts(
   std::vector<std::pair<double, double>> buckets;
   const size_t n = sorted.size();
   if (n == 0) return buckets;
+  // Each sample stands for counts.size() / n entries, so a bucket's
+  // multiplicity counts entries, not samples (exactly 1 when unsampled).
+  const double weight =
+      static_cast<double>(counts.size()) / static_cast<double>(n);
   const size_t per = std::max<size_t>(1, n / static_cast<size_t>(max_buckets));
   size_t i = 0;
   while (i < n) {
@@ -101,11 +109,45 @@ std::vector<std::pair<double, double>> BucketCounts(
     double sum = 0.0;
     for (size_t k = i; k < end; ++k) sum += sorted[k];
     buckets.emplace_back(sum / static_cast<double>(end - i),
-                         static_cast<double>(end - i));
+                         static_cast<double>(end - i) * weight);
     i = end;
   }
   return buckets;
 }
+
+/// Exact memo of a pure function of one count, keyed by the count's
+/// value: a direct-mapped table that lives on the stack, so a lookup
+/// never allocates. Keys compare by bit pattern after folding -0.0 onto
+/// +0.0 (the bucket sums are +0.0 for both). A colliding key evicts the
+/// slot's entry and a miss recomputes, so a hit returns exactly what
+/// `compute` would. Empty slots hold the quiet-NaN pattern, which is why
+/// NaN keys bypass the table and are never cached.
+class CountMemo {
+ public:
+  CountMemo() { std::fill(std::begin(keys_), std::end(keys_), kEmpty); }
+
+  template <typename Compute>
+  double Get(double key, const Compute& compute) {
+    if (std::isnan(key)) return compute(key);
+    // `key + 0.0` is +0.0 for both zeros and `key` otherwise.
+    const uint64_t bits = std::bit_cast<uint64_t>(key + 0.0);
+    const size_t slot =
+        static_cast<size_t>((bits * 0x9E3779B97F4A7C15ull) >> (64 - kSlotBits));
+    if (keys_[slot] == bits) return values_[slot];
+    const double value = compute(key);
+    keys_[slot] = bits;
+    values_[slot] = value;
+    return value;
+  }
+
+ private:
+  static constexpr int kSlotBits = 8;
+  static constexpr uint64_t kEmpty =
+      std::bit_cast<uint64_t>(std::numeric_limits<double>::quiet_NaN());
+
+  uint64_t keys_[size_t{1} << kSlotBits];
+  double values_[size_t{1} << kSlotBits] = {};
+};
 
 }  // namespace
 
@@ -146,34 +188,36 @@ std::shared_ptr<const MncSketch> SketchMultiply(const MncSketch& a,
   const auto col_buckets = BucketCounts(b.col_counts);
   // Per-output-row expected counts: h_r^C[i] = sum_k P(C[i,k] != 0).
   // Rows with equal input counts get equal outputs, so the (expensive)
-  // bucket sum is memoized per distinct input count.
+  // bucket sum is memoized per distinct input count; nnz still sums the
+  // rows in index order.
   out->row_counts.resize(a.row_counts.size());
   double nnz = 0.0;
-  double memo_key = -1.0;
-  double memo_value = 0.0;
-  for (size_t i = 0; i < a.row_counts.size(); ++i) {
-    const double r = a.row_counts[i];
-    if (r != memo_key) {
-      double expected = 0.0;
-      for (const auto& [value, count] : col_buckets) {
-        expected += count * -std::expm1(-alpha * r * value);
-      }
-      memo_key = r;
-      memo_value = expected;
+  CountMemo row_memo;
+  const auto row_expected = [&](double r) {
+    double expected = 0.0;
+    for (const auto& [value, count] : col_buckets) {
+      expected += count * -std::expm1(-alpha * r * value);
     }
-    out->row_counts[i] = memo_value;
-    nnz += memo_value;
+    return expected;
+  };
+  for (size_t i = 0; i < a.row_counts.size(); ++i) {
+    out->row_counts[i] = row_memo.Get(a.row_counts[i], row_expected);
+    nnz += out->row_counts[i];
   }
   out->nnz = nnz;
   // Per-output-column expected counts, from the row buckets of A.
   const auto row_buckets = BucketCounts(a.row_counts);
   out->col_counts.resize(b.col_counts.size());
-  for (size_t k = 0; k < b.col_counts.size(); ++k) {
+  CountMemo col_memo;
+  const auto col_expected = [&](double c) {
     double expected = 0.0;
     for (const auto& [value, count] : row_buckets) {
-      expected += count * -std::expm1(-alpha * value * b.col_counts[k]);
+      expected += count * -std::expm1(-alpha * value * c);
     }
-    out->col_counts[k] = expected;
+    return expected;
+  };
+  for (size_t k = 0; k < b.col_counts.size(); ++k) {
+    out->col_counts[k] = col_memo.Get(b.col_counts[k], col_expected);
   }
   ScaleTo(&out->col_counts, out->nnz, static_cast<double>(a.rows));
   return out;

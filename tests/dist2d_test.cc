@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <vector>
 
 #include "cluster/grid2d_partitioner.h"
 #include "cluster/transmission_ledger.h"
@@ -118,6 +120,56 @@ TEST(TiledMatrix2D, PerWorkerBytesSumToTotal) {
   double sum = 0.0;
   for (double l : loads) sum += l;
   EXPECT_NEAR(sum, t.TotalBytes(), 1e-6);
+}
+
+/// Tile nnz of op(m) counted one stored cell at a time.
+std::vector<int64_t> BruteForceTileNnz(const Matrix& m, bool transposed,
+                                       int64_t ts) {
+  const int64_t rows = transposed ? m.cols() : m.rows();
+  const int64_t cols = transposed ? m.rows() : m.cols();
+  const int64_t grid_rows = (rows + ts - 1) / ts;
+  const int64_t grid_cols = (cols + ts - 1) / ts;
+  std::vector<int64_t> nnz(static_cast<size_t>(grid_rows * grid_cols));
+  const DenseMatrix d = m.ToDense();
+  for (int64_t r = 0; r < m.rows(); ++r) {
+    for (int64_t c = 0; c < m.cols(); ++c) {
+      if (d.At(r, c) == 0.0) continue;  // -0.0 too; NaN counts
+      const int64_t tr = (transposed ? c : r) / ts;
+      const int64_t tc = (transposed ? r : c) / ts;
+      ++nnz[static_cast<size_t>(tr * grid_cols + tc)];
+    }
+  }
+  return nnz;
+}
+
+// Ragged edges in both dimensions, dense and CSR storage, both
+// orientations; -0.0 cells are zeros and NaN cells are non-zeros.
+TEST(TiledMatrix2D, PartitionMatchesBruteForceCount) {
+  const ClusterModel model = SmallModel();  // 16 x 16 tiles
+  DenseMatrix d = RandomSparse(75, 41, 0.3, 11).ToDense();
+  d.At(0, 0) = -0.0;
+  d.At(17, 40) = -0.0;
+  d.At(3, 5) = std::numeric_limits<double>::quiet_NaN();
+  d.At(74, 33) = std::numeric_limits<double>::quiet_NaN();
+  d.At(74, 40) = -std::numeric_limits<double>::quiet_NaN();
+  const Matrix dense = Matrix::WrapDense(d);
+  const Matrix csr = Matrix::WrapCsr(dense.ToCsr());
+  for (const Matrix* m : {&dense, &csr}) {
+    for (const bool transposed : {false, true}) {
+      const TiledMatrix2D t = TiledMatrix2D::Partition(*m, transposed, model);
+      const auto want = BruteForceTileNnz(*m, transposed, 16);
+      ASSERT_EQ(static_cast<size_t>(t.num_tiles()), want.size());
+      for (int64_t tr = 0; tr < t.grid_rows(); ++tr) {
+        for (int64_t tc = 0; tc < t.grid_cols(); ++tc) {
+          EXPECT_EQ(t.TileNnz(tr, tc),
+                    want[static_cast<size_t>(tr * t.grid_cols() + tc)])
+              << (m->is_dense() ? "dense" : "csr")
+              << (transposed ? " transposed" : "") << " tile " << tr << ","
+              << tc;
+        }
+      }
+    }
+  }
 }
 
 TEST(Dist2D, CandidateRequiresCpmmWorkersAndMode) {
