@@ -106,7 +106,7 @@ struct PipelineFixture {
                      .value();
       f->cost_model = std::make_unique<CostModel>(ClusterModel(),
                                                   &f->estimator, &f->catalog);
-      f->vars = PropagateProgramStats(f->program, f->catalog, *f->cost_model)
+      f->vars = PropagateProgramStats(f->program, *f->cost_model)
                     .value();
       f->graph = std::make_unique<CostGraph>(&f->space, f->cost_model.get(),
                                              &f->vars, 20);

@@ -71,7 +71,7 @@ int main() {
   // --- Adaptive elimination, by hand ------------------------------------
   MncEstimator estimator;
   CostModel cost_model(ClusterModel(), &estimator, &catalog);
-  auto vars = PropagateProgramStats(*program, catalog, cost_model);
+  auto vars = PropagateProgramStats(*program, cost_model);
   CostGraph graph(&*space, &cost_model, &*vars, iterations);
   if (Status st = graph.Build(); !st.ok()) {
     std::fprintf(stderr, "%s\n", st.ToString().c_str());

@@ -40,7 +40,7 @@ ASAN_DIR="${2:-build-asan}"
 BENCH_DIR="${3:-build}"
 UBSAN_DIR="${4:-build-ubsan}"
 # Parameterized suites print as Prefix/Suite.Test, hence */Kernels*.*.
-FILTER='ThreadPool.*:LanePool.*:Ledger.*:TaskGraph.*:Sched*.*:Kernels*.*:*/Kernels*.*:Fingerprint*.*:PlanCache*.*:Service*.*:Admission*.*:MatCache*.*:MatrixBytes.*:Obs*.*:Chaos*.*:Fault*.*:Trace*.*:Contention*.*:Fusion*.*:Sketch*.*:TiledMatrix2D.*'
+FILTER='ThreadPool.*:LanePool.*:Ledger.*:TaskGraph.*:Sched*.*:Kernels*.*:*/Kernels*.*:Fingerprint*.*:PlanCache*.*:Service*.*:Admission*.*:MatCache*.*:MatrixBytes.*:Obs*.*:Chaos*.*:Fault*.*:Trace*.*:Contention*.*:Fusion*.*:Sketch*.*:TiledMatrix2D.*:Executor*.*:CostModel*.*'
 
 GATES=()
 RESULTS=()

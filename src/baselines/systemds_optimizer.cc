@@ -286,7 +286,7 @@ Result<CompiledProgram> SystemDsOptimize(const CompiledProgram& program,
 
   if (config.chain_reordering) {
     CostModel cost_model(cluster, estimator, catalog);
-    auto vars = PropagateProgramStats(out, *catalog, cost_model);
+    auto vars = PropagateProgramStats(out, cost_model);
     if (!vars.ok()) return vars.status();
     VarStats var_stats = std::move(vars).value();
     REMAC_RETURN_NOT_OK(

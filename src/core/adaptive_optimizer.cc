@@ -276,7 +276,7 @@ Result<CompiledProgram> ReMacOptimizer::Optimize(
   // ---- Adaptive elimination: cost graph + probing. ----
   CostModel cost_model(cluster_, estimator_, catalog_);
   REMAC_ASSIGN_OR_RETURN(
-      VarStats vars, PropagateProgramStats(program, *catalog_, cost_model));
+      VarStats vars, PropagateProgramStats(program, cost_model));
   // Cross-block temps are new variables; derive their statistics from
   // their defining plans (in statement order, so later temps may read
   // earlier ones).

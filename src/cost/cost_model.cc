@@ -9,17 +9,34 @@ namespace remac {
 namespace {
 
 MatInfo ToMatInfo(const CostedStats& s) {
-  MatInfo info;
-  info.rows = s.stats.rows;
-  info.cols = s.stats.cols;
-  info.sparsity = s.stats.sparsity;
-  info.distributed = s.distributed;
-  return info;
+  return InfoOf(s.stats, s.distributed);
 }
 
 bool ScalarLike(const NodeStats& s) { return s.rows == 1 && s.cols == 1; }
 
 }  // namespace
+
+MatInfo InfoOf(const NodeStats& stats, bool distributed) {
+  return MatInfo{stats.rows, stats.cols, stats.sparsity, distributed};
+}
+
+EstimatedProduct EstimateMultiply(const SparsityEstimator& estimator,
+                                  const NodeStats& a, bool a_distributed,
+                                  bool a_transposed, const NodeStats& b,
+                                  bool b_distributed, bool b_transposed,
+                                  const ClusterModel& model) {
+  NodeStats ta;
+  NodeStats tb;
+  const NodeStats& ea = a_transposed ? (ta = estimator.Transpose(a)) : a;
+  const NodeStats& eb = b_transposed ? (tb = estimator.Transpose(b)) : b;
+  EstimatedProduct out;
+  out.stats = estimator.Multiply(ea, eb);
+  out.costing =
+      SelectMultiplyCosting(InfoOf(ea, a_distributed),
+                            InfoOf(eb, b_distributed), out.stats.sparsity,
+                            model);
+  return out;
+}
 
 CostModel::CostModel(const ClusterModel& model,
                      const SparsityEstimator* estimator,
@@ -65,14 +82,14 @@ CostedStats CostModel::ElementwiseCost(PlanOp op, const CostedStats& a,
   const bool b_scalar = ScalarLike(b.stats);
   if (a_scalar && !b_scalar) {
     out.stats = estimator_->ScalarBroadcast(op, b.stats);
-    const OpCosting costing = CostScalarOp(ToMatInfo(b), model_);
+    const OpCosting costing = CostScalarOp(ToMatInfo(b));
     out.distributed = costing.result_distributed;
     out.seconds = costing.Seconds(model_);
     return out;
   }
   if (b_scalar && !a_scalar) {
     out.stats = estimator_->ScalarBroadcast(op, a.stats);
-    const OpCosting costing = CostScalarOp(ToMatInfo(a), model_);
+    const OpCosting costing = CostScalarOp(ToMatInfo(a));
     out.distributed = costing.result_distributed;
     out.seconds = costing.Seconds(model_);
     return out;
@@ -287,42 +304,23 @@ void AnnotateNode(PlanNode* node, const VarStats& vars,
     AnnotateNode(child.get(), vars, cost_model);
   }
   if (node->op != PlanOp::kMatMul) return;
-  // Mirror the executor's transpose fusion so the stamp prices the fused
-  // operands the runtime actually multiplies.
-  const PlanNode* lhs = node->children[0].get();
-  const PlanNode* rhs = node->children[1].get();
-  const bool lt = lhs->op == PlanOp::kTranspose &&
-                  !lhs->children[0]->shape.ScalarLike();
-  const bool rt = rhs->op == PlanOp::kTranspose &&
-                  !rhs->children[0]->shape.ScalarLike();
-  const Result<CostedStats> a =
-      cost_model.CostTree(lt ? *lhs->children[0] : *lhs, vars);
-  const Result<CostedStats> b =
-      cost_model.CostTree(rt ? *rhs->children[0] : *rhs, vars);
+  // Price the operands the runtime actually multiplies.
+  const MultiplyOperands ops = FusedMultiplyOperands(*node);
+  const Result<CostedStats> a = cost_model.CostTree(*ops.lhs, vars);
+  const Result<CostedStats> b = cost_model.CostTree(*ops.rhs, vars);
   if (!a.ok() || !b.ok()) return;  // stays kUnset
-  const SparsityEstimator& estimator = cost_model.estimator();
-  const NodeStats ea =
-      lt ? estimator.Transpose(a.value().stats) : a.value().stats;
-  const NodeStats eb =
-      rt ? estimator.Transpose(b.value().stats) : b.value().stats;
-  const NodeStats out = estimator.Multiply(ea, eb);
-  CostedStats ca = a.value();
-  ca.stats = ea;
-  CostedStats cb = b.value();
-  cb.stats = eb;
-  const OpCosting costing = SelectMultiplyCosting(
-      ToMatInfo(ca), ToMatInfo(cb), out.sparsity, cost_model.cluster());
-  node->layout = LayoutOf(costing.method);
+  const EstimatedProduct product = EstimateMultiply(
+      cost_model.estimator(), a->stats, a->distributed, ops.lhs_transposed,
+      b->stats, b->distributed, ops.rhs_transposed, cost_model.cluster());
+  node->layout = LayoutOf(product.costing.method);
 }
 
 }  // namespace
 
 Status AnnotateMultiplyLayouts(CompiledProgram* program,
-                               const DataCatalog& catalog,
                                const CostModel& cost_model) {
-  REMAC_ASSIGN_OR_RETURN(
-      const VarStats vars,
-      PropagateProgramStats(*program, catalog, cost_model));
+  REMAC_ASSIGN_OR_RETURN(const VarStats vars,
+                         PropagateProgramStats(*program, cost_model));
   std::function<void(std::vector<CompiledStmt>&)> walk =
       [&](std::vector<CompiledStmt>& stmts) {
         for (CompiledStmt& stmt : stmts) {
@@ -341,10 +339,8 @@ Status AnnotateMultiplyLayouts(CompiledProgram* program,
 }
 
 Result<VarStats> PropagateProgramStats(const CompiledProgram& program,
-                                       const DataCatalog& catalog,
                                        const CostModel& cost_model,
                                        int loop_sweeps) {
-  (void)catalog;
   VarStats vars;
   std::function<Status(const std::vector<CompiledStmt>&)> sweep =
       [&](const std::vector<CompiledStmt>& stmts) -> Status {

@@ -21,6 +21,23 @@ struct CostedStats {
   double seconds = 0.0;  // cost of producing this result
 };
 
+/// MatInfo of an estimated operand.
+MatInfo InfoOf(const NodeStats& stats, bool distributed);
+
+/// Estimated product op(a) %*% op(b), op transposing when the flag is
+/// set: the result statistics and the costing SelectMultiplyCosting picks
+/// for the fused transpose-multiply. Shared by the cost audit and
+/// AnnotateMultiplyLayouts.
+struct EstimatedProduct {
+  NodeStats stats;
+  OpCosting costing;
+};
+EstimatedProduct EstimateMultiply(const SparsityEstimator& estimator,
+                                  const NodeStats& a, bool a_distributed,
+                                  bool a_transposed, const NodeStats& b,
+                                  bool b_distributed, bool b_transposed,
+                                  const ClusterModel& model);
+
 /// Variable environment for costing: name -> statistics of the variable's
 /// current value (leaves of plan trees reference these).
 struct VarStats {
@@ -89,19 +106,17 @@ class CostModel {
 /// approximation reach their dense steady state). Also returns stats for
 /// datasets referenced via read().
 Result<VarStats> PropagateProgramStats(const CompiledProgram& program,
-                                       const DataCatalog& catalog,
                                        const CostModel& cost_model,
                                        int loop_sweeps = 2);
 
 /// Stamps every kMatMul node of `program` with the physical layout the
 /// cost model selects for it (PlanNode::layout: local / BMM / CPMM /
-/// SUMMA-2D), pricing operands at their steady-state statistics and
-/// mirroring the executor's transpose fusion. Advisory plan metadata for
-/// reporting (`remac run --stats`); execution re-derives the same
-/// decision from actual statistics, and nodes whose operand statistics
-/// cannot be derived keep kUnset.
+/// SUMMA-2D), pricing operands at their steady-state statistics with the
+/// executor's transpose fusion (FusedMultiplyOperands). Advisory plan
+/// metadata for reporting (`remac run --stats`); execution re-derives the
+/// same decision from actual statistics, and nodes whose operand
+/// statistics cannot be derived keep kUnset.
 Status AnnotateMultiplyLayouts(CompiledProgram* program,
-                               const DataCatalog& catalog,
                                const CostModel& cost_model);
 
 }  // namespace remac

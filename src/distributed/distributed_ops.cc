@@ -4,9 +4,6 @@
 #include <cmath>
 #include <utility>
 
-#include <cstdio>
-#include <cstdlib>
-
 #include "cluster/grid2d_partitioner.h"
 #include "cost/physical_model.h"
 #include "distributed/tiled_matrix2d.h"
@@ -16,9 +13,6 @@
 namespace remac {
 
 namespace {
-
-/// Result sparsity estimated from the actual output (runtime path).
-double ActualSparsity(const Matrix& m) { return m.Sparsity(); }
 
 /// Registry handles resolved once (the ExecMetrics idiom): touched on
 /// every ExecMultiply so the remac.dist2d.* family registers even in runs
@@ -97,31 +91,43 @@ void ChargeSingleNodeStreaming(const MatInfo& a, const MatInfo& b,
   if (b.distributed) c->dfs_bytes += b.Bytes();
 }
 
-void OpCosting::Book(TransmissionLedger* ledger) const {
-  if (ledger == nullptr) return;
-  static const bool trace = std::getenv("REMAC_TRACE_OPS") != nullptr;
-  if (trace) {
-    std::fprintf(stderr,
-                 "[op] %s flops=%.3g bcast=%.3g shuffle=%.3g collect=%.3g\n",
-                 MultiplyMethodName(method), flops, broadcast_bytes,
-                 shuffle_bytes, collection_bytes);
-  }
+LedgerCharge& LedgerCharge::operator+=(const LedgerCharge& other) {
+  local_flops += other.local_flops;
+  distributed_flops += other.distributed_flops;
+  for (size_t i = 0; i < bytes.size(); ++i) bytes[i] += other.bytes[i];
+  return *this;
+}
+
+LedgerCharge OpCosting::Charge() const {
+  LedgerCharge charge;
   if (method == MultiplyMethod::kLocalOp && broadcast_bytes == 0.0 &&
       shuffle_bytes == 0.0 && collection_bytes == 0.0 &&
       row_broadcast_bytes == 0.0 && col_broadcast_bytes == 0.0 &&
       reduce_bytes == 0.0) {
-    ledger->AddLocalFlops(flops);
+    charge.local_flops = flops;
   } else {
-    ledger->AddDistributedFlops(flops);
+    charge.distributed_flops = flops;
   }
-  ledger->AddTransmission(TransmissionPrimitive::kBroadcast,
-                          broadcast_bytes + row_broadcast_bytes +
-                              col_broadcast_bytes);
-  ledger->AddTransmission(TransmissionPrimitive::kShuffle,
-                          shuffle_bytes + reduce_bytes);
-  ledger->AddTransmission(TransmissionPrimitive::kCollection,
-                          collection_bytes);
-  ledger->AddTransmission(TransmissionPrimitive::kDfs, dfs_bytes);
+  const auto at = [&](TransmissionPrimitive pr) -> double& {
+    return charge.bytes[static_cast<size_t>(pr)];
+  };
+  at(TransmissionPrimitive::kBroadcast) =
+      broadcast_bytes + row_broadcast_bytes + col_broadcast_bytes;
+  at(TransmissionPrimitive::kShuffle) = shuffle_bytes + reduce_bytes;
+  at(TransmissionPrimitive::kCollection) = collection_bytes;
+  at(TransmissionPrimitive::kDfs) = dfs_bytes;
+  return charge;
+}
+
+void OpCosting::Book(TransmissionLedger* ledger) const {
+  if (ledger == nullptr) return;
+  const LedgerCharge charge = Charge();
+  ledger->AddLocalFlops(charge.local_flops);
+  ledger->AddDistributedFlops(charge.distributed_flops);
+  for (size_t i = 0; i < charge.bytes.size(); ++i) {
+    ledger->AddTransmission(static_cast<TransmissionPrimitive>(i),
+                            charge.bytes[i]);
+  }
   if (method == MultiplyMethod::kSumma2D) {
     Dist2dMetrics& m = D2Metrics();
     m.row_broadcast_bytes->Add(row_broadcast_bytes);
@@ -191,14 +197,6 @@ OpCosting CostMultiply(const MatInfo& a, const MatInfo& b, double sp_out,
       c.shuffle_bytes += block_product_bytes * num_blocks / p_u;
     }
     if (!c.result_distributed) c.collection_bytes += out_bytes;
-    static const bool trace = std::getenv("REMAC_TRACE_OPS") != nullptr;
-    if (trace) {
-      std::fprintf(stderr,
-                   "[mul] BMM a=%gx%g sp=%g dist=%d | b=%gx%g sp=%g dist=%d "
-                   "| sp_out=%g shuffle=%.3g\n",
-                   a.rows, a.cols, a.sparsity, a.distributed, b.rows, b.cols,
-                   b.sparsity, b.distributed, sp_out, c.shuffle_bytes);
-    }
     return c;
   }
   // CPMM: shuffle both inputs to join on the inner dimension; partial
@@ -409,7 +407,7 @@ OpCosting CostTranspose(const MatInfo& a, const ClusterModel& model) {
   return c;
 }
 
-OpCosting CostScalarOp(const MatInfo& a, const ClusterModel& model) {
+OpCosting CostScalarOp(const MatInfo& a) {
   OpCosting c;
   c.flops = a.rows * a.cols * a.sparsity;
   c.method = MultiplyMethod::kLocalOp;
@@ -417,7 +415,6 @@ OpCosting CostScalarOp(const MatInfo& a, const ClusterModel& model) {
   if (a.distributed) {
     c.method = MultiplyMethod::kBmm;  // map-side, no data movement
   }
-  (void)model;
   return c;
 }
 
@@ -442,8 +439,7 @@ MatInfo InfoOfTransposed(const Matrix& m, bool transposed, bool distributed) {
 Result<DistValue> ExecMultiply(const Matrix& a, bool a_distributed,
                                bool a_transposed, const Matrix& b,
                                bool b_distributed, bool b_transposed,
-                               const ClusterModel& model,
-                               TransmissionLedger* ledger) {
+                               const ClusterModel& model) {
   // Touch the dist2d metric family up front so it registers even when no
   // multiply in the process ever becomes a 2D candidate.
   Dist2dMetrics& metrics = D2Metrics();
@@ -454,7 +450,7 @@ Result<DistValue> ExecMultiply(const Matrix& a, bool a_distributed,
   OpCosting costing =
       CostMultiply(InfoOfTransposed(a, a_transposed, a_distributed),
                    InfoOfTransposed(b, b_transposed, b_distributed),
-                   ActualSparsity(out), model);
+                   out.Sparsity(), model);
   if (Summa2DCandidate(costing, model)) {
     // Price the 2D layout from exact tile grids (the preprocessing pass):
     // transposed operands are tiled as views, the product is tiled as
@@ -475,56 +471,7 @@ Result<DistValue> ExecMultiply(const Matrix& a, bool a_distributed,
       costing = summa;
     }
   }
-  costing.Book(ledger);
-  return DistValue{std::move(out), costing.result_distributed};
-}
-
-Result<DistValue> ExecElementwise(BinaryOpKind op, const Matrix& a,
-                                  bool a_distributed, const Matrix& b,
-                                  bool b_distributed,
-                                  const ClusterModel& model,
-                                  TransmissionLedger* ledger) {
-  Result<Matrix> out = [&]() -> Result<Matrix> {
-    switch (op) {
-      case BinaryOpKind::kAdd:
-        return Add(a, b);
-      case BinaryOpKind::kSub:
-        return Subtract(a, b);
-      case BinaryOpKind::kElemMul:
-        return ElementwiseMultiply(a, b);
-      case BinaryOpKind::kElemDiv:
-        return ElementwiseDivide(a, b);
-      case BinaryOpKind::kMin:
-        return ElementwiseMin(a, b);
-      case BinaryOpKind::kMax:
-        return ElementwiseMax(a, b);
-    }
-    return Status::Internal("unknown binary op");
-  }();
-  if (!out.ok()) return out.status();
-  const OpCosting costing =
-      CostElementwise(InfoOf(a, a_distributed), InfoOf(b, b_distributed),
-                      ActualSparsity(out.value()), model);
-  costing.Book(ledger);
-  return DistValue{std::move(out).value(), costing.result_distributed};
-}
-
-DistValue ExecTranspose(const Matrix& a, bool a_distributed,
-                        const ClusterModel& model,
-                        TransmissionLedger* ledger) {
-  Matrix out = Transpose(a);
-  const OpCosting costing = CostTranspose(InfoOf(a, a_distributed), model);
-  costing.Book(ledger);
-  return DistValue{std::move(out), costing.result_distributed};
-}
-
-DistValue ExecScalarMultiply(const Matrix& a, bool a_distributed, double s,
-                             const ClusterModel& model,
-                             TransmissionLedger* ledger) {
-  Matrix out = ScalarMultiply(a, s);
-  const OpCosting costing = CostScalarOp(InfoOf(a, a_distributed), model);
-  costing.Book(ledger);
-  return DistValue{std::move(out), costing.result_distributed};
+  return DistValue{std::move(out), costing};
 }
 
 }  // namespace remac

@@ -1,6 +1,8 @@
 #ifndef REMAC_DISTRIBUTED_DISTRIBUTED_OPS_H_
 #define REMAC_DISTRIBUTED_DISTRIBUTED_OPS_H_
 
+#include <array>
+
 #include "cluster/cluster_model.h"
 #include "cluster/transmission_ledger.h"
 #include "common/status.h"
@@ -34,6 +36,18 @@ struct MatInfo {
   double Bytes() const;
 };
 
+/// Work booked into the TransmissionLedger's audited accumulators: FLOPs
+/// split by where they run, and bytes per transmission primitive.
+struct LedgerCharge {
+  double local_flops = 0.0;
+  double distributed_flops = 0.0;
+  /// Indexed by TransmissionPrimitive.
+  std::array<double, kNumTransmissionPrimitives> bytes{};
+
+  double TotalFlops() const { return local_flops + distributed_flops; }
+  LedgerCharge& operator+=(const LedgerCharge& other);
+};
+
 /// Transmission volumes and FLOPs one operator books, plus where its
 /// result lands.
 struct OpCosting {
@@ -61,7 +75,12 @@ struct OpCosting {
   /// Converts this costing to simulated seconds under `model`.
   double Seconds(const ClusterModel& model) const;
 
-  /// Books this costing into `ledger`.
+  /// What booking this costing charges. The FLOPs are local only for a
+  /// local operator that moves no bytes; the SUMMA legs ride the
+  /// broadcast (row/column) and shuffle (merge) primitives.
+  LedgerCharge Charge() const;
+
+  /// Books Charge() into `ledger` (no-op when null).
   void Book(TransmissionLedger* ledger) const;
 };
 
@@ -94,9 +113,9 @@ bool Summa2DCandidate(const OpCosting& one_d, const ClusterModel& model);
 /// The layout-aware multiply chooser: prices the 1D methods via
 /// CostMultiply, and when the operator is a 2D candidate also prices
 /// SUMMA, returning whichever costing is cheaper in simulated seconds
-/// (kForce2D always takes SUMMA). The optimizer's cost model, the cost
-/// audit, and the runtime all select through this one function, so the
-/// three layers agree on the chosen layout.
+/// (kForce2D always takes SUMMA). The optimizer's cost model and the cost
+/// audit select through this function; ExecMultiply makes the same
+/// choice with SUMMA priced on exact tiles.
 OpCosting SelectMultiplyCosting(const MatInfo& a, const MatInfo& b,
                                 double sp_out, const ClusterModel& model);
 
@@ -107,8 +126,9 @@ OpCosting CostElementwise(const MatInfo& a, const MatInfo& b, double sp_out,
 /// Prices a standalone transpose.
 OpCosting CostTranspose(const MatInfo& a, const ClusterModel& model);
 
-/// Prices a scalar-matrix operator.
-OpCosting CostScalarOp(const MatInfo& a, const ClusterModel& model);
+/// Prices a scalar-matrix operator or an element-wise unary map: one
+/// map-side pass over the non-zeros, no data movement.
+OpCosting CostScalarOp(const MatInfo& a);
 
 class TiledMatrix2D;
 class Grid2DPartitioner;
@@ -126,35 +146,21 @@ OpCosting CostSummaTiled(const TiledMatrix2D& a, const TiledMatrix2D& b,
 /// Derives the MatInfo of an in-memory matrix (actual statistics).
 MatInfo InfoOf(const Matrix& m, bool distributed);
 
-/// Executes a * b (with optional transposes applied to either side, which
-/// models SystemDS's fused transpose-multiply so that t(A) %*% v does not
-/// materialize a distributed transpose), books the costing into `ledger`
-/// (if non-null), and reports whether the result lands distributed.
+/// A computed operator result and the costing it books.
 struct DistValue {
   Matrix value;
-  bool distributed = false;
+  OpCosting costing;
 };
 
+/// Computes op(a) * op(b), where op transposes when the flag is set
+/// (SystemDS's fused transpose-multiply: t(A) %*% v never materializes a
+/// distributed transpose), and prices it with the runtime's layout
+/// choice: the 1D chooser, and for a 2D candidate SUMMA over the exact
+/// tile grids. The caller books `costing`.
 Result<DistValue> ExecMultiply(const Matrix& a, bool a_distributed,
                                bool a_transposed, const Matrix& b,
                                bool b_distributed, bool b_transposed,
-                               const ClusterModel& model,
-                               TransmissionLedger* ledger);
-
-enum class BinaryOpKind { kAdd, kSub, kElemMul, kElemDiv, kMin, kMax };
-
-Result<DistValue> ExecElementwise(BinaryOpKind op, const Matrix& a,
-                                  bool a_distributed, const Matrix& b,
-                                  bool b_distributed,
-                                  const ClusterModel& model,
-                                  TransmissionLedger* ledger);
-
-DistValue ExecTranspose(const Matrix& a, bool a_distributed,
-                        const ClusterModel& model, TransmissionLedger* ledger);
-
-DistValue ExecScalarMultiply(const Matrix& a, bool a_distributed, double s,
-                             const ClusterModel& model,
-                             TransmissionLedger* ledger);
+                               const ClusterModel& model);
 
 }  // namespace remac
 

@@ -87,7 +87,7 @@ Result<CompiledTape> CompileTape(const FusedTape& tape, size_t num_matrices,
     cs.a = slot_operand[static_cast<size_t>(step.lhs)];
     if (!unary) cs.b = slot_operand[static_cast<size_t>(step.rhs)];
     // Matrix / scalar divides by the reciprocal (the unfused
-    // ExecScalarMultiply path), not per-cell division.
+    // executor's ScalarMultiply broadcast), not per-cell division.
     if (cs.op == FusedOp::kDiv && !unary && cs.b.cell < 0) {
       cs.op = FusedOp::kMul;
       cs.b.cval = cs.b.cval == 0.0 ? 0.0 : 1.0 / cs.b.cval;

@@ -2,52 +2,30 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <utility>
 #include <vector>
 
 #include "common/string_util.h"
+#include "cost/cost_model.h"
 #include "cost/physical_model.h"
-#include "distributed/distributed_ops.h"
-#include "matrix/fused_tape.h"
+#include "runtime/plan_walk.h"
 
 namespace remac {
 
-namespace {
-
-/// Estimated counterpart of RtValue: statistics plus placement.
-struct PredValue {
-  bool is_scalar = false;
-  NodeStats stats;
-  bool distributed = false;
-
-  static PredValue Scalar() {
-    PredValue out;
-    out.is_scalar = true;
-    return out;
+template <>
+struct PayloadOps<NodeStats> {
+  static MatInfo Info(const NodeStats& s, bool distributed) {
+    return InfoOf(s, distributed);
   }
-  static PredValue FromStats(NodeStats stats, bool distributed) {
-    PredValue out;
-    out.stats = std::move(stats);
-    out.distributed = distributed;
-    return out;
+  static double Nnz(const NodeStats& s) { return s.Nnz(); }
+  static double Bytes(const NodeStats& s) {
+    return MatrixBytes(s.rows, s.cols, s.sparsity);
   }
+  static double At00(const NodeStats&) { return 0.0; }  // no values
+  static NodeStats OneByOne(double) { return NodeStats{}; }
 };
 
-/// Maps a tape opcode back onto its PlanOp (for the estimator calls).
-PlanOp FromFusedOp(FusedOp op) {
-  switch (op) {
-    case FusedOp::kAdd: return PlanOp::kAdd;
-    case FusedOp::kSub: return PlanOp::kSub;
-    case FusedOp::kMul: return PlanOp::kMul;
-    case FusedOp::kDiv: return PlanOp::kDiv;
-    case FusedOp::kMin: return PlanOp::kMin;
-    case FusedOp::kMax: return PlanOp::kMax;
-    case FusedOp::kExp: return PlanOp::kExp;
-    case FusedOp::kLog: return PlanOp::kLog;
-  }
-  return PlanOp::kAdd;
-}
+namespace {
 
 NodeStats PlainStats(double rows, double cols, double sparsity) {
   NodeStats stats;
@@ -57,400 +35,113 @@ NodeStats PlainStats(double rows, double cols, double sparsity) {
   return stats;
 }
 
-/// Mirrors runtime/executor.cc's Eval over statistics instead of
-/// matrices, booking each operator's OpCosting into a PredictedCost the
-/// same way OpCosting::Book books into the TransmissionLedger. Every
-/// booking site below corresponds one-to-one to an executor site; keep
-/// them in sync when the executor changes.
-class CostWalker {
+/// The estimated-statistics domain of PlanWalk: every payload is the
+/// optimizer's sparsity estimate, and booking accumulates a
+/// PredictedCost instead of the ledger.
+class CostPredictor : public PlanWalk<CostPredictor, NodeStats> {
  public:
-  CostWalker(const DataCatalog& catalog, const SparsityEstimator& estimator,
-             const ClusterModel& model, const EngineTraits& traits)
-      : catalog_(catalog),
-        estimator_(estimator),
-        model_(model),
-        traits_(traits) {}
-
-  Status Run(const std::vector<CompiledStmt>& statements,
-             int max_loop_iterations) {
-    for (const auto& stmt : statements) {
-      if (stmt.kind == CompiledStmt::Kind::kAssign) {
-        REMAC_ASSIGN_OR_RETURN(PredValue value, Eval(*stmt.plan));
-        env_.insert_or_assign(stmt.target, std::move(value));
-        continue;
-      }
-      int64_t limit = max_loop_iterations;
-      if (stmt.static_trip_count >= 0) {
-        limit = std::min<int64_t>(limit, stmt.static_trip_count);
-      }
-      if (!stmt.loop_var.empty()) {
-        env_.insert_or_assign(stmt.loop_var, PredValue::Scalar());
-      }
-      for (int64_t iter = 0; iter < limit; ++iter) {
-        if (stmt.condition != nullptr) {
-          // Cost of evaluating the condition is booked each iteration;
-          // its boolean outcome is unknowable here, so the audit assumes
-          // the loop runs to `limit` (see header).
-          REMAC_RETURN_NOT_OK(Eval(*stmt.condition).status());
-        }
-        if (stmt.barrier_commit) {
-          std::vector<std::pair<std::string, PredValue>> staged;
-          for (const auto& body_stmt : stmt.body) {
-            if (body_stmt.kind != CompiledStmt::Kind::kAssign) {
-              return Status::Unsupported(
-                  "nested loop in barrier-commit body");
-            }
-            REMAC_ASSIGN_OR_RETURN(PredValue value, Eval(*body_stmt.plan));
-            if (body_stmt.is_temp) {
-              env_.insert_or_assign(body_stmt.target, std::move(value));
-            } else {
-              staged.emplace_back(body_stmt.target, std::move(value));
-            }
-          }
-          for (auto& [name, value] : staged) {
-            env_.insert_or_assign(name, std::move(value));
-          }
-        } else {
-          REMAC_RETURN_NOT_OK(Run(stmt.body, max_loop_iterations));
-        }
-      }
-    }
-    return Status::OK();
-  }
+  CostPredictor(const DataCatalog& catalog,
+                const SparsityEstimator& estimator, const ClusterModel& model,
+                const EngineTraits& traits)
+      : PlanWalk(model, traits), catalog_(catalog), estimator_(estimator) {}
 
   const PredictedCost& cost() const { return cost_; }
 
  private:
-  /// Mirror of OpCosting::Book (including the SUMMA legs' mapping onto
-  /// the broadcast/shuffle primitives).
-  void Book(const OpCosting& c) {
-    if (c.method == MultiplyMethod::kLocalOp && c.broadcast_bytes == 0.0 &&
-        c.shuffle_bytes == 0.0 && c.collection_bytes == 0.0 &&
-        c.row_broadcast_bytes == 0.0 && c.col_broadcast_bytes == 0.0 &&
-        c.reduce_bytes == 0.0) {
-      cost_.local_flops += c.flops;
-    } else {
-      cost_.distributed_flops += c.flops;
-    }
-    At(TransmissionPrimitive::kBroadcast) +=
-        c.broadcast_bytes + c.row_broadcast_bytes + c.col_broadcast_bytes;
-    At(TransmissionPrimitive::kShuffle) += c.shuffle_bytes + c.reduce_bytes;
-    At(TransmissionPrimitive::kCollection) += c.collection_bytes;
-    At(TransmissionPrimitive::kDfs) += c.dfs_bytes;
-  }
+  friend class PlanWalk<CostPredictor, NodeStats>;
 
-  double& At(TransmissionPrimitive pr) {
-    return cost_.bytes[static_cast<size_t>(pr)];
-  }
+  /// A fused region's input-slot statistics, then each step's.
+  using TapeRun = std::vector<NodeStats>;
 
-  static MatInfo InfoOf(const NodeStats& stats, bool distributed) {
-    MatInfo info;
-    info.rows = stats.rows;
-    info.cols = stats.cols;
-    info.sparsity = stats.sparsity;
-    info.distributed = distributed;
-    return info;
-  }
-  static MatInfo InfoOf(const PredValue& v) {
-    return InfoOf(v.stats, v.distributed);
-  }
+  // A condition's outcome is unknowable here: the audit assumes every
+  // loop runs to its limit (see PredictProgramCost).
+  Result<bool> LoopContinues(const Value&) { return true; }
 
-  /// Mirror of Executor::ApplyTraits (force_dense does not change the
-  /// nnz-based sparsity the costing reads, so only placement matters).
-  PredValue ApplyTraits(PredValue value) const {
-    if (value.is_scalar) return value;
-    if (traits_.force_distributed &&
-        value.stats.rows * value.stats.cols > 1.0) {
-      value.distributed = true;
-    }
-    return value;
+  Result<Value> ReadData(const std::string& name) {
+    REMAC_ASSIGN_OR_RETURN(const MatrixStats stats, catalog_.Stats(name));
+    return Value::FromMatrix(estimator_.LeafStats(name, stats),
+                             /*distributed=*/true);
   }
-
-  Result<PredValue> Eval(const PlanNode& node) {
-    REMAC_ASSIGN_OR_RETURN(PredValue value, EvalImpl(node));
-    return ApplyTraits(std::move(value));
+  NodeStats Generate(const PlanNode& node) {
+    return estimator_.GeneratorStats(node.op, node.shape.rows,
+                                     node.shape.cols);
   }
-
-  Result<PredValue> EvalImpl(const PlanNode& node) {
-    switch (node.op) {
-      case PlanOp::kInput: {
-        auto it = env_.find(node.name);
-        if (it == env_.end()) {
-          return Status::NotFound("variable '" + node.name +
-                                  "' is not defined");
-        }
-        return it->second;
-      }
-      case PlanOp::kConst:
-        return PredValue::Scalar();
-      case PlanOp::kReadData: {
-        REMAC_ASSIGN_OR_RETURN(const MatrixStats stats,
-                               catalog_.Stats(node.name));
-        // Input datasets live distributed (executor ReadDataset); the
-        // input-partition dfs cost lands in a separate ledger accumulator
-        // outside the audited primitives.
-        return PredValue::FromStats(estimator_.LeafStats(node.name, stats),
-                                    /*distributed=*/true);
-      }
-      case PlanOp::kEye:
-      case PlanOp::kZeros:
-      case PlanOp::kOnes:
-      case PlanOp::kRand: {
-        NodeStats stats = estimator_.GeneratorStats(node.op, node.shape.rows,
-                                                    node.shape.cols);
-        bool distributed = false;
-        if (node.op == PlanOp::kRand) {
-          // rand() produces a fully dense matrix (|gaussian| + 0.1).
-          distributed = IsDistributedSize(
-              MatrixBytes(stats.rows, stats.cols, 1.0), model_);
-        }
-        return PredValue::FromStats(std::move(stats), distributed);
-      }
-      case PlanOp::kTranspose: {
-        REMAC_ASSIGN_OR_RETURN(const PredValue child,
-                               Eval(*node.children[0]));
-        if (child.is_scalar) return child;
-        const OpCosting costing = CostTranspose(InfoOf(child), model_);
-        Book(costing);
-        return PredValue::FromStats(estimator_.Transpose(child.stats),
-                                    costing.result_distributed);
-      }
-      case PlanOp::kMatMul: {
-        // Transpose fusion, exactly as the executor unwraps it.
-        const PlanNode* lhs = node.children[0].get();
-        const PlanNode* rhs = node.children[1].get();
-        const bool lt = lhs->op == PlanOp::kTranspose &&
-                        !lhs->children[0]->shape.ScalarLike();
-        const bool rt = rhs->op == PlanOp::kTranspose &&
-                        !rhs->children[0]->shape.ScalarLike();
-        if (!lt && !rt) return EvalBinary(node);
-        REMAC_ASSIGN_OR_RETURN(const PredValue a,
-                               Eval(lt ? *lhs->children[0] : *lhs));
-        REMAC_ASSIGN_OR_RETURN(const PredValue b,
-                               Eval(rt ? *rhs->children[0] : *rhs));
-        if (a.is_scalar || b.is_scalar) {
-          // Degenerate fallback: the executor re-evaluates the original
-          // children here, double-booking the subtrees; mirror that.
-          return EvalBinary(node);
-        }
-        const NodeStats ea =
-            lt ? estimator_.Transpose(a.stats) : a.stats;
-        const NodeStats eb =
-            rt ? estimator_.Transpose(b.stats) : b.stats;
-        NodeStats out = estimator_.Multiply(ea, eb);
-        const OpCosting costing = SelectMultiplyCosting(
-            InfoOf(ea, a.distributed), InfoOf(eb, b.distributed),
-            out.sparsity, model_);
-        Book(costing);
-        return PredValue::FromStats(std::move(out),
-                                    costing.result_distributed);
-      }
-      case PlanOp::kAdd:
-      case PlanOp::kSub:
-      case PlanOp::kMul:
-      case PlanOp::kDiv:
-      case PlanOp::kMin:
-      case PlanOp::kMax:
-      case PlanOp::kLess:
-      case PlanOp::kGreater:
-      case PlanOp::kLessEq:
-      case PlanOp::kGreaterEq:
-      case PlanOp::kEqual:
-      case PlanOp::kNotEqual:
-        return EvalBinary(node);
-      case PlanOp::kSum: {
-        REMAC_ASSIGN_OR_RETURN(const PredValue child,
-                               Eval(*node.children[0]));
-        if (child.is_scalar) return child;
-        cost_.distributed_flops += child.stats.Nnz();
-        return PredValue::Scalar();
-      }
-      case PlanOp::kTrace: {
-        REMAC_ASSIGN_OR_RETURN(const PredValue child,
-                               Eval(*node.children[0]));
-        if (child.is_scalar) return child;
-        cost_.distributed_flops += child.stats.rows;
-        return PredValue::Scalar();
-      }
-      case PlanOp::kExp:
-      case PlanOp::kLog: {
-        REMAC_ASSIGN_OR_RETURN(const PredValue child,
-                               Eval(*node.children[0]));
-        if (child.is_scalar) return child;
-        const OpCosting costing = CostScalarOp(InfoOf(child), model_);
-        Book(costing);
-        // exp densifies (exp(0) = 1); log touches stored non-zeros only.
-        const double sp =
-            node.op == PlanOp::kExp ? 1.0 : child.stats.sparsity;
-        return PredValue::FromStats(
-            PlainStats(child.stats.rows, child.stats.cols, sp),
-            costing.result_distributed);
-      }
-      case PlanOp::kRowSums:
-      case PlanOp::kColSums: {
-        REMAC_ASSIGN_OR_RETURN(const PredValue child,
-                               Eval(*node.children[0]));
-        const NodeStats& m = child.stats;  // 1x1 for scalars, as AsMatrix
-        cost_.distributed_flops += m.Nnz();
-        const bool rows = node.op == PlanOp::kRowSums;
-        NodeStats out = PlainStats(rows ? m.rows : 1.0, rows ? 1.0 : m.cols,
-                                   1.0);  // dense result vector
-        const bool distributed = IsDistributedSize(
-            MatrixBytes(out.rows, out.cols, out.sparsity), model_);
-        return PredValue::FromStats(std::move(out), distributed);
-      }
-      case PlanOp::kDiag: {
-        REMAC_ASSIGN_OR_RETURN(const PredValue child,
-                               Eval(*node.children[0]));
-        const NodeStats& m = child.stats;
-        // Books no simulated cost (mirrors the executor).
-        if (m.cols == 1.0) {
-          // Vector -> diagonal matrix: keeps the vector's nnz.
-          const double sp = m.rows > 0 ? m.sparsity / m.rows : 0.0;
-          return PredValue::FromStats(PlainStats(m.rows, m.rows, sp), false);
-        }
-        // Square matrix -> diagonal vector; assume uniform sparsity.
-        return PredValue::FromStats(PlainStats(m.rows, 1.0, m.sparsity),
-                                    false);
-      }
-      case PlanOp::kNorm: {
-        REMAC_ASSIGN_OR_RETURN(const PredValue child,
-                               Eval(*node.children[0]));
-        if (child.is_scalar) return child;
-        cost_.distributed_flops += 2.0 * child.stats.Nnz();
-        return PredValue::Scalar();
-      }
-      case PlanOp::kSqrt:
-      case PlanOp::kAbs:
-      case PlanOp::kNcol:
-      case PlanOp::kNrow: {
-        REMAC_RETURN_NOT_OK(Eval(*node.children[0]).status());
-        return PredValue::Scalar();
-      }
-      case PlanOp::kFusedMap:
-        return EvalFusedMap(node);
-      case PlanOp::kBlockRef:
-        return Status::Internal("kBlockRef reached the cost audit");
-    }
-    return Status::Internal("unhandled op in cost audit");
+  NodeStats ComputeTranspose(const NodeStats& m) {
+    return estimator_.Transpose(m);
   }
+  Result<NodeStats> ComputeMultiply(const Value& a, bool a_transposed,
+                                    const Value& b, bool b_transposed,
+                                    OpCosting* costing) {
+    EstimatedProduct product =
+        EstimateMultiply(estimator_, a.matrix, a.distributed, a_transposed,
+                         b.matrix, b.distributed, b_transposed, model_);
+    *costing = product.costing;
+    return std::move(product.stats);
+  }
+  Result<NodeStats> ComputeElementwise(PlanOp op, const NodeStats& a,
+                                       const NodeStats& b) {
+    return estimator_.Elementwise(op, a, b);
+  }
+  Result<NodeStats> ComputeBroadcast(PlanOp op, const NodeStats& m, double,
+                                     bool) {
+    return estimator_.ScalarBroadcast(op, m);
+  }
+  NodeStats ComputeUnary(PlanOp op, const NodeStats& m) {
+    // exp densifies (exp(0) = 1); log touches stored non-zeros only.
+    return PlainStats(m.rows, m.cols,
+                      op == PlanOp::kExp ? 1.0 : m.sparsity);
+  }
+  NodeStats ComputeLineSums(PlanOp op, const NodeStats& m) {
+    const bool rows = op == PlanOp::kRowSums;
+    return PlainStats(rows ? m.rows : 1.0, rows ? 1.0 : m.cols,
+                      1.0);  // dense result vector
+  }
+  NodeStats ComputeDiag(const NodeStats& m) {
+    if (m.cols == 1.0) {
+      // Vector -> diagonal matrix: keeps the vector's nnz.
+      const double sp = m.rows > 0 ? m.sparsity / m.rows : 0.0;
+      return PlainStats(m.rows, m.rows, sp);
+    }
+    // Square matrix -> diagonal vector; assume uniform sparsity.
+    return PlainStats(m.rows, 1.0, m.sparsity);
+  }
+  double ComputeReduction(PlanOp, const NodeStats&) { return 0.0; }
 
-  /// Mirror of Executor::EvalFusedMap: replays the tape over statistics,
-  /// booking per step exactly what the standalone operator's audit site
-  /// books (CostScalarOp for unary maps and scalar broadcasts,
-  /// CostElementwise with the estimated result sparsity otherwise).
-  Result<PredValue> EvalFusedMap(const PlanNode& node) {
-    if (node.fused == nullptr) {
-      return Status::Internal("kFusedMap node without a tape");
+  Result<TapeRun> StartTape(const FusedTape& tape, std::vector<Value> inputs) {
+    TapeRun run(inputs.size() + tape.steps.size());
+    for (size_t i = 0; i < inputs.size(); ++i) {
+      run[i] = std::move(inputs[i].matrix);
     }
-    const FusedTape& tape = *node.fused;
-    if (node.children.size() != static_cast<size_t>(tape.num_inputs)) {
-      return Status::Internal("fused region input arity mismatch");
-    }
-    std::vector<PredValue> slots(static_cast<size_t>(tape.num_inputs));
-    for (int32_t i = 0; i < tape.num_inputs; ++i) {
-      REMAC_ASSIGN_OR_RETURN(slots[static_cast<size_t>(i)],
-                             Eval(*node.children[i]));
-    }
-    auto scalar_slot = [&](int32_t slot) {
-      return slot >= 0 && slot < tape.num_inputs &&
-             tape.input_scalar[static_cast<size_t>(slot)] != 0;
+    return run;
+  }
+  /// Estimates the step exactly as its standalone operator would.
+  double TapeStepSparsity(TapeRun& run, const FusedTape& tape,
+                          const TapeStep& step) {
+    const auto slot = [&](int32_t s) -> const NodeStats& {
+      return run[static_cast<size_t>(s)];
     };
-    PredValue step_value;
-    std::vector<PredValue> step_values(tape.steps.size());
-    for (size_t j = 0; j < tape.steps.size(); ++j) {
-      const FusedStep& step = tape.steps[j];
-      auto operand = [&](int32_t slot) -> const PredValue& {
-        return slot < tape.num_inputs
-                   ? slots[static_cast<size_t>(slot)]
-                   : step_values[static_cast<size_t>(slot -
-                                                     tape.num_inputs)];
-      };
-      const PlanOp op = FromFusedOp(step.op);
-      PredValue value;
-      if (step.rhs < 0) {
-        // Unary map: exp densifies, log keeps the sparsity pattern.
-        const PredValue& a = operand(step.lhs);
-        const OpCosting costing = CostScalarOp(InfoOf(a), model_);
-        Book(costing);
-        const double sp =
-            step.op == FusedOp::kExp ? 1.0 : a.stats.sparsity;
-        value = PredValue::FromStats(
-            PlainStats(a.stats.rows, a.stats.cols, sp),
-            costing.result_distributed);
-      } else if (scalar_slot(step.lhs) || scalar_slot(step.rhs)) {
-        const PredValue& mat =
-            scalar_slot(step.lhs) ? operand(step.rhs) : operand(step.lhs);
-        const OpCosting costing = CostScalarOp(InfoOf(mat), model_);
-        Book(costing);
-        value = PredValue::FromStats(estimator_.ScalarBroadcast(op, mat.stats),
-                                     costing.result_distributed);
-      } else {
-        const PredValue& a = operand(step.lhs);
-        const PredValue& b = operand(step.rhs);
-        NodeStats out = estimator_.Elementwise(op, a.stats, b.stats);
-        const OpCosting costing =
-            CostElementwise(InfoOf(a), InfoOf(b), out.sparsity, model_);
-        Book(costing);
-        value = PredValue::FromStats(std::move(out),
-                                     costing.result_distributed);
-      }
-      step_values[j] = ApplyTraits(std::move(value));
-      step_value = step_values[j];
+    NodeStats& out = run[static_cast<size_t>(tape.num_inputs) + step.index];
+    if (step.rhs < 0) {
+      out = ComputeUnary(step.op, slot(step.lhs));
+    } else if (step.broadcast) {
+      out = estimator_.ScalarBroadcast(step.op, slot(step.matrix_slot));
+    } else {
+      out = estimator_.Elementwise(step.op, slot(step.lhs), slot(step.rhs));
     }
-    return step_value;
+    return out.sparsity;
+  }
+  NodeStats FinishTape(TapeRun&& run, const FusedTape&,
+                       const std::vector<MatInfo>&) {
+    return std::move(run.back());
   }
 
-  Result<PredValue> EvalBinary(const PlanNode& node) {
-    REMAC_ASSIGN_OR_RETURN(const PredValue a, Eval(*node.children[0]));
-    REMAC_ASSIGN_OR_RETURN(const PredValue b, Eval(*node.children[1]));
-    const bool l_scalar =
-        a.is_scalar || (a.stats.rows == 1.0 && a.stats.cols == 1.0);
-    const bool r_scalar =
-        b.is_scalar || (b.stats.rows == 1.0 && b.stats.cols == 1.0);
-    if (l_scalar && r_scalar) return PredValue::Scalar();
-    if (IsComparisonOp(node.op)) {
-      return Status::InvalidArgument("comparison of non-scalar values");
-    }
-    // Scalar-matrix broadcast: every such path books one CostScalarOp
-    // over the matrix side.
-    if (l_scalar != r_scalar && node.op != PlanOp::kMatMul) {
-      const PredValue& mat = l_scalar ? b : a;
-      const OpCosting costing = CostScalarOp(InfoOf(mat), model_);
-      Book(costing);
-      return PredValue::FromStats(
-          estimator_.ScalarBroadcast(node.op, mat.stats),
-          costing.result_distributed);
-    }
-    if (node.op == PlanOp::kMatMul) {
-      if (l_scalar || r_scalar) {
-        // 1x1-matrix operands degrade to scalar scaling.
-        const PredValue& mat = l_scalar ? b : a;
-        const OpCosting costing = CostScalarOp(InfoOf(mat), model_);
-        Book(costing);
-        return PredValue::FromStats(
-            estimator_.ScalarBroadcast(PlanOp::kMul, mat.stats),
-            costing.result_distributed);
-      }
-      NodeStats out = estimator_.Multiply(a.stats, b.stats);
-      const OpCosting costing =
-          SelectMultiplyCosting(InfoOf(a), InfoOf(b), out.sparsity, model_);
-      Book(costing);
-      return PredValue::FromStats(std::move(out),
-                                  costing.result_distributed);
-    }
-    NodeStats out = estimator_.Elementwise(node.op, a.stats, b.stats);
-    const OpCosting costing =
-        CostElementwise(InfoOf(a), InfoOf(b), out.sparsity, model_);
-    Book(costing);
-    return PredValue::FromStats(std::move(out), costing.result_distributed);
+  void Book(const OpCosting& costing) { cost_ += costing.Charge(); }
+  void BookDistributedFlops(double flops) {
+    cost_.distributed_flops += flops;
   }
 
   const DataCatalog& catalog_;
   const SparsityEstimator& estimator_;
-  const ClusterModel& model_;
-  const EngineTraits& traits_;
-  std::map<std::string, PredValue> env_;
   PredictedCost cost_;
 };
 
@@ -462,9 +153,9 @@ Result<PredictedCost> PredictProgramCost(const CompiledProgram& program,
                                          const ClusterModel& model,
                                          const EngineTraits& traits,
                                          int loop_iterations) {
-  CostWalker walker(catalog, estimator, model, traits);
-  REMAC_RETURN_NOT_OK(walker.Run(program.statements, loop_iterations));
-  return walker.cost();
+  CostPredictor predictor(catalog, estimator, model, traits);
+  REMAC_RETURN_NOT_OK(predictor.Run(program.statements, loop_iterations));
+  return predictor.cost();
 }
 
 double PrimitiveAudit::RelativeError() const {

@@ -18,28 +18,25 @@ namespace remac {
 /// ReMac picks elimination combinations by predicted cost
 /// (w_flop * FLOP + sum_pr w_pr * D_pr); this module checks that those
 /// predictions track what the simulated cluster actually booked. Before
-/// execution, PredictProgramCost walks the optimized program exactly the
-/// way runtime/executor.cc will (transpose fusion, scalar degradation,
-/// local/distributed placement, barrier-commit loops) but with the
-/// optimizer's sparsity *estimates* instead of materialized matrices, so
-/// any predicted-vs-actual gap isolates estimation error. After
-/// execution, the runner pairs the prediction with the ledger delta.
+/// execution, PredictProgramCost runs the executor's own walk
+/// (runtime/plan_walk.h: transpose fusion, scalar degradation, placement,
+/// fused-tape booking, barrier-commit loops) over the optimizer's
+/// sparsity *estimates* instead of materialized matrices. Every operator
+/// books the same OpCosting on both sides except multiplies, whose layout
+/// the prediction picks with SelectMultiplyCosting's uniform-sparsity
+/// estimate where the runtime prices SUMMA on exact tiles. Any
+/// predicted-vs-actual gap therefore comes from estimation: of
+/// sparsities, and of the layout chosen on them. After execution, the
+/// runner pairs the prediction with the ledger delta.
 
 /// FLOPs and per-primitive transmission bytes a program is predicted to
 /// book into the TransmissionLedger.
-struct PredictedCost {
-  double local_flops = 0.0;
-  double distributed_flops = 0.0;
-  /// Indexed by TransmissionPrimitive.
-  std::array<double, kNumTransmissionPrimitives> bytes{};
+using PredictedCost = LedgerCharge;
 
-  double TotalFlops() const { return local_flops + distributed_flops; }
-};
-
-/// Walks `program` mirroring the serial executor's booking sites,
-/// propagating statistics with `estimator`. `loop_iterations` must be the
-/// iteration count the executor will actually run (the audit cannot
-/// predict condition-based early exit — a documented limitation).
+/// Runs the executor's plan walk over `program` with statistics from
+/// `estimator`. `loop_iterations` must be the iteration count the
+/// executor will actually run (the audit cannot predict condition-based
+/// early exit — a documented limitation).
 Result<PredictedCost> PredictProgramCost(const CompiledProgram& program,
                                          const DataCatalog& catalog,
                                          const SparsityEstimator& estimator,

@@ -11,6 +11,13 @@ namespace remac {
 
 namespace {
 
+constexpr std::pair<PlanOp, FusedOp> kFusedOps[] = {
+    {PlanOp::kAdd, FusedOp::kAdd}, {PlanOp::kSub, FusedOp::kSub},
+    {PlanOp::kMul, FusedOp::kMul}, {PlanOp::kDiv, FusedOp::kDiv},
+    {PlanOp::kMin, FusedOp::kMin}, {PlanOp::kMax, FusedOp::kMax},
+    {PlanOp::kExp, FusedOp::kExp}, {PlanOp::kLog, FusedOp::kLog},
+};
+
 /// Registry handles resolved once, process-wide.
 struct FusionMetrics {
   Counter* regions =
@@ -24,21 +31,6 @@ FusionMetrics& Metrics() {
   return metrics;
 }
 
-/// Maps a fusable PlanOp onto its tape opcode.
-FusedOp ToFusedOp(PlanOp op) {
-  switch (op) {
-    case PlanOp::kAdd: return FusedOp::kAdd;
-    case PlanOp::kSub: return FusedOp::kSub;
-    case PlanOp::kMul: return FusedOp::kMul;
-    case PlanOp::kDiv: return FusedOp::kDiv;
-    case PlanOp::kMin: return FusedOp::kMin;
-    case PlanOp::kMax: return FusedOp::kMax;
-    case PlanOp::kExp: return FusedOp::kExp;
-    case PlanOp::kLog: return FusedOp::kLog;
-    default: return FusedOp::kAdd;  // unreachable for fusable nodes
-  }
-}
-
 /// True when `node` can be an interior op of a fused region: an
 /// element-wise binary or unary map producing a real matrix. Scalar-shaped
 /// results stay on the executor's scalar paths.
@@ -47,20 +39,10 @@ bool FusableOp(const PlanNode& node) {
       node.shape.cols <= 0) {
     return false;
   }
-  switch (node.op) {
-    case PlanOp::kAdd:
-    case PlanOp::kSub:
-    case PlanOp::kMul:
-    case PlanOp::kDiv:
-    case PlanOp::kMin:
-    case PlanOp::kMax:
-      return node.children.size() == 2;
-    case PlanOp::kExp:
-    case PlanOp::kLog:
-      return node.children.size() == 1;
-    default:
-      return false;
-  }
+  const std::optional<FusedOp> op = FusedOpOf(node.op);
+  if (!op.has_value()) return false;
+  const bool unary = *op == FusedOp::kExp || *op == FusedOp::kLog;
+  return node.children.size() == (unary ? 1u : 2u);
 }
 
 /// True when `node` belongs to the region rooted at `root`: fusable and
@@ -141,7 +123,7 @@ class Fuser {
     auto it = input_slot.find(&node);
     if (it != input_slot.end()) return it->second;
     FusedStep step;
-    step.op = ToFusedOp(node.op);
+    step.op = *FusedOpOf(node.op);
     step.lhs = Emit(*node.children[0], root, input_slot, tape);
     if (node.children.size() == 2) {
       step.rhs = Emit(*node.children[1], root, input_slot, tape);
@@ -197,6 +179,20 @@ void FuseStatements(std::vector<CompiledStmt>* statements, Fuser* fuser) {
 }
 
 }  // namespace
+
+std::optional<FusedOp> FusedOpOf(PlanOp op) {
+  for (const auto& [plan_op, fused_op] : kFusedOps) {
+    if (plan_op == op) return fused_op;
+  }
+  return std::nullopt;
+}
+
+PlanOp PlanOpOf(FusedOp op) {
+  for (const auto& [plan_op, fused_op] : kFusedOps) {
+    if (fused_op == op) return plan_op;
+  }
+  return PlanOp::kAdd;  // unreachable: every FusedOp is in the table
+}
 
 PlanNodePtr FuseElementwiseTree(const PlanNodePtr& node,
                                 FusionReport* report) {

@@ -185,6 +185,22 @@ bool IsGeneratorOp(PlanOp op) {
          op == PlanOp::kZeros || op == PlanOp::kOnes || op == PlanOp::kRand;
 }
 
+MultiplyOperands FusedMultiplyOperands(const PlanNode& matmul) {
+  MultiplyOperands out;
+  out.lhs = matmul.children[0].get();
+  out.rhs = matmul.children[1].get();
+  const auto unwrap = [](const PlanNode** side, bool* transposed) {
+    if ((*side)->op == PlanOp::kTranspose &&
+        !(*side)->children[0]->shape.ScalarLike()) {
+      *side = (*side)->children[0].get();
+      *transposed = true;
+    }
+  };
+  unwrap(&out.lhs, &out.lhs_transposed);
+  unwrap(&out.rhs, &out.rhs_transposed);
+  return out;
+}
+
 namespace {
 
 Status ShapeErrorAt(const PlanNode& node, const std::string& what) {

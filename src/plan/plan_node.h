@@ -134,6 +134,19 @@ bool IsComparisonOp(PlanOp op);
 /// True for generator nodes (read/eye/zeros/ones/rand).
 bool IsGeneratorOp(PlanOp op);
 
+/// The operands a kMatMul node multiplies once its t() children are
+/// fused into it: t(X) %*% Y and X %*% t(Y) multiply X or Y with a
+/// transpose flag instead of materializing the transpose (SystemDS's
+/// fused transpose-multiply). A t() over a scalar-shaped child is left
+/// in place.
+struct MultiplyOperands {
+  const PlanNode* lhs = nullptr;
+  const PlanNode* rhs = nullptr;
+  bool lhs_transposed = false;
+  bool rhs_transposed = false;
+};
+MultiplyOperands FusedMultiplyOperands(const PlanNode& matmul);
+
 /// Recomputes `shape` bottom-up. Fails on dimension mismatches.
 /// Generator dimension arguments must be constants by this point.
 Status InferShapes(PlanNode* node);

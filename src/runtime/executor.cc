@@ -1,6 +1,7 @@
 #include "runtime/executor.h"
 
 #include <cmath>
+#include <tuple>
 
 #include "common/rng.h"
 #include "common/string_util.h"
@@ -53,110 +54,22 @@ int64_t CountInputRefs(const PlanNode& node, const std::string& name) {
 
 }  // namespace
 
-RtValue RtValue::Scalar(double v) {
-  RtValue out;
-  out.is_scalar = true;
-  out.scalar = v;
-  return out;
-}
-
-RtValue RtValue::FromMatrix(Matrix m, bool distributed) {
-  RtValue out;
-  out.matrix = std::move(m);
-  out.distributed = distributed;
-  return out;
-}
-
-Result<double> RtValue::AsScalar() const {
-  if (is_scalar) return scalar;
-  if (matrix.rows() == 1 && matrix.cols() == 1) return matrix.At(0, 0);
-  return Status::InvalidArgument(StringFormat(
-      "cannot use a %lld x %lld matrix as a scalar",
-      static_cast<long long>(matrix.rows()),
-      static_cast<long long>(matrix.cols())));
-}
-
-Matrix RtValue::AsMatrix() const {
-  if (!is_scalar) return matrix;
-  DenseMatrix m(1, 1);
-  m.At(0, 0) = scalar;
-  return Matrix::WrapDense(std::move(m));
-}
-
 Executor::Executor(const ClusterModel& model, const DataCatalog* catalog,
                    TransmissionLedger* ledger, EngineTraits traits)
-    : model_(model), catalog_(catalog), ledger_(ledger), traits_(traits) {}
+    : PlanWalk(model, traits), catalog_(catalog), ledger_(ledger) {}
 
-Result<RtValue> Executor::Get(const std::string& name) const {
-  auto it = env_.find(name);
-  if (it == env_.end()) {
-    return Status::NotFound("variable '" + name + "' is not defined");
-  }
-  return it->second;
-}
-
-void Executor::Set(const std::string& name, RtValue value) {
-  env_.insert_or_assign(name, std::move(value));
-}
-
-Status Executor::Run(const std::vector<CompiledStmt>& statements,
-                     int max_loop_iterations) {
-  for (const auto& stmt : statements) {
-    if (stmt.kind == CompiledStmt::Kind::kAssign) {
-      StageSpan span(Metrics().statement_seconds, nullptr, "statement");
-      // Last-use buffer handoff: when the assignment target's previous
-      // value is read exactly once by the new plan (X = X + ... style
-      // updates), move it out of the environment so a fused region can
-      // steal its dense buffer and run in place. Safe only here — a
-      // barrier-commit body must keep start-of-iteration values readable
-      // until the joint commit, and the task-graph path never calls Run.
-      ArmBufferSteal(stmt);
-      auto value = Eval(*stmt.plan);
-      steal_.reset();  // unconsumed when a cache hit covered the input
-      if (!value.ok()) return value.status();
-      Set(stmt.target, std::move(value).value());
-      continue;
-    }
-    // Loop.
-    int64_t limit = max_loop_iterations;
-    if (stmt.static_trip_count >= 0) {
-      limit = std::min<int64_t>(limit, stmt.static_trip_count);
-    }
-    if (!stmt.loop_var.empty()) {
-      Set(stmt.loop_var, RtValue::Scalar(stmt.loop_begin));
-    }
-    for (int64_t iter = 0; iter < limit; ++iter) {
-      if (stmt.condition != nullptr) {
-        REMAC_ASSIGN_OR_RETURN(const RtValue cond, Eval(*stmt.condition));
-        REMAC_ASSIGN_OR_RETURN(const double flag, cond.AsScalar());
-        if (flag == 0.0) break;
-      }
-      if (stmt.barrier_commit) {
-        // Temps commit immediately; outputs are staged and committed
-        // together, so every output reads start-of-iteration state.
-        std::vector<std::pair<std::string, RtValue>> staged;
-        for (const auto& body_stmt : stmt.body) {
-          if (body_stmt.kind != CompiledStmt::Kind::kAssign) {
-            return Status::Unsupported("nested loop in barrier-commit body");
-          }
-          REMAC_ASSIGN_OR_RETURN(RtValue value, Eval(*body_stmt.plan));
-          if (body_stmt.is_temp) {
-            Set(body_stmt.target, std::move(value));
-          } else {
-            staged.emplace_back(body_stmt.target, std::move(value));
-          }
-        }
-        for (auto& [name, value] : staged) Set(name, std::move(value));
-      } else {
-        REMAC_RETURN_NOT_OK(Run(stmt.body, max_loop_iterations));
-      }
-      if (!stmt.loop_var.empty()) {
-        Set(stmt.loop_var,
-            RtValue::Scalar(stmt.loop_begin + static_cast<double>(iter + 1)));
-      }
-    }
-  }
-  return Status::OK();
+Result<RtValue> Executor::EvalAssign(const CompiledStmt& stmt) {
+  StageSpan span(Metrics().statement_seconds, nullptr, "statement");
+  // Last-use buffer handoff: when the assignment target's previous value
+  // is read exactly once by the new plan (X = X + ... style updates),
+  // move it out of the environment so a fused region can steal its dense
+  // buffer and run in place. Safe only here — a barrier-commit body must
+  // keep start-of-iteration values readable until the joint commit, and
+  // the task-graph path never calls Run.
+  ArmBufferSteal(stmt);
+  Result<RtValue> value = Eval(*stmt.plan);
+  steal_.reset();  // unconsumed when a cache hit covered the input
+  return value;
 }
 
 void Executor::ArmBufferSteal(const CompiledStmt& stmt) {
@@ -168,14 +81,49 @@ void Executor::ArmBufferSteal(const CompiledStmt& stmt) {
   it->second = RtValue{};  // benign placeholder until the re-assignment
 }
 
-Result<RtValue> Executor::ReadDataset(const std::string& name) {
+Result<bool> Executor::LoopContinues(const RtValue& condition) {
+  REMAC_ASSIGN_OR_RETURN(const double flag, condition.AsScalar());
+  return flag != 0.0;
+}
+
+Result<RtValue> Executor::Input(const std::string& name) {
+  if (steal_.has_value() && steal_->first == name) {
+    RtValue stolen = std::move(steal_->second);
+    steal_.reset();
+    return stolen;
+  }
+  return Get(name);
+}
+
+const RtValue* Executor::Served(const PlanNode& node) {
+  return intermediates_ != nullptr ? intermediates_->Lookup(&node) : nullptr;
+}
+
+void Executor::Offer(const PlanNode& node, const RtValue& value) {
+  if (intermediates_ != nullptr) intermediates_->Offer(&node, value);
+}
+
+void Executor::CountOp() {
+  ++ops_executed_;
+  Metrics().ops->Add();
+}
+
+void Executor::Densify(Matrix* m) {
+  if (!m->is_dense()) *m = Matrix::WrapDense(m->ToDense());
+}
+
+void Executor::Book(const OpCosting& costing) { costing.Book(ledger_); }
+
+void Executor::BookDistributedFlops(double flops) {
+  if (ledger_ != nullptr) ledger_->AddDistributedFlops(flops);
+}
+
+Result<RtValue> Executor::ReadData(const std::string& name) {
   if (catalog_ == nullptr) {
     return Status::Internal("executor has no catalog");
   }
   REMAC_ASSIGN_OR_RETURN(Matrix value, catalog_->Value(name));
-  if (traits_.force_dense && !value.is_dense()) {
-    value = Matrix::WrapDense(value.ToDense());
-  }
+  if (traits_.force_dense) Densify(&value);  // partitioned as dense
   const bool first_load = shared_datasets_ != nullptr
                               ? shared_datasets_->MarkLoaded(name)
                               : !loaded_datasets_[name];
@@ -191,18 +139,16 @@ Result<RtValue> Executor::ReadDataset(const std::string& name) {
   return RtValue::FromMatrix(std::move(value), /*distributed=*/true);
 }
 
-Result<RtValue> Executor::EvalGenerator(const PlanNode& node) {
+Matrix Executor::Generate(const PlanNode& node) {
   const int64_t rows = node.shape.rows;
   const int64_t cols = node.shape.cols;
   switch (node.op) {
     case PlanOp::kEye:
-      return RtValue::FromMatrix(Matrix::Identity(rows), false);
-    case PlanOp::kZeros:
-      return RtValue::FromMatrix(Matrix::Zeros(rows, cols), false);
+      return Matrix::Identity(rows);
     case PlanOp::kOnes: {
       DenseMatrix m(rows, cols);
       for (int64_t i = 0; i < m.size(); ++i) m.data()[i] = 1.0;
-      return RtValue::FromMatrix(Matrix::WrapDense(std::move(m)), false);
+      return Matrix::WrapDense(std::move(m));
     }
     case PlanOp::kRand: {
       Rng rng(0x5eedULL + (rand_counter_++));
@@ -210,469 +156,176 @@ Result<RtValue> Executor::EvalGenerator(const PlanNode& node) {
       for (int64_t i = 0; i < m.size(); ++i) {
         m.data()[i] = std::fabs(rng.NextGaussian()) + 0.1;
       }
-      Matrix value = Matrix::WrapDense(std::move(m));
-      const bool dist = IsDistributedSize(
-          static_cast<double>(value.SizeInBytes()), model_);
-      return RtValue::FromMatrix(std::move(value), dist);
+      return Matrix::WrapDense(std::move(m));
     }
-    default:
-      return Status::Internal("not a generator");
+    case PlanOp::kZeros:
+    default:  // the walk calls this for generators only
+      return Matrix::Zeros(rows, cols);
   }
 }
 
-Result<RtValue> Executor::EvalBinary(const PlanNode& node) {
-  REMAC_ASSIGN_OR_RETURN(const RtValue lhs, Eval(*node.children[0]));
-  REMAC_ASSIGN_OR_RETURN(const RtValue rhs, Eval(*node.children[1]));
-  const bool l_scalar =
-      lhs.is_scalar || (lhs.matrix.rows() == 1 && lhs.matrix.cols() == 1);
-  const bool r_scalar =
-      rhs.is_scalar || (rhs.matrix.rows() == 1 && rhs.matrix.cols() == 1);
-  ++ops_executed_;
-  Metrics().ops->Add();
-  // Scalar-scalar.
-  if (l_scalar && r_scalar) {
-    REMAC_ASSIGN_OR_RETURN(const double a, lhs.AsScalar());
-    REMAC_ASSIGN_OR_RETURN(const double b, rhs.AsScalar());
-    switch (node.op) {
-      case PlanOp::kAdd: return RtValue::Scalar(a + b);
-      case PlanOp::kSub: return RtValue::Scalar(a - b);
-      case PlanOp::kMul: return RtValue::Scalar(a * b);
-      case PlanOp::kDiv: return RtValue::Scalar(b == 0.0 ? 0.0 : a / b);
-      case PlanOp::kMin:
-        return RtValue::Scalar(FusedApply(FusedOp::kMin, a, b));
-      case PlanOp::kMax:
-        return RtValue::Scalar(FusedApply(FusedOp::kMax, a, b));
-      case PlanOp::kLess: return RtValue::Scalar(a < b ? 1.0 : 0.0);
-      case PlanOp::kGreater: return RtValue::Scalar(a > b ? 1.0 : 0.0);
-      case PlanOp::kLessEq: return RtValue::Scalar(a <= b ? 1.0 : 0.0);
-      case PlanOp::kGreaterEq: return RtValue::Scalar(a >= b ? 1.0 : 0.0);
-      case PlanOp::kEqual: return RtValue::Scalar(a == b ? 1.0 : 0.0);
-      case PlanOp::kNotEqual: return RtValue::Scalar(a != b ? 1.0 : 0.0);
-      case PlanOp::kMatMul: return RtValue::Scalar(a * b);
-      default:
-        return Status::Internal("bad scalar binary op");
-    }
-  }
-  if (IsComparisonOp(node.op)) {
-    return Status::InvalidArgument("comparison of non-scalar values");
-  }
-  // Scalar-matrix broadcast.
-  if (l_scalar != r_scalar && node.op != PlanOp::kMatMul) {
-    const RtValue& mat = l_scalar ? rhs : lhs;
-    REMAC_ASSIGN_OR_RETURN(const double s,
-                           (l_scalar ? lhs : rhs).AsScalar());
-    switch (node.op) {
-      case PlanOp::kMul: {
-        DistValue out = ExecScalarMultiply(mat.matrix, mat.distributed, s,
-                                           model_, ledger_);
-        return RtValue::FromMatrix(std::move(out.value), out.distributed);
-      }
-      case PlanOp::kDiv: {
-        if (l_scalar) {
-          // scalar ./ matrix: element-wise reciprocal, scaled.
-          DenseMatrix d = mat.matrix.ToDense();
-          for (int64_t i = 0; i < d.size(); ++i) {
-            d.data()[i] = d.data()[i] == 0.0 ? 0.0 : s / d.data()[i];
-          }
-          const OpCosting costing =
-              CostScalarOp(InfoOf(mat.matrix, mat.distributed), model_);
-          costing.Book(ledger_);
-          return RtValue::FromMatrix(Matrix::FromDense(std::move(d)),
-                                     costing.result_distributed);
-        }
-        DistValue out = ExecScalarMultiply(
-            mat.matrix, mat.distributed, s == 0.0 ? 0.0 : 1.0 / s, model_,
-            ledger_);
-        return RtValue::FromMatrix(std::move(out.value), out.distributed);
-      }
-      case PlanOp::kAdd:
-      case PlanOp::kSub:
-      case PlanOp::kMin:
-      case PlanOp::kMax: {
-        DenseMatrix d = mat.matrix.ToDense();
-        for (int64_t i = 0; i < d.size(); ++i) {
-          if (node.op == PlanOp::kAdd) {
-            d.data()[i] += s;
-          } else if (node.op == PlanOp::kSub) {
-            d.data()[i] = l_scalar ? s - d.data()[i] : d.data()[i] - s;
-          } else {
-            // min/max broadcast; operand order preserved (ties and NaNs
-            // resolve to the left operand, see FusedApply).
-            const FusedOp fop =
-                node.op == PlanOp::kMin ? FusedOp::kMin : FusedOp::kMax;
-            d.data()[i] = l_scalar ? FusedApply(fop, s, d.data()[i])
-                                   : FusedApply(fop, d.data()[i], s);
-          }
-        }
-        const OpCosting costing =
-            CostScalarOp(InfoOf(mat.matrix, mat.distributed), model_);
-        costing.Book(ledger_);
-        return RtValue::FromMatrix(Matrix::FromDense(std::move(d)),
-                                   costing.result_distributed);
-      }
-      default:
-        return Status::Internal("bad scalar-matrix op");
-    }
-  }
-  // Matrix multiplication with transpose fusion: t(X) %*% Y and
-  // X %*% t(Y) do not materialize the distributed transpose (SystemDS's
-  // fused transpose-multiply operators).
-  if (node.op == PlanOp::kMatMul) {
-    // 1x1-matrix operands degrade to scalar scaling.
-    if (l_scalar || r_scalar) {
-      REMAC_ASSIGN_OR_RETURN(const double s,
-                             (l_scalar ? lhs : rhs).AsScalar());
-      const RtValue& mat = l_scalar ? rhs : lhs;
-      DistValue out = ExecScalarMultiply(mat.matrix, mat.distributed, s,
-                                         model_, ledger_);
-      return RtValue::FromMatrix(std::move(out.value), out.distributed);
-    }
-    StageSpan span(Metrics().multiply_seconds, nullptr, "multiply");
-    REMAC_ASSIGN_OR_RETURN(
-        DistValue out,
-        ExecMultiply(lhs.matrix, lhs.distributed, /*a_transposed=*/false,
-                     rhs.matrix, rhs.distributed, /*b_transposed=*/false,
-                     model_, ledger_));
-    return RtValue::FromMatrix(std::move(out.value), out.distributed);
-  }
-  // Element-wise matrix op.
-  BinaryOpKind kind;
-  switch (node.op) {
-    case PlanOp::kAdd: kind = BinaryOpKind::kAdd; break;
-    case PlanOp::kSub: kind = BinaryOpKind::kSub; break;
-    case PlanOp::kMul: kind = BinaryOpKind::kElemMul; break;
-    case PlanOp::kDiv: kind = BinaryOpKind::kElemDiv; break;
-    case PlanOp::kMin: kind = BinaryOpKind::kMin; break;
-    case PlanOp::kMax: kind = BinaryOpKind::kMax; break;
+Matrix Executor::ComputeTranspose(const Matrix& m) {
+  StageSpan span(Metrics().transpose_seconds, nullptr, "transpose");
+  return Transpose(m);
+}
+
+Result<Matrix> Executor::ComputeMultiply(const RtValue& a, bool a_transposed,
+                                         const RtValue& b, bool b_transposed,
+                                         OpCosting* costing) {
+  StageSpan span(Metrics().multiply_seconds, nullptr, "multiply");
+  REMAC_ASSIGN_OR_RETURN(
+      DistValue out, ExecMultiply(a.matrix, a.distributed, a_transposed,
+                                  b.matrix, b.distributed, b_transposed,
+                                  model_));
+  *costing = out.costing;
+  return std::move(out.value);
+}
+
+Result<Matrix> Executor::ComputeElementwise(PlanOp op, const Matrix& a,
+                                            const Matrix& b) {
+  StageSpan span(Metrics().elementwise_seconds, nullptr, "elementwise");
+  switch (op) {
+    case PlanOp::kAdd: return Add(a, b);
+    case PlanOp::kSub: return Subtract(a, b);
+    case PlanOp::kMul: return ElementwiseMultiply(a, b);
+    case PlanOp::kDiv: return ElementwiseDivide(a, b);
+    case PlanOp::kMin: return ElementwiseMin(a, b);
+    case PlanOp::kMax: return ElementwiseMax(a, b);
     default:
       return Status::Internal("bad elementwise op");
   }
-  StageSpan span(Metrics().elementwise_seconds, nullptr, "elementwise");
-  REMAC_ASSIGN_OR_RETURN(
-      DistValue out,
-      ExecElementwise(kind, lhs.matrix, lhs.distributed, rhs.matrix,
-                      rhs.distributed, model_, ledger_));
-  return RtValue::FromMatrix(std::move(out.value), out.distributed);
 }
 
-RtValue Executor::ApplyTraits(RtValue value) const {
-  if (value.is_scalar) return value;
-  if (traits_.force_dense && !value.matrix.is_dense()) {
-    value.matrix = Matrix::WrapDense(value.matrix.ToDense());
-  }
-  if (traits_.force_distributed &&
-      value.matrix.rows() * value.matrix.cols() > 1) {
-    value.distributed = true;
-  }
-  return value;
-}
-
-Result<RtValue> Executor::Eval(const PlanNode& node) {
-  if (intermediates_ != nullptr) {
-    if (const RtValue* served = intermediates_->Lookup(&node)) return *served;
-  }
-  REMAC_ASSIGN_OR_RETURN(RtValue value, EvalImpl(node));
-  value = ApplyTraits(std::move(value));
-  if (intermediates_ != nullptr) intermediates_->Offer(&node, value);
-  return value;
-}
-
-Result<RtValue> Executor::EvalImpl(const PlanNode& node) {
-  switch (node.op) {
-    case PlanOp::kInput:
-      if (steal_.has_value() && steal_->first == node.name) {
-        RtValue stolen = std::move(steal_->second);
-        steal_.reset();
-        return stolen;
+Result<Matrix> Executor::ComputeBroadcast(PlanOp op, const Matrix& m,
+                                          double s, bool scalar_left) {
+  switch (op) {
+    case PlanOp::kMul:
+      return ScalarMultiply(m, s);
+    case PlanOp::kDiv: {
+      if (!scalar_left) return ScalarMultiply(m, s == 0.0 ? 0.0 : 1.0 / s);
+      // scalar ./ matrix: element-wise reciprocal, scaled.
+      DenseMatrix d = m.ToDense();
+      for (int64_t i = 0; i < d.size(); ++i) {
+        d.data()[i] = d.data()[i] == 0.0 ? 0.0 : s / d.data()[i];
       }
-      return Get(node.name);
-    case PlanOp::kConst:
-      return RtValue::Scalar(node.value);
-    case PlanOp::kReadData:
-      return ReadDataset(node.name);
-    case PlanOp::kEye:
-    case PlanOp::kZeros:
-    case PlanOp::kOnes:
-    case PlanOp::kRand:
-      return EvalGenerator(node);
-    case PlanOp::kTranspose: {
-      // Fuse into a child multiply when possible; otherwise materialize.
-      REMAC_ASSIGN_OR_RETURN(const RtValue child, Eval(*node.children[0]));
-      if (child.is_scalar) return child;
-      ++ops_executed_;
-      Metrics().ops->Add();
-      StageSpan span(Metrics().transpose_seconds, nullptr, "transpose");
-      DistValue out =
-          ExecTranspose(child.matrix, child.distributed, model_, ledger_);
-      return RtValue::FromMatrix(std::move(out.value), out.distributed);
-    }
-    case PlanOp::kMatMul: {
-      // Transpose fusion: unwrap t() children.
-      const PlanNode* lhs = node.children[0].get();
-      const PlanNode* rhs = node.children[1].get();
-      const bool lt = lhs->op == PlanOp::kTranspose &&
-                      !lhs->children[0]->shape.ScalarLike();
-      const bool rt = rhs->op == PlanOp::kTranspose &&
-                      !rhs->children[0]->shape.ScalarLike();
-      if (!lt && !rt) return EvalBinary(node);
-      REMAC_ASSIGN_OR_RETURN(const RtValue a,
-                             Eval(lt ? *lhs->children[0] : *lhs));
-      REMAC_ASSIGN_OR_RETURN(const RtValue b,
-                             Eval(rt ? *rhs->children[0] : *rhs));
-      if (a.is_scalar || b.is_scalar) {
-        // Degenerate; fall back to materialized transpose semantics.
-        return EvalBinary(node);
-      }
-      ++ops_executed_;
-      Metrics().ops->Add();
-      StageSpan span(Metrics().multiply_seconds, nullptr, "multiply");
-      REMAC_ASSIGN_OR_RETURN(
-          DistValue out,
-          ExecMultiply(a.matrix, a.distributed, lt, b.matrix, b.distributed,
-                       rt, model_, ledger_));
-      return RtValue::FromMatrix(std::move(out.value), out.distributed);
+      return Matrix::FromDense(std::move(d));
     }
     case PlanOp::kAdd:
     case PlanOp::kSub:
-    case PlanOp::kMul:
-    case PlanOp::kDiv:
     case PlanOp::kMin:
-    case PlanOp::kMax:
-    case PlanOp::kLess:
-    case PlanOp::kGreater:
-    case PlanOp::kLessEq:
-    case PlanOp::kGreaterEq:
-    case PlanOp::kEqual:
-    case PlanOp::kNotEqual:
-      return EvalBinary(node);
-    case PlanOp::kSum: {
-      REMAC_ASSIGN_OR_RETURN(const RtValue child, Eval(*node.children[0]));
-      if (child.is_scalar) return child;
-      if (ledger_ != nullptr) {
-        ledger_->AddDistributedFlops(static_cast<double>(child.matrix.nnz()));
-      }
-      return RtValue::Scalar(SumAll(child.matrix));
-    }
-    case PlanOp::kTrace: {
-      REMAC_ASSIGN_OR_RETURN(const RtValue child, Eval(*node.children[0]));
-      if (child.is_scalar) return child;
-      const Matrix& m = child.matrix;
-      if (m.rows() != m.cols()) {
-        return Status::DimensionMismatch("trace of a non-square matrix");
-      }
-      double total = 0.0;
-      for (int64_t i = 0; i < m.rows(); ++i) total += m.At(i, i);
-      if (ledger_ != nullptr) {
-        ledger_->AddDistributedFlops(static_cast<double>(m.rows()));
-      }
-      return RtValue::Scalar(total);
-    }
-    case PlanOp::kExp:
-    case PlanOp::kLog: {
-      REMAC_ASSIGN_OR_RETURN(const RtValue child, Eval(*node.children[0]));
-      if (child.is_scalar) {
-        return RtValue::Scalar(node.op == PlanOp::kExp
-                                   ? std::exp(child.scalar)
-                                   : std::log(child.scalar));
-      }
-      ++ops_executed_;
-      Metrics().ops->Add();
-      if (node.op == PlanOp::kExp) {
-        DenseMatrix d = child.matrix.ToDense();  // exp(0) = 1 densifies
-        for (int64_t i = 0; i < d.size(); ++i) {
-          d.data()[i] = std::exp(d.data()[i]);
-        }
-        const OpCosting costing =
-            CostScalarOp(InfoOf(child.matrix, child.distributed), model_);
-        costing.Book(ledger_);
-        return RtValue::FromMatrix(Matrix::FromDense(std::move(d)),
-                                   costing.result_distributed);
-      }
-      // Safe log: zero cells stay zero (stored explicit zeros included, so
-      // the result is bitwise-identical to the fused tape's cell-wise
-      // FusedApply(kLog) regardless of how zeros are represented).
-      CsrMatrix csr = child.matrix.ToCsr();
-      for (auto& v : csr.mutable_values()) {
-        v = FusedApply(FusedOp::kLog, v, 0.0);
-      }
-      const OpCosting costing =
-          CostScalarOp(InfoOf(child.matrix, child.distributed), model_);
-      costing.Book(ledger_);
-      return RtValue::FromMatrix(Matrix::FromCsr(std::move(csr)),
-                                 costing.result_distributed);
-    }
-    case PlanOp::kRowSums:
-    case PlanOp::kColSums: {
-      REMAC_ASSIGN_OR_RETURN(const RtValue child, Eval(*node.children[0]));
-      const Matrix m = child.AsMatrix();
-      ++ops_executed_;
-      Metrics().ops->Add();
-      const bool rows = node.op == PlanOp::kRowSums;
-      DenseMatrix out(rows ? m.rows() : 1, rows ? 1 : m.cols());
-      const CsrMatrix csr = m.ToCsr();
-      for (int64_t r = 0; r < csr.rows(); ++r) {
-        for (int64_t k = csr.row_ptr()[r]; k < csr.row_ptr()[r + 1]; ++k) {
-          if (rows) {
-            out.At(r, 0) += csr.values()[k];
-          } else {
-            out.At(0, csr.col_idx()[k]) += csr.values()[k];
-          }
+    case PlanOp::kMax: {
+      DenseMatrix d = m.ToDense();
+      for (int64_t i = 0; i < d.size(); ++i) {
+        if (op == PlanOp::kAdd) {
+          d.data()[i] += s;
+        } else if (op == PlanOp::kSub) {
+          d.data()[i] = scalar_left ? s - d.data()[i] : d.data()[i] - s;
+        } else {
+          // min/max broadcast; operand order preserved (ties and NaNs
+          // resolve to the left operand, see FusedApply).
+          const FusedOp fop = *FusedOpOf(op);
+          d.data()[i] = scalar_left ? FusedApply(fop, s, d.data()[i])
+                                    : FusedApply(fop, d.data()[i], s);
         }
       }
-      if (ledger_ != nullptr) {
-        ledger_->AddDistributedFlops(static_cast<double>(m.nnz()));
-      }
-      Matrix result = Matrix::FromDense(std::move(out));
-      const bool dist = IsDistributedSize(
-          static_cast<double>(result.SizeInBytes()), model_);
-      return RtValue::FromMatrix(std::move(result), dist);
+      return Matrix::FromDense(std::move(d));
     }
-    case PlanOp::kDiag: {
-      REMAC_ASSIGN_OR_RETURN(const RtValue child, Eval(*node.children[0]));
-      const Matrix m = child.AsMatrix();
-      ++ops_executed_;
-      Metrics().ops->Add();
-      if (m.cols() == 1) {
-        std::vector<std::tuple<int64_t, int64_t, double>> triplets;
-        for (int64_t i = 0; i < m.rows(); ++i) {
-          const double v = m.At(i, 0);
-          if (v != 0.0) triplets.emplace_back(i, i, v);
-        }
-        return RtValue::FromMatrix(
-            Matrix::FromCsr(
-                CsrMatrix::FromTriplets(m.rows(), m.rows(),
-                                        std::move(triplets))),
-            false);
-      }
-      if (m.rows() != m.cols()) {
-        return Status::DimensionMismatch("diag of a non-square matrix");
-      }
-      DenseMatrix out(m.rows(), 1);
-      for (int64_t i = 0; i < m.rows(); ++i) out.At(i, 0) = m.At(i, i);
-      return RtValue::FromMatrix(Matrix::FromDense(std::move(out)), false);
-    }
-    case PlanOp::kNorm: {
-      REMAC_ASSIGN_OR_RETURN(const RtValue child, Eval(*node.children[0]));
-      if (child.is_scalar) return RtValue::Scalar(std::fabs(child.scalar));
-      if (ledger_ != nullptr) {
-        ledger_->AddDistributedFlops(
-            2.0 * static_cast<double>(child.matrix.nnz()));
-      }
-      return RtValue::Scalar(FrobeniusNorm(child.matrix));
-    }
-    case PlanOp::kSqrt: {
-      REMAC_ASSIGN_OR_RETURN(const RtValue child, Eval(*node.children[0]));
-      REMAC_ASSIGN_OR_RETURN(const double v, child.AsScalar());
-      return RtValue::Scalar(std::sqrt(v));
-    }
-    case PlanOp::kAbs: {
-      REMAC_ASSIGN_OR_RETURN(const RtValue child, Eval(*node.children[0]));
-      REMAC_ASSIGN_OR_RETURN(const double v, child.AsScalar());
-      return RtValue::Scalar(std::fabs(v));
-    }
-    case PlanOp::kNcol:
-    case PlanOp::kNrow: {
-      REMAC_ASSIGN_OR_RETURN(const RtValue child, Eval(*node.children[0]));
-      const Matrix m = child.AsMatrix();
-      return RtValue::Scalar(static_cast<double>(
-          node.op == PlanOp::kNcol ? m.cols() : m.rows()));
-    }
-    case PlanOp::kFusedMap:
-      return EvalFusedMap(node);
-    case PlanOp::kBlockRef:
-      return Status::Internal("kBlockRef reached the executor");
+    default:
+      return Status::Internal("bad scalar-matrix op");
   }
-  return Status::Internal("unhandled op in Eval");
 }
 
-Result<RtValue> Executor::EvalFusedMap(const PlanNode& node) {
-  if (node.fused == nullptr) {
-    return Status::Internal("kFusedMap node without a tape");
+Matrix Executor::ComputeUnary(PlanOp op, const Matrix& m) {
+  if (op == PlanOp::kExp) {
+    DenseMatrix d = m.ToDense();  // exp(0) = 1 densifies
+    for (int64_t i = 0; i < d.size(); ++i) d.data()[i] = std::exp(d.data()[i]);
+    return Matrix::FromDense(std::move(d));
   }
-  const FusedTape& tape = *node.fused;
-  if (node.children.size() != static_cast<size_t>(tape.num_inputs)) {
-    return Status::Internal("fused region input arity mismatch");
+  // Safe log: zero cells stay zero (stored explicit zeros included, so
+  // the result is bitwise-identical to the fused tape's cell-wise
+  // FusedApply(kLog) regardless of how zeros are represented).
+  CsrMatrix csr = m.ToCsr();
+  for (auto& v : csr.mutable_values()) v = FusedApply(FusedOp::kLog, v, 0.0);
+  return Matrix::FromCsr(std::move(csr));
+}
+
+Matrix Executor::ComputeLineSums(PlanOp op, const Matrix& m) {
+  const bool rows = op == PlanOp::kRowSums;
+  DenseMatrix out(rows ? m.rows() : 1, rows ? 1 : m.cols());
+  const CsrMatrix csr = m.ToCsr();
+  for (int64_t r = 0; r < csr.rows(); ++r) {
+    for (int64_t k = csr.row_ptr()[r]; k < csr.row_ptr()[r + 1]; ++k) {
+      if (rows) {
+        out.At(r, 0) += csr.values()[k];
+      } else {
+        out.At(0, csr.col_idx()[k]) += csr.values()[k];
+      }
+    }
   }
-  // Evaluate the region inputs in slot order, capturing per-slot placement
-  // info before the matrices move into the kernel.
+  return Matrix::FromDense(std::move(out));
+}
+
+Matrix Executor::ComputeDiag(const Matrix& m) {
+  if (m.cols() == 1) {
+    std::vector<std::tuple<int64_t, int64_t, double>> triplets;
+    for (int64_t i = 0; i < m.rows(); ++i) {
+      const double v = m.At(i, 0);
+      if (v != 0.0) triplets.emplace_back(i, i, v);
+    }
+    return Matrix::FromCsr(
+        CsrMatrix::FromTriplets(m.rows(), m.rows(), std::move(triplets)));
+  }
+  DenseMatrix out(m.rows(), 1);
+  for (int64_t i = 0; i < m.rows(); ++i) out.At(i, 0) = m.At(i, i);
+  return Matrix::FromDense(std::move(out));
+}
+
+double Executor::ComputeReduction(PlanOp op, const Matrix& m) {
+  if (op == PlanOp::kSum) return SumAll(m);
+  if (op == PlanOp::kNorm) return FrobeniusNorm(m);
+  double total = 0.0;  // trace
+  for (int64_t i = 0; i < m.rows(); ++i) total += m.At(i, i);
+  return total;
+}
+
+Result<FusedExecResult> Executor::StartTape(const FusedTape& tape,
+                                            std::vector<RtValue> inputs) {
   std::vector<Matrix> matrices;
   std::vector<double> scalars;
-  std::vector<MatInfo> slot_info(static_cast<size_t>(tape.num_inputs));
   for (int32_t i = 0; i < tape.num_inputs; ++i) {
-    REMAC_ASSIGN_OR_RETURN(RtValue v, Eval(*node.children[i]));
-    if (tape.input_scalar[static_cast<size_t>(i)] != 0) {
-      REMAC_ASSIGN_OR_RETURN(const double s, v.AsScalar());
-      scalars.push_back(s);
+    RtValue& v = inputs[static_cast<size_t>(i)];
+    if (v.is_scalar) {
+      scalars.push_back(v.scalar);
     } else {
-      if (v.is_scalar) {
-        return Status::Internal("scalar value in a matrix slot of " +
-                                node.ToString());
-      }
-      slot_info[static_cast<size_t>(i)] = InfoOf(v.matrix, v.distributed);
       matrices.push_back(std::move(v.matrix));
     }
   }
   StageSpan span(Metrics().elementwise_seconds, nullptr, "fused");
-  REMAC_ASSIGN_OR_RETURN(
-      FusedExecResult exec,
-      ExecuteFusedTape(tape, std::move(matrices), scalars));
-  // Per-step cost booking mirrors the unfused operator sequence: every
-  // tape step books exactly what the standalone operator would have
-  // booked (scalar broadcasts and unary maps as CostScalarOp over the
-  // matrix side; matrix-matrix steps as CostElementwise with the step's
-  // exact result sparsity), so the cost audit still reconciles.
+  return ExecuteFusedTape(tape, std::move(matrices), scalars);
+}
+
+double Executor::TapeStepSparsity(const FusedExecResult& run,
+                                  const FusedTape& tape,
+                                  const TapeStep& step) {
+  // The tape reports every step's exact non-zero count.
   const double cells =
       static_cast<double>(tape.rows) * static_cast<double>(tape.cols);
-  std::vector<MatInfo> step_info(tape.steps.size());
+  return cells > 0.0 ? static_cast<double>(run.step_nnz[step.index]) / cells
+                     : 0.0;
+}
+
+Matrix Executor::FinishTape(FusedExecResult&& run, const FusedTape& tape,
+                            const std::vector<MatInfo>& slots) {
+  // Every step but the last is an intermediate fusion never materialized.
   double bytes_avoided = 0.0;
-  bool result_distributed = false;
-  for (size_t j = 0; j < tape.steps.size(); ++j) {
-    const FusedStep& step = tape.steps[j];
-    const double sp =
-        cells > 0.0 ? static_cast<double>(exec.step_nnz[j]) / cells : 0.0;
-    auto operand_scalar = [&](int32_t slot) {
-      return slot >= 0 && slot < tape.num_inputs &&
-             tape.input_scalar[static_cast<size_t>(slot)] != 0;
-    };
-    auto operand_info = [&](int32_t slot) -> const MatInfo& {
-      return slot < tape.num_inputs
-                 ? slot_info[static_cast<size_t>(slot)]
-                 : step_info[static_cast<size_t>(slot - tape.num_inputs)];
-    };
-    OpCosting costing;
-    if (step.rhs < 0 || operand_scalar(step.lhs) ||
-        operand_scalar(step.rhs)) {
-      const int32_t mat_slot =
-          (step.rhs >= 0 && operand_scalar(step.lhs)) ? step.rhs : step.lhs;
-      if (operand_scalar(mat_slot)) {
-        return Status::Internal("fused step with no matrix operand");
-      }
-      costing = CostScalarOp(operand_info(mat_slot), model_);
-    } else {
-      costing = CostElementwise(operand_info(step.lhs),
-                                operand_info(step.rhs), sp, model_);
-    }
-    costing.Book(ledger_);
-    ++ops_executed_;
-    Metrics().ops->Add();
-    MatInfo info;
-    info.rows = static_cast<double>(tape.rows);
-    info.cols = static_cast<double>(tape.cols);
-    info.sparsity = sp;
-    info.distributed = costing.result_distributed;
-    // Mirror ApplyTraits: unfused intermediates pass through it one by
-    // one, so placement-forcing personalities must see the same flow.
-    if (traits_.force_distributed && cells > 1.0) info.distributed = true;
-    step_info[j] = info;
-    if (j + 1 < tape.steps.size()) {
-      bytes_avoided += MatrixBytes(info.rows, info.cols, info.sparsity);
-    }
-    result_distributed = info.distributed;
+  for (size_t j = static_cast<size_t>(tape.num_inputs); j + 1 < slots.size();
+       ++j) {
+    bytes_avoided +=
+        MatrixBytes(slots[j].rows, slots[j].cols, slots[j].sparsity);
   }
-  Metrics().fusion_bytes_avoided->Add(
-      static_cast<int64_t>(bytes_avoided));
-  if (exec.in_place) Metrics().fusion_in_place->Add();
-  return RtValue::FromMatrix(std::move(exec.output), result_distributed);
+  Metrics().fusion_bytes_avoided->Add(static_cast<int64_t>(bytes_avoided));
+  if (run.in_place) Metrics().fusion_in_place->Add();
+  return std::move(run.output);
 }
 
 }  // namespace remac

@@ -13,40 +13,15 @@
 #include "cluster/transmission_ledger.h"
 #include "common/status.h"
 #include "distributed/distributed_ops.h"
+#include "matrix/fused_tape.h"
 #include "matrix/matrix.h"
 #include "plan/plan_builder.h"
+#include "runtime/plan_walk.h"
 
 namespace remac {
 
 /// Runtime value: a scalar or a matrix with its placement.
-struct RtValue {
-  bool is_scalar = false;
-  double scalar = 0.0;
-  Matrix matrix;
-  bool distributed = false;
-
-  static RtValue Scalar(double v);
-  static RtValue FromMatrix(Matrix m, bool distributed);
-
-  /// Scalar view; 1x1 matrices coerce.
-  Result<double> AsScalar() const;
-  /// Matrix view; scalars become 1x1 matrices.
-  Matrix AsMatrix() const;
-};
-
-/// Engine personality knobs used to emulate the comparator systems
-/// (paper Section 6.4).
-struct EngineTraits {
-  /// pbdR/ScaLAPACK: sparse matrices are handled as dense.
-  bool force_dense = false;
-  /// pbdR/SciDB: no dynamic local/distributed switch; every matrix
-  /// operator runs distributed.
-  bool force_distributed = false;
-  /// Multiplier on the dfs cost of loading/partitioning input data
-  /// (pbdR and SciDB partition inputs sequentially; SciDB additionally
-  /// pays a redimension pass).
-  double input_partition_factor = 1.0;
-};
+using RtValue = PlanValue<Matrix>;
 
 /// \brief First-load registry shared by executors running concurrently.
 ///
@@ -90,30 +65,18 @@ class IntermediateStore {
 
 /// \brief Executes compiled statements against the simulated cluster.
 ///
-/// Operators are computed for real with the local kernels while their
-/// distributed cost (FLOPs and transmission bytes) is booked into the
-/// ledger; see DESIGN.md for the substitution argument. Loops marked
-/// barrier_commit evaluate every non-temp assignment against the
-/// start-of-iteration environment and commit them together, which is how
-/// the optimizer's fully-inlined outputs preserve sequential semantics.
-class Executor {
+/// The real-matrix domain of PlanWalk: operators are computed for real
+/// with the local kernels while the walk books their distributed cost
+/// (FLOPs and transmission bytes) into the ledger; see DESIGN.md for the
+/// substitution argument. The cost audit runs the same walk over
+/// estimated statistics (obs/cost_audit.h). Loops marked barrier_commit
+/// evaluate every non-temp assignment against the start-of-iteration
+/// environment and commit them together, which is how the optimizer's
+/// fully-inlined outputs preserve sequential semantics.
+class Executor : public PlanWalk<Executor, Matrix> {
  public:
   Executor(const ClusterModel& model, const DataCatalog* catalog,
            TransmissionLedger* ledger, EngineTraits traits = {});
-
-  /// Runs a statement list. Loops run until their condition turns false
-  /// or `max_loop_iterations` is reached, whichever is first.
-  Status Run(const std::vector<CompiledStmt>& statements,
-             int max_loop_iterations = 1000);
-
-  /// Evaluates one plan tree in the current environment.
-  Result<RtValue> Eval(const PlanNode& node);
-
-  /// Environment access.
-  bool Has(const std::string& name) const { return env_.count(name) > 0; }
-  Result<RtValue> Get(const std::string& name) const;
-  void Set(const std::string& name, RtValue value);
-  const std::map<std::string, RtValue>& env() const { return env_; }
 
   /// Books the dfs cost of partitioning every catalog dataset referenced
   /// by read() into the cluster (Figure 12's "input partition" phase).
@@ -142,34 +105,54 @@ class Executor {
   int64_t ops_executed() const { return ops_executed_; }
 
  private:
-  Result<RtValue> EvalImpl(const PlanNode& node);
-  /// Applies the engine personality to a produced value (pbdR/SciDB force
-  /// dense storage and distributed placement).
-  RtValue ApplyTraits(RtValue value) const;
-  Result<RtValue> EvalBinary(const PlanNode& node);
-  /// Evaluates a kFusedMap region: single-pass tape kernel plus per-step
-  /// cost booking identical to the unfused operator sequence.
-  Result<RtValue> EvalFusedMap(const PlanNode& node);
-  Result<RtValue> EvalGenerator(const PlanNode& node);
-  Result<RtValue> ReadDataset(const std::string& name);
+  friend class PlanWalk<Executor, Matrix>;
+
+  // PlanWalk domain hooks.
+  Result<RtValue> EvalAssign(const CompiledStmt& stmt);
+  Result<bool> LoopContinues(const RtValue& condition);
+  Result<RtValue> Input(const std::string& name);
+  const RtValue* Served(const PlanNode& node);
+  void Offer(const PlanNode& node, const RtValue& value);
+  void CountOp();
+  void Densify(Matrix* m);
+  Result<RtValue> ReadData(const std::string& name);
+  Matrix Generate(const PlanNode& node);
+  Matrix ComputeTranspose(const Matrix& m);
+  Result<Matrix> ComputeMultiply(const RtValue& a, bool a_transposed,
+                                 const RtValue& b, bool b_transposed,
+                                 OpCosting* costing);
+  Result<Matrix> ComputeElementwise(PlanOp op, const Matrix& a,
+                                    const Matrix& b);
+  Result<Matrix> ComputeBroadcast(PlanOp op, const Matrix& m, double s,
+                                  bool scalar_left);
+  Matrix ComputeUnary(PlanOp op, const Matrix& m);
+  Matrix ComputeLineSums(PlanOp op, const Matrix& m);
+  Matrix ComputeDiag(const Matrix& m);
+  double ComputeReduction(PlanOp op, const Matrix& m);
+  Result<FusedExecResult> StartTape(const FusedTape& tape,
+                                    std::vector<RtValue> inputs);
+  double TapeStepSparsity(const FusedExecResult& run, const FusedTape& tape,
+                          const TapeStep& step);
+  Matrix FinishTape(FusedExecResult&& run, const FusedTape& tape,
+                    const std::vector<MatInfo>& slots);
+  void Book(const OpCosting& costing);
+  void BookDistributedFlops(double flops);
+
   /// If `stmt` re-assigns a matrix variable its plan reads exactly once,
   /// moves the old value into `steal_` so the single kInput reference can
   /// consume it (last use) and fused kernels may reuse its buffer.
   void ArmBufferSteal(const CompiledStmt& stmt);
 
-  ClusterModel model_;
   const DataCatalog* catalog_;
   TransmissionLedger* ledger_;
-  EngineTraits traits_;
-  std::map<std::string, RtValue> env_;
   std::map<std::string, bool> loaded_datasets_;
   SharedDatasetSet* shared_datasets_ = nullptr;
   IntermediateStore* intermediates_ = nullptr;
   bool count_input_partition_ = false;
   int64_t ops_executed_ = 0;
   uint64_t rand_counter_ = 0;
-  /// Armed by Run() for last-use re-assignments; consumed by the kInput
-  /// case of EvalImpl (see ArmBufferSteal).
+  /// Armed by EvalAssign for last-use re-assignments; consumed by Input
+  /// (see ArmBufferSteal).
   std::optional<std::pair<std::string, RtValue>> steal_;
 };
 

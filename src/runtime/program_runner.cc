@@ -166,7 +166,7 @@ Result<CompiledProgram> OptimizeCompiled(const CompiledProgram& program,
   // (1D BMM/CPMM vs 2D SUMMA) so the plan records the decision for
   // reporting. Advisory: a failed annotation leaves nodes at kUnset.
   const CostModel layout_model(config.cluster, estimator.get(), &catalog);
-  (void)AnnotateMultiplyLayouts(&final_program, catalog, layout_model);
+  (void)AnnotateMultiplyLayouts(&final_program, layout_model);
   // Last pass: collapse same-shape elementwise chains into single-pass
   // fused regions. Runs after all plan-shape decisions (sharing decisions
   // are statement boundaries by now, so fusion never absorbs a

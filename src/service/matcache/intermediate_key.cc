@@ -124,7 +124,7 @@ std::vector<SubplanCandidate> ExtractIntermediateCandidates(
     CollectReadNames(*root, &reads);
     candidate.datasets.assign(reads.begin(), reads.end());
 
-    // Recompute cost: the audit walker over a one-statement program
+    // Recompute cost: the audit prediction over a one-statement program
     // computing exactly this subtree. Prediction failures leave 0 —
     // a strict admission knob then rejects the entry, which errs toward
     // not caching rather than caching blindly.

@@ -42,7 +42,7 @@ struct SubplanCandidate {
   uint64_t structural_digest = 0;
   /// Datasets the subtree reads (sorted, unique) — the invalidation set.
   std::vector<std::string> datasets;
-  /// Predicted FLOPs to recompute the subtree (obs/cost_audit walker on
+  /// Predicted FLOPs to recompute the subtree (PredictProgramCost on
   /// a one-statement wrapper program), the admission policy's benefit
   /// side. 0 when prediction failed.
   double predicted_flops = 0.0;

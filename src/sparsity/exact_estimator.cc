@@ -85,9 +85,11 @@ NodeStats ExactEstimator::Elementwise(PlanOp op, const NodeStats& a,
     }();
     if (out.ok()) return FromPattern(Booleanize(out.value()));
   }
-  NodeStats s = a;
-  s.sparsity = std::min(1.0, std::max(a.sparsity, b.sparsity));
-  return s;
+  // An operand without a pattern (e.g. a scalar-broadcast result): safe
+  // divide still keeps the numerator's pattern; the other ops fall back
+  // to the metadata estimator's independence rules.
+  if (op == PlanOp::kDiv) return a;
+  return MetadataEstimator().Elementwise(op, a, b);
 }
 
 }  // namespace remac

@@ -64,7 +64,7 @@ TEST(CostModel, CostTreeAccumulatesOperators) {
   auto program = CompileScript(
       "A = read(\"ds\");\nv = t(A) %*% (A %*% zeros(64, 1));\n", f.catalog);
   ASSERT_TRUE(program.ok());
-  auto propagated = PropagateProgramStats(*program, f.catalog, *f.model);
+  auto propagated = PropagateProgramStats(*program, *f.model);
   ASSERT_TRUE(propagated.ok());
   const VarStats vars = std::move(propagated).value();
   auto whole = f.model->CostTree(*program->statements[1].plan, vars);
@@ -102,7 +102,7 @@ TEST(CostModel, PropagateProgramStats) {
   Fixture f;
   auto program = CompileScript(GdScript("ds", 5), f.catalog);
   ASSERT_TRUE(program.ok());
-  auto vars = PropagateProgramStats(*program, f.catalog, *f.model);
+  auto vars = PropagateProgramStats(*program, *f.model);
   ASSERT_TRUE(vars.ok()) << vars.status().ToString();
   ASSERT_TRUE(vars->Contains("x"));
   ASSERT_TRUE(vars->Contains("g"));
@@ -116,7 +116,7 @@ TEST(CostModel, PropagateHandlesDfpLoopVariables) {
   Fixture f;
   auto program = CompileScript(DfpScript("ds", 5), f.catalog);
   ASSERT_TRUE(program.ok());
-  auto vars = PropagateProgramStats(*program, f.catalog, *f.model);
+  auto vars = PropagateProgramStats(*program, *f.model);
   ASSERT_TRUE(vars.ok());
   // H starts as eye (sparsity 1/n) and densifies through the update.
   EXPECT_GT(vars->vars.at("H").stats.sparsity, 0.5);
@@ -131,7 +131,7 @@ TEST(CostModel, EstimatorChoiceChangesEstimates) {
   auto program = CompileScript(
       "A = read(\"ds\");\nB = t(A) %*% A;\n", f.catalog);
   ASSERT_TRUE(program.ok());
-  auto propagated = PropagateProgramStats(*program, f.catalog, *f.model);
+  auto propagated = PropagateProgramStats(*program, *f.model);
   ASSERT_TRUE(propagated.ok());
   const VarStats vars = std::move(propagated).value();
   auto md_cost = f.model->CostTree(*program->statements[1].plan, vars);

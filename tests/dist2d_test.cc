@@ -267,13 +267,14 @@ TEST(Dist2D, ExecBitwiseIdenticalAndCheaperOnBlockSparse) {
   const Matrix b = BlockDiagonal(96, 16);
 
   TransmissionLedger ledger_off(off);
-  auto r_off = ExecMultiply(a, true, false, b, true, false, off, &ledger_off);
+  auto r_off = ExecMultiply(a, true, false, b, true, false, off);
   ASSERT_TRUE(r_off.ok());
+  r_off->costing.Book(&ledger_off);
 
   TransmissionLedger ledger_auto(auto_mode);
-  auto r_auto =
-      ExecMultiply(a, true, false, b, true, false, auto_mode, &ledger_auto);
+  auto r_auto = ExecMultiply(a, true, false, b, true, false, auto_mode);
   ASSERT_TRUE(r_auto.ok());
+  r_auto->costing.Book(&ledger_auto);
 
   // The 2D path books different traffic but computes the same product —
   // exact element equality, no tolerance.
@@ -286,7 +287,8 @@ TEST(Dist2D, ExecBitwiseIdenticalAndCheaperOnBlockSparse) {
       ASSERT_EQ(m_off.At(r, c), m_auto.At(r, c));
     }
   }
-  EXPECT_EQ(r_off->distributed, r_auto->distributed);
+  EXPECT_EQ(r_off->costing.result_distributed,
+            r_auto->costing.result_distributed);
 
   // On this block-sparse input the annotated tile grid moves strictly
   // fewer bytes than CPMM's inner-split shuffle.
@@ -304,10 +306,12 @@ TEST(Dist2D, ExecIdenticalOnDenseRandomEitherWay) {
   const Matrix a = RandomSparse(32, 48, 0.9, 11);
   const Matrix b = RandomSparse(32, 48, 0.9, 12);
   TransmissionLedger l1(off), l2(auto_mode);
-  auto r1 = ExecMultiply(a, true, true, b, true, false, off, &l1);
-  auto r2 = ExecMultiply(a, true, true, b, true, false, auto_mode, &l2);
+  auto r1 = ExecMultiply(a, true, true, b, true, false, off);
+  auto r2 = ExecMultiply(a, true, true, b, true, false, auto_mode);
   ASSERT_TRUE(r1.ok());
   ASSERT_TRUE(r2.ok());
+  r1->costing.Book(&l1);
+  r2->costing.Book(&l2);
   ASSERT_EQ(r1->value.rows(), r2->value.rows());
   for (int64_t r = 0; r < r1->value.rows(); ++r) {
     for (int64_t c = 0; c < r1->value.cols(); ++c) {

@@ -127,8 +127,7 @@ TEST(DistributedOps, ExecMultiplyMatchesKernels) {
   const ClusterModel model = SmallModel();
   const Matrix a = RandomSparse(20, 12, 0.5, 3);
   const Matrix b = RandomSparse(12, 8, 0.5, 4);
-  TransmissionLedger ledger(model);
-  auto out = ExecMultiply(a, false, false, b, false, false, model, &ledger);
+  auto out = ExecMultiply(a, false, false, b, false, false, model);
   ASSERT_TRUE(out.ok());
   EXPECT_TRUE(out->value.ApproxEquals(Multiply(a, b).value()));
 }
@@ -137,22 +136,21 @@ TEST(DistributedOps, ExecMultiplyTransposeFusion) {
   const ClusterModel model = SmallModel();
   const Matrix a = RandomSparse(9, 14, 0.5, 5);
   const Matrix b = RandomSparse(9, 7, 0.5, 6);
-  auto fused = ExecMultiply(a, false, /*a_transposed=*/true, b, false, false,
-                            model, nullptr);
+  auto fused =
+      ExecMultiply(a, false, /*a_transposed=*/true, b, false, false, model);
   ASSERT_TRUE(fused.ok());
   const Matrix reference = Multiply(Transpose(a), b).value();
   EXPECT_TRUE(fused->value.ApproxEquals(reference));
 }
 
-TEST(DistributedOps, ExecElementwiseBooks) {
+TEST(DistributedOps, ElementwiseCostingBooksBroadcast) {
   const ClusterModel model = SmallModel();
   const Matrix a = RandomSparse(6, 6, 0.8, 7);
   const Matrix b = RandomSparse(6, 6, 0.8, 8);
+  const Matrix out = Subtract(a, b).value();
   TransmissionLedger ledger(model);
-  auto out = ExecElementwise(BinaryOpKind::kSub, a, true, b, false, model,
-                             &ledger);
-  ASSERT_TRUE(out.ok());
-  EXPECT_TRUE(out->value.ApproxEquals(Subtract(a, b).value()));
+  CostElementwise(InfoOf(a, true), InfoOf(b, false), out.Sparsity(), model)
+      .Book(&ledger);
   // The local operand was broadcast.
   EXPECT_GT(ledger.BytesFor(TransmissionPrimitive::kBroadcast), 0.0);
 }

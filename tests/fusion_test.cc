@@ -514,7 +514,7 @@ TEST(FusionExec, AuditStillReconcilesFlopsUnderFusion) {
       "Y = (A + B) * A - B / 2;\n",
       catalog, config);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
-  // The audit walker replays the fused region step by step; with the
+  // The audit's plan walk books the fused region step by step; with the
   // exact per-step sparsities booked by the executor the FLOP sides
   // cannot drift by more than estimation error on these dense operands.
   EXPECT_GT(run->audit.flops.actual, 0.0);

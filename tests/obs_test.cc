@@ -376,6 +376,92 @@ TEST(ObsAudit, CseEliminationReducesActualFlops) {
   EXPECT_LT(adaptive->audit.flops.actual, baseline->audit.flops.actual);
 }
 
+const DataCatalog& ParityCatalog() {
+  static DataCatalog* catalog = [] {
+    auto* c = new DataCatalog();
+    // Skewed 5%-dense tall data; C is short so A %*% t(C) stays small.
+    const std::vector<DatasetSpec> specs = {
+        {"A", 3000, 40, 0.05, 1.0, 0.0, 21},
+        {"B", 3000, 40, 0.05, 1.0, 0.0, 22},
+        {"C", 200, 40, 0.05, 1.0, 0.0, 23},
+    };
+    for (const DatasetSpec& spec : specs) {
+      EXPECT_TRUE(RegisterDataset(c, spec).ok());
+    }
+    return c;
+  }();
+  return *catalog;
+}
+
+TEST(ObsAudit, ExactEstimatorPredictionMatchesLedger) {
+  // With the exact estimator the prediction runs the executor's own plan
+  // walk over true non-zero patterns, so every booked FLOP and byte must
+  // match the ledger bitwise, whatever the layout mode, fusion, or
+  // optimizer. A pattern is exact only where values cannot cancel or
+  // clip, so min/max compare same-signed operands (squares) and scalar
+  // broadcasts stay dense.
+  const std::string reads =
+      "A = read(\"A\");\nB = read(\"B\");\nC = read(\"C\");\n";
+  const std::vector<std::string> programs = {
+      reads + "y = t(A) %*% A;\nz = A %*% t(C);\n",
+      reads + "y = (A + B) * A - A / (B + 1);\n",
+      reads + "y = max(A * A, B * B) - min(A * A * (0 - 1), "
+              "B * B * (0 - 1)) - A * B;\n",
+      reads + "y = 5 / (A + 1) + 2 * A - A / 4 + (1 - A) * (A - 1);\n"
+              "z = min(A, 0 - 0.5) + max(0.1, A);\n",
+      reads + "y = exp(A) + log(A * A + 2);\n"
+              "z = exp(t(C)) - log(t(C) * t(C));\n",
+      reads + "y = t(A);\n",
+      reads + "s = sum(A);\nn = norm(B);\nG = t(A) %*% A;\n"
+              "tr = trace(G);\nr = rowSums(A);\nc = colSums(B);\n"
+              "d = diag(G);\nD = diag(d);\nq = s * n + tr;\n",
+      reads + "E = eye(40);\nZ = zeros(40, 5);\nO = ones(40, 5);\n"
+              "R = rand(40, 5);\ny = A %*% (E %*% (Z + O + R));\n",
+  };
+  struct Case {
+    std::string script;
+    OptimizerKind optimizer;
+  };
+  std::vector<Case> cases;
+  for (const std::string& program : programs) {
+    cases.push_back({program, OptimizerKind::kAsWritten});
+  }
+  for (OptimizerKind optimizer :
+       {OptimizerKind::kAsWritten, OptimizerKind::kRemacAdaptive}) {
+    cases.push_back({GnmfScript("A", 5, 3), optimizer});
+    cases.push_back({GdScript("A", 3), optimizer});
+  }
+  for (const Case& c : cases) {
+    for (Dist2DMode dist2d : {Dist2DMode::kOff, Dist2DMode::kAuto}) {
+      for (bool fuse : {true, false}) {
+        RunConfig config;
+        config.cluster.driver_memory_bytes = 1 << 20;
+        config.cluster.dist2d = dist2d;
+        config.optimizer = c.optimizer;
+        config.estimator = EstimatorKind::kExact;
+        config.fuse_elementwise = fuse;
+        config.max_iterations = 3;
+        SCOPED_TRACE(c.script + " optimizer=" +
+                     OptimizerKindName(c.optimizer) + " dist2d=" +
+                     std::to_string(static_cast<int>(dist2d)) +
+                     " fuse=" + std::to_string(fuse));
+        auto run = RunScript(c.script, ParityCatalog(), config);
+        ASSERT_TRUE(run.ok()) << run.status().ToString();
+        const CostAuditRecord& audit = run->audit;
+        ASSERT_TRUE(audit.valid) << audit.error;
+        EXPECT_GT(audit.flops.actual, 0.0);
+        EXPECT_EQ(audit.flops.predicted, audit.flops.actual);
+        for (size_t i = 0; i < audit.transmission.size(); ++i) {
+          EXPECT_EQ(audit.transmission[i].predicted,
+                    audit.transmission[i].actual)
+              << TransmissionPrimitiveName(
+                     static_cast<TransmissionPrimitive>(i));
+        }
+      }
+    }
+  }
+}
+
 TEST(ObsAudit, PublishRecordsIntoRegistry) {
   MetricsRegistry registry;
   PredictedCost predicted;

@@ -40,7 +40,7 @@ struct ProbeFixture {
     options = BlockWiseSearch(space, nullptr);
     cost_model = std::make_unique<CostModel>(ClusterModel(), &estimator,
                                              &catalog);
-    vars = PropagateProgramStats(program, catalog, *cost_model).value();
+    vars = PropagateProgramStats(program, *cost_model).value();
     graph = std::make_unique<CostGraph>(&space, cost_model.get(), &vars, 20);
     EXPECT_TRUE(graph->Build().ok());
   }
