@@ -19,7 +19,11 @@
 // on a 120000 x 47 operand at rank 10 (30000 rows under --quick), on one
 // thread; it reports GFLOP/s for information only (no floor) but exits
 // non-zero if any result differs from MultiplyReferenceNaive on the
-// materialized operands.
+// materialized operands. The elementwise phase times V .* V on a
+// 120000 x 47 dense V (also under --quick), one thread, for information
+// only, and exits non-zero if the one-pass kernel's result differs in any
+// bit, in format or in nnz from the copy-then-modify construction it
+// replaced.
 //
 // This binary parses its own flags (it needs gate thresholds the shared
 // harness does not know about): --quick --json --threads=N
@@ -295,7 +299,38 @@ int RunBench(const Options& options) {
     SetKernelThreads(options.threads);  // 0 restores the hardware default
   }
 
-  // --- 5. thread scaling (informational) --------------------------------
+  // --- 5. dense .* one thread (informational + bitwise check) -----------
+  // GNMF's V = X * X on the execute-dense data shape: the kernel reads X
+  // in place; the reference copies both operands, overwrites the left copy
+  // and rescans it for non-zeros.
+  const int64_t ew_rows = 120000, ew_cols = 47;
+  double ew_seconds = 0.0;
+  double ew_reference_seconds = 0.0;
+  {
+    const Matrix x = DenseRandom(ew_rows, ew_cols, 116, /*zero_frac=*/0.4);
+    auto copy_then_modify = [&] {
+      DenseMatrix a = x.ToDense();
+      const DenseMatrix b = x.ToDense();
+      for (int64_t i = 0; i < a.size(); ++i) a.data()[i] *= b.data()[i];
+      return Matrix::FromDense(std::move(a));
+    };
+    SetKernelThreads(1);
+    const Matrix out = ElementwiseMultiply(x, x).value();
+    const Matrix expected = copy_then_modify();
+    if (!BitwiseEqualDense(out, expected) || out.nnz() != expected.nnz()) {
+      std::fprintf(stderr, "FATAL: dense .* differs from copy-then-modify\n");
+      return 1;
+    }
+    ew_seconds = BestOf(reps, [&] { ElementwiseMultiply(x, x).value(); });
+    ew_reference_seconds = BestOf(reps, copy_then_modify);
+    std::printf("  elementwise .* (%lldx%lld): %.4fs  copy-then-modify %.4fs\n",
+                static_cast<long long>(ew_rows),
+                static_cast<long long>(ew_cols), ew_seconds,
+                ew_reference_seconds);
+    SetKernelThreads(options.threads);  // 0 restores the hardware default
+  }
+
+  // --- 6. thread scaling (informational) --------------------------------
   const int64_t sn = options.quick ? 512 : 1024;
   const Matrix sa = DenseRandom(sn, sn, 103);
   const Matrix sb = DenseRandom(sn, sn, 104);
@@ -325,7 +360,7 @@ int RunBench(const Options& options) {
   const bool fusion_ok = fusion_speedup >= options.min_fusion_speedup;
   const bool all_ok = gemm_ok && fused_ok && fusion_ok;
 
-  // --- 6. BENCH_kernels.json --------------------------------------------
+  // --- 7. BENCH_kernels.json --------------------------------------------
   FILE* out = std::fopen("BENCH_kernels.json", "w");
   if (out == nullptr) {
     std::fprintf(stderr, "cannot write BENCH_kernels.json\n");
@@ -359,9 +394,12 @@ int RunBench(const Options& options) {
                  skinny[i].gflops);
   }
   std::fprintf(out,
-               "],\n \"thread_scaling_shape\": %lld,\n "
-               "\"thread_scaling\": [",
-               static_cast<long long>(sn));
+               "],\n \"elementwise\": {\"rows\": %lld, \"cols\": %lld, "
+               "\"seconds\": %.9g, \"copy_then_modify_seconds\": %.9g},\n "
+               "\"thread_scaling_shape\": %lld,\n \"thread_scaling\": [",
+               static_cast<long long>(ew_rows),
+               static_cast<long long>(ew_cols), ew_seconds,
+               ew_reference_seconds, static_cast<long long>(sn));
   for (size_t i = 0; i < rows.size(); ++i) {
     std::fprintf(out,
                  "%s{\"threads\": %d, \"blocked_seconds\": %.9g, "

@@ -360,7 +360,8 @@ Result<FusedExecResult> ExecuteFusedTape(const FusedTape& tape,
     }
   }
   RunCells(ct, in_ptr, total, out_buf.data(), &result.step_nnz);
-  result.output = Matrix::FromDense(std::move(out_buf));
+  result.output =
+      Matrix::FromDense(std::move(out_buf), result.step_nnz.back());
   result.in_place = stolen_slot >= 0;
   return result;
 }

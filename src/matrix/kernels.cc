@@ -74,19 +74,29 @@ Status ShapeError(const char* op, const Matrix& a, const Matrix& b) {
   return internal::ShapeErrorDims(op, a.rows(), a.cols(), b.rows(), b.cols());
 }
 
+/// C = A * B with B sparse: for each stored B(j, x), C(i, x) += A(i, j) *
+/// B(j, x), j ascending. Only the rows of B that hold entries are visited
+/// (an empty row adds no term, even against a NaN or Inf in A), so an
+/// all-zero B costs nothing beyond the zero result.
 DenseMatrix MultiplyDenseSparse(const DenseMatrix& a, const CsrMatrix& b) {
   const int64_t m = a.rows();
   const int64_t k = a.cols();
   const int64_t n = b.cols();
   DenseMatrix c(m, n);
+  if (b.nnz() == 0) return c;
+  std::vector<int64_t> live_rows;
+  for (int64_t j = 0; j < k; ++j) {
+    if (b.row_ptr()[j] < b.row_ptr()[j + 1]) live_rows.push_back(j);
+  }
   const double* pa = a.data();
   double* pc = c.data();
-  const int64_t row_work = std::max<int64_t>(k, b.nnz());
+  const int64_t row_work =
+      std::max<int64_t>(static_cast<int64_t>(live_rows.size()), b.nnz());
   ParallelForRows(m, row_work, [&](int64_t r0, int64_t r1) {
     for (int64_t i = r0; i < r1; ++i) {
       double* ci = pc + i * n;
       const double* ai = pa + i * k;
-      for (int64_t j = 0; j < k; ++j) {
+      for (const int64_t j : live_rows) {
         const double v = ai[j];
         if (v == 0.0) continue;
         for (int64_t p = b.row_ptr()[j]; p < b.row_ptr()[j + 1]; ++p) {
@@ -147,16 +157,73 @@ DenseMatrix TransposeDense(const DenseMatrix& a) {
   return t;
 }
 
+/// One-pass dense result construction (docs/INTERNALS.md Section 12):
+/// stores out[i] = cell(i) for every flat cell exactly once and counts the
+/// non-zeros (`!= 0.0`, Matrix's rule) in the same loop. Cells are
+/// independent, so flat ranges run in parallel and the integer counts fold
+/// in any order.
+template <typename Cell>
+int64_t StoreCountingNonZeros(int64_t count, double* out, Cell cell) {
+  std::atomic<int64_t> nnz{0};
+  ParallelForRows(count, 1, [&](int64_t i0, int64_t i1) {
+    int64_t local = 0;
+    for (int64_t i = i0; i < i1; ++i) {
+      const double v = cell(i);
+      out[i] = v;
+      local += v != 0.0 ? 1 : 0;
+    }
+    nnz.fetch_add(local, std::memory_order_relaxed);
+  });
+  return nnz.load(std::memory_order_relaxed);
+}
+
+/// C = f(A) cell-wise, dense. A dense A is read in place into a fresh
+/// output; a CSR A is densified into the output buffer, which the pass then
+/// overwrites (each cell is read before it is stored).
+template <typename F>
+Matrix MapDense(const Matrix& a, F f) {
+  DenseMatrix out =
+      a.is_dense() ? DenseMatrix(a.rows(), a.cols()) : a.csr().ToDense();
+  const double* pa = a.is_dense() ? a.dense().data() : out.data();
+  const int64_t nnz = StoreCountingNonZeros(
+      out.size(), out.data(), [&](int64_t i) { return f(pa[i]); });
+  return Matrix::FromDense(std::move(out), nnz);
+}
+
+/// C = op(A, B) cell-wise, dense, for operands of which at least one is
+/// dense. Dense operands are read in place (both sides may be the same
+/// matrix); a CSR operand is densified into the output buffer, as in
+/// MapDense.
+template <typename Op>
+Matrix ZipDense(const Matrix& a, const Matrix& b, Op op) {
+  assert(a.is_dense() || b.is_dense());
+  DenseMatrix out = a.is_dense() && b.is_dense()
+                        ? DenseMatrix(a.rows(), a.cols())
+                        : (a.is_dense() ? b : a).csr().ToDense();
+  const double* pa = a.is_dense() ? a.dense().data() : out.data();
+  const double* pb = b.is_dense() ? b.dense().data() : out.data();
+  const int64_t nnz = StoreCountingNonZeros(
+      out.size(), out.data(), [&](int64_t i) { return op(pa[i], pb[i]); });
+  return Matrix::FromDense(std::move(out), nnz);
+}
+
+template <FusedOp Op>
+Matrix ApplyCellwiseOp(const Matrix& a, double s, bool scalar_left) {
+  if (scalar_left) {
+    return MapDense(a, [s](double x) { return FusedApply(Op, s, x); });
+  }
+  return MapDense(a, [s](double x) { return FusedApply(Op, x, s); });
+}
+
 template <typename Op>
 Result<Matrix> ElementwiseBinary(const char* name, const Matrix& a,
-                                 const Matrix& b, Op op,
-                                 bool zero_zero_is_zero) {
+                                 const Matrix& b, Op op) {
   if (a.rows() != b.rows() || a.cols() != b.cols()) {
     return ShapeError(name, a, b);
   }
   Metrics().elementwise_ops->Add();
-  if (!a.is_dense() && !b.is_dense() && zero_zero_is_zero) {
-    // Sparse-safe op: merge the two CSR row lists.
+  if (!a.is_dense() && !b.is_dense()) {
+    // Every op maps (0, 0) to 0: merge the two CSR row lists.
     const CsrMatrix& sa = a.csr();
     const CsrMatrix& sb = b.csr();
     CsrMatrix out(a.rows(), a.cols());
@@ -186,16 +253,7 @@ Result<Matrix> ElementwiseBinary(const char* name, const Matrix& a,
     }
     return Matrix::FromCsr(std::move(out));
   }
-  DenseMatrix da = a.ToDense();
-  const DenseMatrix db = b.ToDense();
-  double* pa = da.data();
-  const double* pb = db.data();
-  // Cells are independent: parallelize over flat element ranges with the
-  // shared element-count heuristic (rows=size, row_work=1).
-  ParallelForRows(da.size(), 1, [&](int64_t i0, int64_t i1) {
-    for (int64_t i = i0; i < i1; ++i) pa[i] = op(pa[i], pb[i]);
-  });
-  return Matrix::FromDense(std::move(da));
+  return ZipDense(a, b, op);
 }
 
 /// Deterministic chunked reduction: data is split into fixed-size chunks
@@ -269,53 +327,40 @@ Matrix Transpose(const Matrix& a) {
 
 Result<Matrix> Add(const Matrix& a, const Matrix& b) {
   return ElementwiseBinary(
-      "add", a, b, [](double x, double y) { return x + y; },
-      /*zero_zero_is_zero=*/true);
+      "add", a, b, [](double x, double y) { return x + y; });
 }
 
 Result<Matrix> Subtract(const Matrix& a, const Matrix& b) {
   return ElementwiseBinary(
-      "subtract", a, b, [](double x, double y) { return x - y; },
-      /*zero_zero_is_zero=*/true);
+      "subtract", a, b, [](double x, double y) { return x - y; });
 }
 
 Result<Matrix> ElementwiseMultiply(const Matrix& a, const Matrix& b) {
   return ElementwiseBinary(
-      "elementwise multiply", a, b, [](double x, double y) { return x * y; },
-      /*zero_zero_is_zero=*/true);
+      "elementwise multiply", a, b, [](double x, double y) { return x * y; });
 }
 
 Result<Matrix> ElementwiseDivide(const Matrix& a, const Matrix& b) {
   return ElementwiseBinary(
       "elementwise divide", a, b,
-      [](double x, double y) { return y == 0.0 ? 0.0 : x / y; },
-      /*zero_zero_is_zero=*/true);
+      [](double x, double y) { return y == 0.0 ? 0.0 : x / y; });
 }
 
 Result<Matrix> ElementwiseMin(const Matrix& a, const Matrix& b) {
   return ElementwiseBinary(
       "elementwise min", a, b,
-      [](double x, double y) { return FusedApply(FusedOp::kMin, x, y); },
-      /*zero_zero_is_zero=*/true);
+      [](double x, double y) { return FusedApply(FusedOp::kMin, x, y); });
 }
 
 Result<Matrix> ElementwiseMax(const Matrix& a, const Matrix& b) {
   return ElementwiseBinary(
       "elementwise max", a, b,
-      [](double x, double y) { return FusedApply(FusedOp::kMax, x, y); },
-      /*zero_zero_is_zero=*/true);
+      [](double x, double y) { return FusedApply(FusedOp::kMax, x, y); });
 }
 
 Matrix ScalarMultiply(const Matrix& a, double s) {
   Metrics().scalar_ops->Add();
-  if (a.is_dense()) {
-    DenseMatrix d = a.dense();
-    double* pd = d.data();
-    ParallelForRows(d.size(), 1, [&](int64_t i0, int64_t i1) {
-      for (int64_t i = i0; i < i1; ++i) pd[i] *= s;
-    });
-    return Matrix::FromDense(std::move(d));
-  }
+  if (a.is_dense()) return MapDense(a, [s](double x) { return x * s; });
   CsrMatrix c = a.csr();
   double* pv = c.mutable_values().data();
   ParallelForRows(c.nnz(), 1, [&](int64_t i0, int64_t i1) {
@@ -326,12 +371,22 @@ Matrix ScalarMultiply(const Matrix& a, double s) {
 
 Matrix ScalarAdd(const Matrix& a, double s) {
   Metrics().scalar_ops->Add();
-  DenseMatrix d = a.ToDense();
-  double* pd = d.data();
-  ParallelForRows(d.size(), 1, [&](int64_t i0, int64_t i1) {
-    for (int64_t i = i0; i < i1; ++i) pd[i] += s;
-  });
-  return Matrix::FromDense(std::move(d));
+  return MapDense(a, [s](double x) { return x + s; });
+}
+
+Matrix ApplyCellwise(const Matrix& a, FusedOp op, double s,
+                     bool scalar_left) {
+  switch (op) {
+    case FusedOp::kAdd: return ApplyCellwiseOp<FusedOp::kAdd>(a, s, scalar_left);
+    case FusedOp::kSub: return ApplyCellwiseOp<FusedOp::kSub>(a, s, scalar_left);
+    case FusedOp::kMul: return ApplyCellwiseOp<FusedOp::kMul>(a, s, scalar_left);
+    case FusedOp::kDiv: return ApplyCellwiseOp<FusedOp::kDiv>(a, s, scalar_left);
+    case FusedOp::kMin: return ApplyCellwiseOp<FusedOp::kMin>(a, s, scalar_left);
+    case FusedOp::kMax: return ApplyCellwiseOp<FusedOp::kMax>(a, s, scalar_left);
+    case FusedOp::kExp: return ApplyCellwiseOp<FusedOp::kExp>(a, s, scalar_left);
+    case FusedOp::kLog: return ApplyCellwiseOp<FusedOp::kLog>(a, s, scalar_left);
+  }
+  return a;
 }
 
 Matrix Negate(const Matrix& a) { return ScalarMultiply(a, -1.0); }

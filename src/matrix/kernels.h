@@ -2,6 +2,7 @@
 #define REMAC_MATRIX_KERNELS_H_
 
 #include "common/status.h"
+#include "matrix/fused_tape.h"
 #include "matrix/matrix.h"
 
 namespace remac {
@@ -12,6 +13,10 @@ namespace remac {
 /// Format selection: results involving a dense operand are computed
 /// densely; sparse x sparse uses a Gustavson row-merge. Output wrappers
 /// re-normalize the storage format from the actual result sparsity.
+///
+/// Dense cell-wise results (elementwise ops, scalar ops, ApplyCellwise)
+/// are built in one pass: dense operands are read in place, never copied,
+/// and non-zeros are counted as the cells are stored.
 
 /// C = A * B (matrix multiplication).
 Result<Matrix> Multiply(const Matrix& a, const Matrix& b);
@@ -56,6 +61,11 @@ Matrix ScalarMultiply(const Matrix& a, double s);
 
 /// C = A + s (applied to every cell; densifies).
 Matrix ScalarAdd(const Matrix& a, double s);
+
+/// C = op(A, s) for every cell, or op(s, A) when `scalar_left`, with
+/// FusedApply's per-cell semantics (unary ops ignore s). Densifies.
+Matrix ApplyCellwise(const Matrix& a, FusedOp op, double s = 0.0,
+                     bool scalar_left = false);
 
 /// C = -A.
 Matrix Negate(const Matrix& a);

@@ -11,14 +11,19 @@ Matrix::Matrix()
       nnz_(0) {}
 
 Matrix Matrix::FromDense(DenseMatrix dense) {
-  const int64_t total = dense.size();
   const int64_t nnz = dense.CountNonZeros();
+  return FromDense(std::move(dense), nnz);
+}
+
+Matrix Matrix::FromDense(DenseMatrix dense, int64_t nnz) {
+  assert(nnz == dense.CountNonZeros());
+  const int64_t total = dense.size();
   if (total > 0 &&
       static_cast<double>(nnz) / static_cast<double>(total) <=
           kDenseFormatThreshold) {
     return WrapCsr(CsrMatrix::FromDense(dense));
   }
-  return WrapDense(std::move(dense));
+  return WrapDense(std::move(dense), nnz);
 }
 
 Matrix Matrix::FromCsr(CsrMatrix csr) {
@@ -29,9 +34,15 @@ Matrix Matrix::FromCsr(CsrMatrix csr) {
 }
 
 Matrix Matrix::WrapDense(DenseMatrix dense) {
+  const int64_t nnz = dense.CountNonZeros();
+  return WrapDense(std::move(dense), nnz);
+}
+
+Matrix Matrix::WrapDense(DenseMatrix dense, int64_t nnz) {
+  assert(nnz == dense.CountNonZeros());
   Matrix m;
   m.format_ = MatrixFormat::kDense;
-  m.nnz_ = dense.CountNonZeros();
+  m.nnz_ = nnz;
   // Created non-const so TryReleaseDense may legally cast constness away
   // from a uniquely-owned payload.
   m.dense_ = std::make_shared<DenseMatrix>(std::move(dense));

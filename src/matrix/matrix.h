@@ -24,14 +24,20 @@ class Matrix {
  public:
   Matrix();
 
-  /// Wraps a dense payload, converting to CSR if sparsity <= 0.4.
+  /// Wraps a dense payload, converting to CSR if sparsity <= 0.4. Scans
+  /// the payload once to count its non-zeros.
   static Matrix FromDense(DenseMatrix dense);
+  /// As above, for a kernel that counted the non-zeros (`!= 0.0`) while
+  /// storing the cells: no scan. Debug builds assert the count.
+  static Matrix FromDense(DenseMatrix dense, int64_t nnz);
 
   /// Wraps a sparse payload, converting to dense if sparsity > 0.4.
   static Matrix FromCsr(CsrMatrix csr);
 
   /// Keeps the given payload's format regardless of sparsity.
   static Matrix WrapDense(DenseMatrix dense);
+  /// WrapDense with the non-zero count already known (debug-asserted).
+  static Matrix WrapDense(DenseMatrix dense, int64_t nnz);
   static Matrix WrapCsr(CsrMatrix csr);
 
   /// n x n identity (stored sparse for n > 2).

@@ -201,35 +201,17 @@ Result<Matrix> Executor::ComputeBroadcast(PlanOp op, const Matrix& m,
   switch (op) {
     case PlanOp::kMul:
       return ScalarMultiply(m, s);
-    case PlanOp::kDiv: {
-      if (!scalar_left) return ScalarMultiply(m, s == 0.0 ? 0.0 : 1.0 / s);
-      // scalar ./ matrix: element-wise reciprocal, scaled.
-      DenseMatrix d = m.ToDense();
-      for (int64_t i = 0; i < d.size(); ++i) {
-        d.data()[i] = d.data()[i] == 0.0 ? 0.0 : s / d.data()[i];
-      }
-      return Matrix::FromDense(std::move(d));
-    }
     case PlanOp::kAdd:
+      return ApplyCellwise(m, FusedOp::kAdd, s);  // m + s on either side
+    case PlanOp::kDiv:
+      if (!scalar_left) return ScalarMultiply(m, s == 0.0 ? 0.0 : 1.0 / s);
+      [[fallthrough]];  // scalar ./ matrix: safe cell-wise division
     case PlanOp::kSub:
     case PlanOp::kMin:
-    case PlanOp::kMax: {
-      DenseMatrix d = m.ToDense();
-      for (int64_t i = 0; i < d.size(); ++i) {
-        if (op == PlanOp::kAdd) {
-          d.data()[i] += s;
-        } else if (op == PlanOp::kSub) {
-          d.data()[i] = scalar_left ? s - d.data()[i] : d.data()[i] - s;
-        } else {
-          // min/max broadcast; operand order preserved (ties and NaNs
-          // resolve to the left operand, see FusedApply).
-          const FusedOp fop = *FusedOpOf(op);
-          d.data()[i] = scalar_left ? FusedApply(fop, s, d.data()[i])
-                                    : FusedApply(fop, d.data()[i], s);
-        }
-      }
-      return Matrix::FromDense(std::move(d));
-    }
+    case PlanOp::kMax:
+      // Operand order preserved (min/max ties and NaNs resolve to the left
+      // operand, see FusedApply).
+      return ApplyCellwise(m, *FusedOpOf(op), s, scalar_left);
     default:
       return Status::Internal("bad scalar-matrix op");
   }
@@ -237,9 +219,7 @@ Result<Matrix> Executor::ComputeBroadcast(PlanOp op, const Matrix& m,
 
 Matrix Executor::ComputeUnary(PlanOp op, const Matrix& m) {
   if (op == PlanOp::kExp) {
-    DenseMatrix d = m.ToDense();  // exp(0) = 1 densifies
-    for (int64_t i = 0; i < d.size(); ++i) d.data()[i] = std::exp(d.data()[i]);
-    return Matrix::FromDense(std::move(d));
+    return ApplyCellwise(m, FusedOp::kExp);  // exp(0) = 1 densifies
   }
   // Safe log: zero cells stay zero (stored explicit zeros included, so
   // the result is bitwise-identical to the fused tape's cell-wise
@@ -252,14 +232,23 @@ Matrix Executor::ComputeUnary(PlanOp op, const Matrix& m) {
 Matrix Executor::ComputeLineSums(PlanOp op, const Matrix& m) {
   const bool rows = op == PlanOp::kRowSums;
   DenseMatrix out(rows ? m.rows() : 1, rows ? 1 : m.cols());
-  const CsrMatrix csr = m.ToCsr();
+  double* sums = out.data();
+  if (m.is_dense()) {
+    // Summed in place, in the CSR order below. Adding the zero cells the
+    // CSR form leaves out changes no bit: a sum starts at +0.0, so it is
+    // never -0.0, and x + (+-0.0) == x for every x but -0.0, NaN and Inf
+    // included.
+    const double* cells = m.dense().data();
+    for (int64_t r = 0; r < m.rows(); ++r) {
+      const double* row = cells + r * m.cols();
+      for (int64_t c = 0; c < m.cols(); ++c) sums[rows ? r : c] += row[c];
+    }
+    return Matrix::FromDense(std::move(out));
+  }
+  const CsrMatrix& csr = m.csr();
   for (int64_t r = 0; r < csr.rows(); ++r) {
     for (int64_t k = csr.row_ptr()[r]; k < csr.row_ptr()[r + 1]; ++k) {
-      if (rows) {
-        out.At(r, 0) += csr.values()[k];
-      } else {
-        out.At(0, csr.col_idx()[k]) += csr.values()[k];
-      }
+      sums[rows ? r : csr.col_idx()[k]] += csr.values()[k];
     }
   }
   return Matrix::FromDense(std::move(out));

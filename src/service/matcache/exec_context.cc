@@ -107,13 +107,11 @@ void MatExecContext::Offer(const PlanNode* node, const RtValue& value) {
   if (it == by_node_.end()) return;
   KeyState* state = it->second;
 
-  bool complete_flight = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (ServedLocked(*state) != nullptr) return;  // already resolved
     if (state->leader && !state->completed) {
       state->completed = true;
-      complete_flight = true;
     } else if (state->leader) {
       return;  // already offered; nothing to do
     } else {

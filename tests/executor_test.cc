@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <limits>
+#include <string>
+
 #include "data/generators.h"
 #include "plan/plan_builder.h"
 #include "runtime/executor.h"
@@ -168,6 +173,97 @@ TEST(Executor, LedgerAccumulatesDuringExecution) {
   ASSERT_TRUE(executor.Run(program->statements).ok());
   EXPECT_GT(ledger.TotalSeconds(), 0.0);
   EXPECT_GT(executor.ops_executed(), 0);
+}
+
+/// 37 x 23 dense cells with +-0.0, NaN and +-Inf among Gaussian values.
+Matrix SpecialCells() {
+  DenseMatrix m(37, 23);
+  for (int64_t i = 0; i < m.size(); ++i) {
+    double v = std::sin(static_cast<double>(i) * 0.7) * 3.0;
+    if (i % 5 == 1) v = 0.0;
+    if (i % 5 == 3) v = -0.0;
+    if (i % 41 == 2) v = std::numeric_limits<double>::quiet_NaN();
+    if (i % 43 == 4) v = std::numeric_limits<double>::infinity();
+    if (i % 47 == 6) v = -std::numeric_limits<double>::infinity();
+    m.data()[i] = v;
+  }
+  return Matrix::WrapDense(std::move(m));
+}
+
+/// Dense and bit-identical, except that any two NaNs match: when both
+/// addends are NaN the compiler may commute the add, so which payload
+/// survives is not fixed by the source.
+bool SameBits(const Matrix& got, const DenseMatrix& want) {
+  if (!got.is_dense() || got.rows() != want.rows() ||
+      got.cols() != want.cols()) {
+    return false;
+  }
+  for (int64_t i = 0; i < want.size(); ++i) {
+    const double g = got.dense().data()[i];
+    const double w = want.data()[i];
+    if (std::isnan(g) && std::isnan(w)) continue;
+    if (std::memcmp(&g, &w, sizeof(double)) != 0) return false;
+  }
+  return true;
+}
+
+TEST(Executor, LineSumsOfDenseOperandMatchCsrSumsBitwise) {
+  DataCatalog catalog;
+  const Matrix x = SpecialCells();
+  catalog.Register("X", x);
+  auto program = CompileScript(
+      "r = rowSums(read(\"X\"));\nc = colSums(read(\"X\"));\n", catalog);
+  ASSERT_TRUE(program.ok()) << program.status().ToString();
+  Executor executor(ClusterModel(), &catalog, nullptr);
+  ASSERT_TRUE(executor.Run(program->statements).ok());
+  // Reference: the sums over the stored entries of a CSR copy.
+  const CsrMatrix csr = CsrMatrix::FromDense(x.dense());
+  DenseMatrix rows(x.rows(), 1);
+  DenseMatrix cols(1, x.cols());
+  for (int64_t r = 0; r < csr.rows(); ++r) {
+    for (int64_t k = csr.row_ptr()[r]; k < csr.row_ptr()[r + 1]; ++k) {
+      rows.At(r, 0) += csr.values()[k];
+      cols.At(0, csr.col_idx()[k]) += csr.values()[k];
+    }
+  }
+  EXPECT_TRUE(SameBits(executor.Get("r")->AsMatrix(), rows));
+  EXPECT_TRUE(SameBits(executor.Get("c")->AsMatrix(), cols));
+}
+
+TEST(Executor, BroadcastsAndExpMatchCopyThenModify) {
+  DataCatalog catalog;
+  const Matrix x = SpecialCells();
+  catalog.Register("X", x);
+  const struct {
+    const char* expr;
+    double (*cell)(double);
+  } cases[] = {
+      {"read(\"X\") + 2.5", [](double v) { return v + 2.5; }},
+      {"2.5 + read(\"X\")", [](double v) { return v + 2.5; }},
+      {"read(\"X\") - 2.5", [](double v) { return v - 2.5; }},
+      {"2.5 - read(\"X\")", [](double v) { return 2.5 - v; }},
+      {"2.5 / read(\"X\")",
+       [](double v) { return v == 0.0 ? 0.0 : 2.5 / v; }},
+      {"min(read(\"X\"), 0.5)",
+       [](double v) { return 0.5 < v ? 0.5 : v; }},
+      {"max(0.5, read(\"X\"))",
+       [](double v) { return v > 0.5 ? v : 0.5; }},
+      {"exp(read(\"X\"))", [](double v) { return std::exp(v); }},
+  };
+  for (const auto& c : cases) {
+    auto program =
+        CompileScript(std::string("y = ") + c.expr + ";\n", catalog);
+    ASSERT_TRUE(program.ok()) << c.expr;
+    Executor executor(ClusterModel(), &catalog, nullptr);
+    ASSERT_TRUE(executor.Run(program->statements).ok()) << c.expr;
+    DenseMatrix want = x.dense();
+    for (int64_t i = 0; i < want.size(); ++i) {
+      want.data()[i] = c.cell(want.data()[i]);
+    }
+    const Matrix got = executor.Get("y")->AsMatrix();
+    EXPECT_EQ(got.nnz(), want.CountNonZeros()) << c.expr;
+    EXPECT_TRUE(SameBits(got, want)) << c.expr;
+  }
 }
 
 }  // namespace
