@@ -1,9 +1,9 @@
 #ifndef REMAC_BENCH_HARNESS_H_
 #define REMAC_BENCH_HARNESS_H_
 
-// Shared helpers for the per-figure benchmark binaries. Each binary
-// regenerates the rows/series of one table or figure of the paper; see
-// EXPERIMENTS.md for the paper-vs-measured index.
+// Shared helpers for the bench binaries: flags, the dataset catalog and
+// the extrapolated measurement. bench_paper regenerates the paper's
+// tables and figures with them; see EXPERIMENTS.md.
 
 #include <cstdio>
 #include <cstdlib>
@@ -113,12 +113,11 @@ inline Status EnsureDataset(const std::string& name,
 
 /// One measured configuration, extrapolated to the full horizon.
 struct Measurement {
+  /// Real optimizer wall time; never part of the simulated figures.
   double compile_wall_seconds = 0.0;
   /// Simulated execution time over `iterations` loop iterations
-  /// (excludes compile; includes input partition when configured).
+  /// (includes input partition when configured).
   double execution_seconds = 0.0;
-  /// Execution + compile (the paper's "elapsed time").
-  double elapsed_seconds = 0.0;
   TimeBreakdown breakdown;  // extrapolated
   OptimizeReport optimize;
   /// DAG accounting of the last executed run (kTaskGraph only).
@@ -155,7 +154,6 @@ inline Result<Measurement> MeasureScript(const std::string& script,
   };
   m.breakdown.input_partition_seconds =
       one.breakdown.input_partition_seconds;
-  m.breakdown.compilation_seconds = one.breakdown.compilation_seconds;
   m.breakdown.computation_seconds =
       extrapolate(one.breakdown.computation_seconds,
                   two.breakdown.computation_seconds);
@@ -165,7 +163,6 @@ inline Result<Measurement> MeasureScript(const std::string& script,
   m.execution_seconds = m.breakdown.computation_seconds +
                         m.breakdown.transmission_seconds +
                         m.breakdown.input_partition_seconds;
-  m.elapsed_seconds = m.execution_seconds + m.compile_wall_seconds;
   if (options.json) {
     // One machine-readable line per measurement; threads=0 means the
     // hardware default was used.
@@ -173,12 +170,12 @@ inline Result<Measurement> MeasureScript(const std::string& script,
         "{\"label\": \"%s\", \"scheduler\": \"%s\", \"threads\": %d, "
         "\"pool_threads\": %d, \"iterations\": %d, "
         "\"execution_seconds\": %.9g, \"compile_wall_seconds\": %.9g, "
-        "\"elapsed_seconds\": %.9g, \"serial_seconds\": %.9g, "
+        "\"serial_seconds\": %.9g, "
         "\"makespan_seconds\": %.9g, \"critical_path_seconds\": %.9g, "
         "\"tasks\": %lld, \"edges\": %lld}\n",
         label.c_str(), SchedulerKindName(config.scheduler), options.threads,
         m.schedule.pool_threads, iterations, m.execution_seconds,
-        m.compile_wall_seconds, m.elapsed_seconds,
+        m.compile_wall_seconds,
         m.schedule.serial_seconds, m.schedule.makespan_seconds,
         m.schedule.critical_path_seconds,
         static_cast<long long>(m.schedule.tasks),

@@ -78,9 +78,7 @@ int main(int argc, char** argv) {
   }
   std::printf("optimized with %d CSE + %d LSE; simulated %s\n",
               run->optimize.applied_cse, run->optimize.applied_lse,
-              HumanSeconds(run->breakdown.TotalSeconds() -
-                           run->breakdown.compilation_seconds)
-                  .c_str());
+              HumanSeconds(run->breakdown.TotalSeconds()).c_str());
 
   // 3. Export the solution.
   const Matrix x = run->env.at("x").AsMatrix();

@@ -63,9 +63,7 @@ int main(int argc, char** argv) {
         continue;
       }
       std::printf(" %14s",
-                  HumanSeconds(run->breakdown.TotalSeconds() -
-                               run->breakdown.compilation_seconds)
-                      .c_str());
+                  HumanSeconds(run->breakdown.TotalSeconds()).c_str());
       solution = run->env.at("x").AsMatrix();
     }
     // Residual of the last solution: ||A x - b||.

@@ -36,8 +36,7 @@ int main() {
       auto run = RunScript(script, catalog, config);
       if (!run.ok()) return -1.0;
       if (out != nullptr) *out = *run;
-      return run->breakdown.TotalSeconds() -
-             run->breakdown.compilation_seconds;
+      return run->breakdown.TotalSeconds();
     };
     RunReport remac_report;
     const double systemds = execution(OptimizerKind::kSystemDs, nullptr);

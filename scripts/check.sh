@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Concurrency + telemetry checks, three gates:
+# Concurrency, telemetry and paper-claim checks, five gates:
 #
 #   tsan        build with -DREMAC_SANITIZE=thread and run the concurrent
 #               suites (pool, ledger, task graph, plan service, metrics
@@ -23,6 +23,10 @@
 #               beat 1D on ledger bytes for at least one sparse/skewed
 #               program with bitwise-identical results; writes
 #               BENCH_dist2d.json)
+#   paper       bench_paper --quick: a subset of the paper's evaluation on
+#               its 1D engine, failing when any figure's claimed shape
+#               (who wins, by what factor, where the crossover falls)
+#               stops holding
 #
 # Usage: scripts/check.sh [tsan-build-dir] [asan-build-dir] \
 #                         [bench-build-dir] [ubsan-build-dir]
@@ -165,6 +169,18 @@ if bench_smoke_gate; then
   record bench-smoke pass
 else
   record bench-smoke fail
+fi
+
+paper_gate() {
+  require_cache "$BENCH_DIR" "" || return 1
+  cmake -B "$BENCH_DIR" -S . || return 1
+  run_bench bench_paper --quick
+}
+
+if paper_gate; then
+  record paper pass
+else
+  record paper fail
 fi
 
 echo

@@ -19,7 +19,6 @@ void AtomicAdd(std::atomic<double>& accumulator, double delta) {
 
 TimeBreakdown& TimeBreakdown::operator+=(const TimeBreakdown& other) {
   input_partition_seconds += other.input_partition_seconds;
-  compilation_seconds += other.compilation_seconds;
   computation_seconds += other.computation_seconds;
   transmission_seconds += other.transmission_seconds;
   recovery_seconds += other.recovery_seconds;
@@ -28,15 +27,14 @@ TimeBreakdown& TimeBreakdown::operator+=(const TimeBreakdown& other) {
 
 std::string TimeBreakdown::ToString() const {
   // The recovery component only appears on chaos runs; fault-free output
-  // keeps the historical four-part format.
+  // shows partition, compute and transmit.
   std::string recovery =
       recovery_seconds > 0.0
           ? StringFormat(" recovery=%s", HumanSeconds(recovery_seconds).c_str())
           : "";
   return StringFormat(
-      "partition=%s compile=%s compute=%s transmit=%s%s total=%s",
+      "partition=%s compute=%s transmit=%s%s total=%s",
       HumanSeconds(input_partition_seconds).c_str(),
-      HumanSeconds(compilation_seconds).c_str(),
       HumanSeconds(computation_seconds).c_str(),
       HumanSeconds(transmission_seconds).c_str(), recovery.c_str(),
       HumanSeconds(TotalSeconds()).c_str());
@@ -59,10 +57,6 @@ void TransmissionLedger::AddInputPartition(double bytes) {
   AtomicAdd(input_partition_bytes_, bytes);
 }
 
-void TransmissionLedger::AddCompilationSeconds(double seconds) {
-  AtomicAdd(compilation_seconds_, seconds);
-}
-
 void TransmissionLedger::AddRecoverySeconds(double seconds) {
   AtomicAdd(recovery_seconds_, seconds);
 }
@@ -81,8 +75,6 @@ void TransmissionLedger::MergeFrom(const TransmissionLedger& other) {
   }
   AtomicAdd(input_partition_bytes_,
             other.input_partition_bytes_.load(std::memory_order_relaxed));
-  AtomicAdd(compilation_seconds_,
-            other.compilation_seconds_.load(std::memory_order_relaxed));
   AtomicAdd(recovery_seconds_,
             other.recovery_seconds_.load(std::memory_order_relaxed));
   AtomicAdd(wasted_flops_, other.wasted_flops_.load(std::memory_order_relaxed));
@@ -97,7 +89,6 @@ double TransmissionLedger::TotalBytes() const {
 
 TimeBreakdown TransmissionLedger::Breakdown() const {
   TimeBreakdown b;
-  b.compilation_seconds = compilation_seconds_.load(std::memory_order_relaxed);
   b.computation_seconds =
       distributed_flops_.load(std::memory_order_relaxed) * model_.WFlop() +
       local_flops_.load(std::memory_order_relaxed) * model_.WLocalFlop();
@@ -118,7 +109,6 @@ void TransmissionLedger::Reset() {
   local_flops_.store(0.0, std::memory_order_relaxed);
   for (auto& b : bytes_) b.store(0.0, std::memory_order_relaxed);
   input_partition_bytes_.store(0.0, std::memory_order_relaxed);
-  compilation_seconds_.store(0.0, std::memory_order_relaxed);
   recovery_seconds_.store(0.0, std::memory_order_relaxed);
   wasted_flops_.store(0.0, std::memory_order_relaxed);
   wasted_bytes_.store(0.0, std::memory_order_relaxed);

@@ -11,9 +11,11 @@
 namespace remac {
 
 /// \brief Breakdown of a run's simulated time, mirroring Figure 12.
+///
+/// Every component is simulated cluster time. Real compile wall time is
+/// a different quantity and lives apart, in RunReport::compile_wall_seconds.
 struct TimeBreakdown {
   double input_partition_seconds = 0.0;
-  double compilation_seconds = 0.0;
   double computation_seconds = 0.0;
   double transmission_seconds = 0.0;
   /// Time lost to fault recovery: retry backoff, crash rescheduling and
@@ -21,8 +23,8 @@ struct TimeBreakdown {
   double recovery_seconds = 0.0;
 
   double TotalSeconds() const {
-    return input_partition_seconds + compilation_seconds +
-           computation_seconds + transmission_seconds + recovery_seconds;
+    return input_partition_seconds + computation_seconds +
+           transmission_seconds + recovery_seconds;
   }
 
   TimeBreakdown& operator+=(const TimeBreakdown& other);
@@ -60,8 +62,6 @@ class TransmissionLedger {
   /// Books bytes written/read while partitioning input data into the
   /// cluster (Figure 12's "input partition" bar).
   void AddInputPartition(double bytes);
-  /// Books real compilation wall time.
-  void AddCompilationSeconds(double seconds);
   /// Books simulated fault-recovery time (retry backoff, crash
   /// rescheduling, straggler delay).
   void AddRecoverySeconds(double seconds);
@@ -109,7 +109,6 @@ class TransmissionLedger {
   std::atomic<double> local_flops_{0.0};
   std::array<std::atomic<double>, kNumTransmissionPrimitives> bytes_{};
   std::atomic<double> input_partition_bytes_{0.0};
-  std::atomic<double> compilation_seconds_{0.0};
   std::atomic<double> recovery_seconds_{0.0};
   std::atomic<double> wasted_flops_{0.0};
   std::atomic<double> wasted_bytes_{0.0};

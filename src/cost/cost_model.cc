@@ -278,6 +278,10 @@ Result<CostedStats> CostModel::CostTree(const PlanNode& node,
       out.stats.cols = 1;
       return out;
     }
+    case PlanOp::kFusedMap:
+      // Fusion runs after optimization; the optimizer never prices a
+      // fused region.
+      break;
   }
   return Status::Internal("unhandled op in CostTree");
 }

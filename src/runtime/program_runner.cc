@@ -111,7 +111,6 @@ Result<RunReport> RunInternal(const std::string& source,
       std::make_shared<const CompiledProgram>(std::move(optimized));
 
   TransmissionLedger ledger(config.cluster);
-  ledger.AddCompilationSeconds(report.compile_wall_seconds);
   if (execute) {
     REMAC_RETURN_NOT_OK(ExecuteCompiled(*report.optimized_program, catalog,
                                         config, &ledger, &report));

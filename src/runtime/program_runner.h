@@ -106,8 +106,10 @@ struct RunConfig {
 };
 
 struct RunReport {
-  /// Simulated cluster time (includes real compile wall time).
+  /// Simulated cluster time of the execution.
   TimeBreakdown breakdown;
+  /// Real wall time of the optimizer (plus parse time when served);
+  /// never part of `breakdown`.
   double compile_wall_seconds = 0.0;
   /// Populated by the kTaskGraph scheduler: serial-sum vs critical-path
   /// simulated time, task/edge counts (see ScheduleReport).

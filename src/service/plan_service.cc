@@ -293,7 +293,6 @@ Result<ServiceReport> PlanService::RunQueued(
   report.run.compile_wall_seconds =
       report.timing.parse_seconds + report.timing.optimize_seconds;
   TransmissionLedger ledger(request.config.cluster);
-  ledger.AddCompilationSeconds(report.run.compile_wall_seconds);
 
   if (request.config.execute) {
     const auto execute_start = Clock::now();

@@ -39,12 +39,10 @@ TEST(Ledger, ConvertsWorkToSeconds) {
   ledger.AddDistributedFlops(2e9);       // 2 s
   ledger.AddLocalFlops(1e8);             // 1 s
   ledger.AddTransmission(TransmissionPrimitive::kShuffle, 3e6);  // 3 s
-  ledger.AddCompilationSeconds(0.5);
   const TimeBreakdown b = ledger.Breakdown();
   EXPECT_NEAR(b.computation_seconds, 3.0, 1e-9);
   EXPECT_NEAR(b.transmission_seconds, 3.0, 1e-9);
-  EXPECT_NEAR(b.compilation_seconds, 0.5, 1e-9);
-  EXPECT_NEAR(b.TotalSeconds(), 6.5, 1e-9);
+  EXPECT_NEAR(b.TotalSeconds(), 6.0, 1e-9);
 }
 
 TEST(Ledger, InputPartitionUsesDfsRate) {

@@ -299,11 +299,11 @@ TEST(Ledger, MergeFromFoldsEveryAccumulator) {
   b.AddDistributedFlops(5.0);
   b.AddLocalFlops(7.0);
   b.AddTransmission(TransmissionPrimitive::kBroadcast, 100.0);
-  b.AddCompilationSeconds(0.5);
+  b.AddRecoverySeconds(0.5);
   a.MergeFrom(b);
   EXPECT_DOUBLE_EQ(a.TotalFlops(), 22.0);
   EXPECT_DOUBLE_EQ(a.BytesFor(TransmissionPrimitive::kBroadcast), 100.0);
-  EXPECT_DOUBLE_EQ(a.Breakdown().compilation_seconds, 0.5);
+  EXPECT_DOUBLE_EQ(a.RecoverySeconds(), 0.5);
 }
 
 // ---------------------------------------------------------------------------
