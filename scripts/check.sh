@@ -3,7 +3,8 @@
 #
 #   tsan        build with -DREMAC_SANITIZE=thread and run the concurrent
 #               suites (pool, ledger, task graph, plan service, metrics
-#               registry) under ThreadSanitizer
+#               registry) and the parser's hostile-input cases under
+#               ThreadSanitizer
 #   asan        the same suites under AddressSanitizer
 #   ubsan       the same suites under UndefinedBehaviorSanitizer
 #   bench-smoke one quick benchmark with --json, validating the emitted
@@ -44,7 +45,7 @@ ASAN_DIR="${2:-build-asan}"
 BENCH_DIR="${3:-build}"
 UBSAN_DIR="${4:-build-ubsan}"
 # Parameterized suites print as Prefix/Suite.Test, hence */Kernels*.*.
-FILTER='ThreadPool.*:LanePool.*:Ledger.*:TaskGraph.*:Sched*.*:Kernels*.*:*/Kernels*.*:Fingerprint*.*:PlanCache*.*:Service*.*:Admission*.*:MatCache*.*:MatrixBytes.*:Obs*.*:Chaos*.*:Fault*.*:Trace*.*:Contention*.*:Fusion*.*:Sketch*.*:TiledMatrix2D.*:Executor*.*:CostModel*.*'
+FILTER='ThreadPool.*:LanePool.*:Ledger.*:TaskGraph.*:Sched*.*:Kernels*.*:*/Kernels*.*:Fingerprint*.*:PlanCache*.*:Service*.*:Admission*.*:MatCache*.*:MatrixBytes.*:Obs*.*:Chaos*.*:Fault*.*:Trace*.*:Contention*.*:Fusion*.*:Sketch*.*:TiledMatrix2D.*:Executor*.*:CostModel*.*:Parser.*'
 
 GATES=()
 RESULTS=()

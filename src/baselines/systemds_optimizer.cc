@@ -249,11 +249,9 @@ Status ReorderStatements(std::vector<CompiledStmt>* statements,
     if (stmt.kind == CompiledStmt::Kind::kAssign) {
       REMAC_ASSIGN_OR_RETURN(stmt.plan, reorderer.Reorder(*stmt.plan));
       auto costed = cost_model.CostTree(*stmt.plan, *vars);
-      if (costed.ok()) {
-        CostedStats value = std::move(costed).value();
-        value.seconds = 0.0;
-        vars->vars.insert_or_assign(stmt.target, std::move(value));
-      }
+      if (!costed.ok()) continue;
+      costed->seconds = 0.0;  // referencing a variable is free
+      vars->vars.insert_or_assign(stmt.target, std::move(costed).value());
     } else {
       REMAC_RETURN_NOT_OK(ReorderStatements(&stmt.body, cost_model, vars));
     }

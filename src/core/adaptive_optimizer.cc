@@ -283,11 +283,9 @@ Result<CompiledProgram> ReMacOptimizer::Optimize(
   for (const InlinedOutput& out : outputs) {
     if (vars.Contains(out.target)) continue;
     auto costed = cost_model.CostTree(*out.plan, vars);
-    if (costed.ok()) {
-      CostedStats value = std::move(costed).value();
-      value.seconds = 0.0;
-      vars.vars.insert_or_assign(out.target, std::move(value));
-    }
+    if (!costed.ok()) continue;
+    costed->seconds = 0.0;  // referencing a temp is free
+    vars.vars.insert_or_assign(out.target, std::move(costed).value());
   }
   CostGraph graph(&space, &cost_model, &vars, iterations);
   REMAC_RETURN_NOT_OK(graph.Build());

@@ -17,21 +17,10 @@ CostGraph::CostGraph(const SearchSpace* space, const CostModel* cost_model,
       iterations_(std::max(1, iterations)) {}
 
 Result<CostedStats> CostGraph::FactorStats(const Factor& factor) const {
-  CostedStats base;
-  const PlanNode& node = *factor.node;
-  if (node.op == PlanOp::kInput) {
-    auto it = vars_->vars.find(node.name);
-    if (it == vars_->vars.end()) {
-      return Status::NotFound("no stats for chain factor '" + node.name + "'");
-    }
-    base = it->second;
-    base.seconds = 0.0;
-  } else if (node.op == PlanOp::kReadData) {
-    REMAC_ASSIGN_OR_RETURN(base, cost_model_->DatasetStats(node.name));
-  } else {
-    // Generator or opaque subtree: full recursive costing.
-    REMAC_ASSIGN_OR_RETURN(base, cost_model_->CostTree(node, *vars_));
-  }
+  // A variable or dataset leaf is free; a generator or opaque subtree
+  // costs its production.
+  REMAC_ASSIGN_OR_RETURN(CostedStats base,
+                         cost_model_->CostTree(*factor.node, *vars_));
   if (factor.transposed) {
     const double production = base.seconds;
     base.stats = cost_model_->estimator().Transpose(base.stats);

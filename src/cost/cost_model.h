@@ -26,8 +26,8 @@ MatInfo InfoOf(const NodeStats& stats, bool distributed);
 
 /// Estimated product op(a) %*% op(b), op transposing when the flag is
 /// set: the result statistics and the costing SelectMultiplyCosting picks
-/// for the fused transpose-multiply. Shared by the cost audit and
-/// AnnotateMultiplyLayouts.
+/// for the fused transpose-multiply. Shared by CostPredictor,
+/// MultiplyCost and AnnotateMultiplyLayouts.
 struct EstimatedProduct {
   NodeStats stats;
   OpCosting costing;
@@ -51,11 +51,11 @@ struct VarStats {
 /// \brief The ReMac cost model (paper Section 4.2).
 ///
 /// c_O = compute_O + transmit_O, with compute_O = w_flop * FLOP_O and
-/// transmit_O = sum over primitives of w_pr * D_pr. The FLOP counts and
-/// transmission volumes come from the same OpCosting functions the
-/// simulated runtime books, parameterized by the chosen sparsity
-/// estimator; the optimizer and the engine therefore agree on what an
-/// operator costs up to estimation error.
+/// transmit_O = sum over primitives of w_pr * D_pr. Trees are priced by
+/// the executor's own plan walk over estimated statistics (CostPredictor,
+/// cost/cost_predictor.h), so every operator books the OpCosting the
+/// simulated runtime books; the optimizer and the engine therefore agree
+/// on what an operator costs up to estimation error.
 class CostModel {
  public:
   /// Resolves a kBlockRef node to the stats of the chosen block plan
@@ -68,7 +68,7 @@ class CostModel {
   const ClusterModel& cluster() const { return model_; }
   const SparsityEstimator& estimator() const { return *estimator_; }
 
-  /// Stats of a dataset leaf (read("name")), with placement by size.
+  /// Stats of a dataset leaf (read("name")); datasets live distributed.
   Result<CostedStats> DatasetStats(const std::string& name) const;
 
   /// Costs one multiplication given operand stats; returns result stats
@@ -81,16 +81,13 @@ class CostModel {
   double MultiplySeconds(const CostedStats& a, const CostedStats& b,
                          double sp_out) const;
 
-  /// Costs one element-wise operator (kAdd/kSub/kMul/kDiv), handling
-  /// scalar broadcast.
-  CostedStats ElementwiseCost(PlanOp op, const CostedStats& a,
-                              const CostedStats& b) const;
-
   /// Costs a transpose.
   CostedStats TransposeCost(const CostedStats& a) const;
 
-  /// Recursively costs a full plan tree under `vars`. `resolver` may be
-  /// null when the tree contains no kBlockRef nodes.
+  /// Costs a full plan tree under `vars`: its statistics (scalars are
+  /// 1x1, a literal 0 empty) and the seconds of every operator the walk
+  /// books, resolved blocks included. `resolver` may be null when the
+  /// tree contains no kBlockRef nodes.
   Result<CostedStats> CostTree(const PlanNode& node, const VarStats& vars,
                                const BlockResolver& resolver = nullptr) const;
 
@@ -101,10 +98,10 @@ class CostModel {
 };
 
 /// Propagates statistics through a compiled program to obtain the
-/// steady-state stats of every variable (loop bodies are swept
-/// `loop_sweeps` times so loop-carried variables like an inverse-Hessian
-/// approximation reach their dense steady state). Also returns stats for
-/// datasets referenced via read().
+/// steady-state stats of every variable: the cost-tree walk runs the
+/// program with every loop body swept exactly `loop_sweeps` times, so
+/// loop-carried variables like an inverse-Hessian approximation reach
+/// their dense steady state.
 Result<VarStats> PropagateProgramStats(const CompiledProgram& program,
                                        const CostModel& cost_model,
                                        int loop_sweeps = 2);

@@ -54,6 +54,14 @@ class Parser {
     return Error(StringFormat("expected %s %s", TokenKindName(kind), context));
   }
 
+  /// Enters one nesting level: an expression, a unary minus, a chained
+  /// binary operator or a block. Levels are released on success only; an
+  /// error ends the parse.
+  Status Nest() {
+    if (++depth_ <= kMaxNesting) return Status::OK();
+    return Error(StringFormat("nested deeper than %d levels", kMaxNesting));
+  }
+
   Result<std::unique_ptr<Stmt>> ParseStmt() {
     if (Check(TokenKind::kKeywordWhile)) return ParseWhile();
     if (Check(TokenKind::kKeywordFor)) return ParseFor();
@@ -110,6 +118,7 @@ class Parser {
   }
 
   Status ParseBlock(std::vector<std::unique_ptr<Stmt>>* body) {
+    REMAC_RETURN_NOT_OK(Nest());
     REMAC_RETURN_NOT_OK(Expect(TokenKind::kLBrace, "to open a block"));
     while (!Check(TokenKind::kRBrace)) {
       if (Check(TokenKind::kEnd)) return Error("unterminated block");
@@ -118,10 +127,16 @@ class Parser {
       body->push_back(std::move(stmt).value());
     }
     REMAC_RETURN_NOT_OK(Expect(TokenKind::kRBrace, "to close a block"));
+    --depth_;
     return Status::OK();
   }
 
-  Result<std::unique_ptr<Expr>> ParseExpr() { return ParseCmp(); }
+  Result<std::unique_ptr<Expr>> ParseExpr() {
+    REMAC_RETURN_NOT_OK(Nest());
+    auto expr = ParseCmp();
+    --depth_;
+    return expr;
+  }
 
   Result<std::unique_ptr<Expr>> ParseCmp() {
     auto lhs = ParseAddSub();
@@ -145,16 +160,20 @@ class Parser {
     auto lhs = ParseMulDiv();
     if (!lhs.ok()) return lhs.status();
     std::unique_ptr<Expr> acc = std::move(lhs).value();
+    int levels = 0;  // each operator deepens the left-leaning tree
     for (;;) {
       BinaryOp op;
       if (Check(TokenKind::kPlus)) op = BinaryOp::kAdd;
       else if (Check(TokenKind::kMinus)) op = BinaryOp::kSub;
       else break;
+      REMAC_RETURN_NOT_OK(Nest());
+      ++levels;
       const int line = Advance().line;
       auto rhs = ParseMulDiv();
       if (!rhs.ok()) return rhs.status();
       acc = Expr::Binary(op, std::move(acc), std::move(rhs).value(), line);
     }
+    depth_ -= levels;
     return acc;
   }
 
@@ -162,25 +181,31 @@ class Parser {
     auto lhs = ParseUnary();
     if (!lhs.ok()) return lhs.status();
     std::unique_ptr<Expr> acc = std::move(lhs).value();
+    int levels = 0;
     for (;;) {
       BinaryOp op;
       if (Check(TokenKind::kStar)) op = BinaryOp::kElemMul;
       else if (Check(TokenKind::kSlash)) op = BinaryOp::kDiv;
       else if (Check(TokenKind::kMatMul)) op = BinaryOp::kMatMul;
       else break;
+      REMAC_RETURN_NOT_OK(Nest());
+      ++levels;
       const int line = Advance().line;
       auto rhs = ParseUnary();
       if (!rhs.ok()) return rhs.status();
       acc = Expr::Binary(op, std::move(acc), std::move(rhs).value(), line);
     }
+    depth_ -= levels;
     return acc;
   }
 
   Result<std::unique_ptr<Expr>> ParseUnary() {
     if (Check(TokenKind::kMinus)) {
+      REMAC_RETURN_NOT_OK(Nest());
       const int line = Advance().line;
       auto operand = ParseUnary();
       if (!operand.ok()) return operand.status();
+      --depth_;
       return Expr::Neg(std::move(operand).value(), line);
     }
     return ParsePrimary();
@@ -222,8 +247,13 @@ class Parser {
     return Error("expected an expression");
   }
 
+  /// Deeper scripts would overflow the stack, here and in every
+  /// recursive pass over the tree after parsing.
+  static constexpr int kMaxNesting = 1000;
+
   std::vector<Token> tokens_;
   size_t pos_ = 0;
+  int depth_ = 0;  // nesting levels entered and not yet left
 };
 
 }  // namespace

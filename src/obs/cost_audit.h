@@ -21,7 +21,8 @@ namespace remac {
 /// execution, PredictProgramCost runs the executor's own walk
 /// (runtime/plan_walk.h: transpose fusion, scalar degradation, placement,
 /// fused-tape booking, barrier-commit loops) over the optimizer's
-/// sparsity *estimates* instead of materialized matrices. Every operator
+/// sparsity *estimates* instead of materialized matrices, in the domain
+/// the optimizer prices plans with (cost/cost_predictor.h). Every operator
 /// books the same OpCosting on both sides except multiplies, whose layout
 /// the prediction picks with SelectMultiplyCosting's uniform-sparsity
 /// estimate where the runtime prices SUMMA on exact tiles. Any

@@ -34,7 +34,7 @@ struct EngineTraits {
 };
 
 /// What the walk needs to read off a matrix-shaped payload. Specialized
-/// for Matrix below and for the estimator's NodeStats in the cost audit.
+/// for Matrix below and for the estimator's NodeStats in CostPredictor.
 template <typename Payload>
 struct PayloadOps;
 
@@ -140,7 +140,8 @@ inline Result<double> ApplyScalarBinary(PlanOp op, double a, double b) {
 /// kFusedMap tapes, and which OpCosting each operator books. A domain
 /// (CRTP `Derived`) supplies the payload arithmetic: real matrices booked
 /// into the TransmissionLedger (Executor), or estimator statistics booked
-/// into a PredictedCost (the cost audit). The only costing a domain
+/// into a predicted charge (CostPredictor: the optimizer's cost model,
+/// its statistics propagation and the cost audit). The only costing a domain
 /// prices itself is the multiply layout (ComputeMultiply). The hooks a
 /// domain implements are the `self().` calls below; the protected ones
 /// have defaults.
@@ -153,8 +154,8 @@ class PlanWalk {
       : model_(model), traits_(traits) {}
 
   /// Runs a statement list. Loops run until their condition turns false
-  /// (as the domain judges it) or `max_loop_iterations` is reached,
-  /// whichever is first.
+  /// (as the domain judges it) or LoopLimit is reached: by default
+  /// `max_loop_iterations` or the static trip count, whichever is less.
   Status Run(const std::vector<CompiledStmt>& statements,
              int max_loop_iterations = 1000) {
     for (const auto& stmt : statements) {
@@ -163,10 +164,7 @@ class PlanWalk {
         Set(stmt.target, std::move(value));
         continue;
       }
-      int64_t limit = max_loop_iterations;
-      if (stmt.static_trip_count >= 0) {
-        limit = std::min<int64_t>(limit, stmt.static_trip_count);
-      }
+      const int64_t limit = self().LoopLimit(stmt, max_loop_iterations);
       if (!stmt.loop_var.empty()) {
         Set(stmt.loop_var, Value::Scalar(stmt.loop_begin));
       }
@@ -232,6 +230,15 @@ class PlanWalk {
     return Eval(*stmt.plan);
   }
   Result<Value> Input(const std::string& name) { return Get(name); }
+  Value Literal(double v) { return Value::Scalar(v); }
+  Result<Value> BlockRef(int) {
+    return Status::Internal("kBlockRef reached plan evaluation");
+  }
+  int64_t LoopLimit(const CompiledStmt& loop, int max_loop_iterations) {
+    return loop.static_trip_count >= 0
+               ? std::min<int64_t>(max_loop_iterations, loop.static_trip_count)
+               : max_loop_iterations;
+  }
   const Value* Served(const PlanNode&) { return nullptr; }
   void Offer(const PlanNode&, const Value&) {}
   void CountOp() {}
@@ -277,7 +284,7 @@ class PlanWalk {
       case PlanOp::kInput:
         return self().Input(node.name);
       case PlanOp::kConst:
-        return Value::Scalar(node.value);
+        return self().Literal(node.value);
       case PlanOp::kReadData:
         return self().ReadData(node.name);
       case PlanOp::kEye:
@@ -397,7 +404,7 @@ class PlanWalk {
       case PlanOp::kFusedMap:
         return EvalFusedMap(node);
       case PlanOp::kBlockRef:
-        return Status::Internal("kBlockRef reached plan evaluation");
+        return self().BlockRef(static_cast<int>(node.value));
     }
     return Status::Internal("unhandled op in plan evaluation");
   }

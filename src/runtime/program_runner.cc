@@ -1,7 +1,6 @@
 #include "runtime/program_runner.h"
 
 #include <algorithm>
-#include <chrono>
 #include <memory>
 
 #include "baselines/spores_optimizer.h"
@@ -92,20 +91,15 @@ Result<RunReport> RunInternal(const std::string& source,
       "parse");
   REMAC_ASSIGN_OR_RETURN(const CompiledProgram program,
                          CompileScript(source, catalog));
-  parse_span.Stop();
+  report.parse_wall_seconds = parse_span.Stop();
 
   StageSpan optimize_span(
       registry.GetHistogram("remac.compile.optimize_seconds"), nullptr,
       "optimize");
-  const auto compile_start = std::chrono::steady_clock::now();
   REMAC_ASSIGN_OR_RETURN(
       CompiledProgram optimized,
       OptimizeCompiled(program, catalog, config, &report.optimize));
-  report.compile_wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    compile_start)
-          .count();
-  optimize_span.Stop();
+  report.compile_wall_seconds = optimize_span.Stop();
   report.optimized_source = optimized.ToString();
   report.optimized_program =
       std::make_shared<const CompiledProgram>(std::move(optimized));

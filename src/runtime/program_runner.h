@@ -108,8 +108,10 @@ struct RunConfig {
 struct RunReport {
   /// Simulated cluster time of the execution.
   TimeBreakdown breakdown;
-  /// Real wall time of the optimizer (plus parse time when served);
-  /// never part of `breakdown`.
+  /// Real wall time of the parse stage and of the optimize stage
+  /// (compile_wall_seconds, zero for a served plan-cache hit); never part
+  /// of `breakdown`.
+  double parse_wall_seconds = 0.0;
   double compile_wall_seconds = 0.0;
   /// Populated by the kTaskGraph scheduler: serial-sum vs critical-path
   /// simulated time, task/edge counts (see ScheduleReport).

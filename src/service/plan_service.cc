@@ -69,6 +69,17 @@ double ResolveAdmitFlopsPerByte(double knob) {
 
 }  // namespace
 
+const char* DegradeReasonName(DegradeReason reason) {
+  switch (reason) {
+    case DegradeReason::kNone: return "none";
+    case DegradeReason::kDeadline: return "deadline";
+    case DegradeReason::kShedDeadline: return "shed-deadline";
+    case DegradeReason::kShedBacklog: return "shed-backlog";
+    case DegradeReason::kRetriesExhausted: return "retries-exhausted";
+  }
+  return "?";
+}
+
 std::string PlanConfigDigest(const RunConfig& config) {
   std::string digest = StringFormat(
       "o%d,e%d,g%d,c%d,s%d,i%d,tb%lld,eb%lld,w%d,f%.6g,l%.6g,m%lld,bs%lld,"
@@ -290,8 +301,8 @@ Result<ServiceReport> PlanService::RunQueued(
   report.run.optimize = plan->optimize;
   report.run.optimized_source = plan->optimized_source;
   report.run.optimized_program = plan->program;
-  report.run.compile_wall_seconds =
-      report.timing.parse_seconds + report.timing.optimize_seconds;
+  report.run.parse_wall_seconds = report.timing.parse_seconds;
+  report.run.compile_wall_seconds = report.timing.optimize_seconds;
   TransmissionLedger ledger(request.config.cluster);
 
   if (request.config.execute) {
@@ -300,14 +311,15 @@ Result<ServiceReport> PlanService::RunQueued(
     // task-graph path, fall back to the serial fault-free executor — a
     // degraded response is slower but exact, never an error.
     RunConfig exec = request.config;
-    auto degrade = [&](const char* reason, bool shed) {
+    auto degrade = [&](DegradeReason reason) {
       exec.scheduler = SchedulerKind::kSerial;
       exec.faults.enabled = false;
       report.degraded = true;
       report.degraded_reason = reason;
       degraded_requests_.fetch_add(1, std::memory_order_relaxed);
       Metrics().degraded->Add();
-      if (shed) {
+      if (reason == DegradeReason::kShedDeadline ||
+          reason == DegradeReason::kShedBacklog) {
         report.shed = true;
         shed_requests_.fetch_add(1, std::memory_order_relaxed);
         Metrics().shed->Add();
@@ -323,10 +335,10 @@ Result<ServiceReport> PlanService::RunQueued(
         // The session-queue wait alone ate the whole budget; spending
         // DAG fan-out on an already-late request only delays the rest
         // of the backlog.
-        degrade("shed-deadline", /*shed=*/true);
+        degrade(DegradeReason::kShedDeadline);
       } else if (deadline > 0.0 &&
                  queued_seconds + SecondsSince(start) >= deadline) {
-        degrade("deadline", /*shed=*/false);
+        degrade(DegradeReason::kDeadline);
       } else if (options_.admission_backlog_factor > 0.0) {
         const auto backlogged = [&](const ThreadPool& lane) {
           return static_cast<double>(lane.pending()) >=
@@ -338,7 +350,7 @@ Result<ServiceReport> PlanService::RunQueued(
         // waiting, the exec lane how many DAG tasks are.
         if (backlogged(ThreadPool::RequestLane()) ||
             backlogged(ThreadPool::Global())) {
-          degrade("shed-backlog", /*shed=*/true);
+          degrade(DegradeReason::kShedBacklog);
         }
       }
     }
@@ -363,7 +375,7 @@ Result<ServiceReport> PlanService::RunQueued(
       // retry budget allows. Re-run serially with faults off on the SAME
       // ledger: the wasted double-booked work stays accounted, and the
       // serial pass produces the exact result.
-      degrade("retries-exhausted", /*shed=*/false);
+      degrade(DegradeReason::kRetriesExhausted);
       executed = ExecuteCompiled(*plan->program, *catalog_, exec, &ledger,
                                  &report.run);
     }

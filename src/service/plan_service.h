@@ -46,6 +46,19 @@ struct RequestTiming {
   double total_seconds = 0.0;
 };
 
+/// Why a request fell back to the serial fault-free executor.
+enum class DegradeReason {
+  kNone,              // not degraded
+  kDeadline,          // the soft deadline passed before execution
+  kShedDeadline,      // shed: session queueing alone ate the deadline
+  kShedBacklog,       // shed: a lane's backlog was too deep for fan-out
+  kRetriesExhausted,  // a chaos run ran out of task retries
+};
+
+/// "none", "deadline", "shed-deadline", "shed-backlog" or
+/// "retries-exhausted".
+const char* DegradeReasonName(DegradeReason reason);
+
 struct ServiceReport {
   RunReport run;
   /// The plan came straight from the cache (no optimizer work at all).
@@ -59,9 +72,7 @@ struct ServiceReport {
   /// pressure, admission shedding, or a chaos run that ran out of
   /// retries). A degraded response is slower-but-correct, never wrong.
   bool degraded = false;
-  /// Why: "deadline", "shed-backlog", "shed-deadline" or
-  /// "retries-exhausted".
-  std::string degraded_reason;
+  DegradeReason degraded_reason = DegradeReason::kNone;
   /// Admission control shed this request's task-graph path at entry
   /// (backlog or queue-eaten deadline); it still ran — degraded — and
   /// returned the exact result.

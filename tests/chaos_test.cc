@@ -367,7 +367,7 @@ TEST(ChaosDegradation, RetriesExhaustedFallsBackToSerialResult) {
   auto report = service.Run(request);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_TRUE(report->degraded);
-  EXPECT_EQ(report->degraded_reason, "retries-exhausted");
+  EXPECT_EQ(report->degraded_reason, DegradeReason::kRetriesExhausted);
   ExpectEnvBitwise(reference->env, report->run.env);
   EXPECT_EQ(service.stats().degraded_requests, 1);
   // The doomed chaos attempt's double-booked cost stays on the ledger:
@@ -390,7 +390,7 @@ TEST(ChaosDegradation, DeadlinePressureDegradesToSerial) {
   auto report = service.Run(request);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_TRUE(report->degraded);
-  EXPECT_EQ(report->degraded_reason, "deadline");
+  EXPECT_EQ(report->degraded_reason, DegradeReason::kDeadline);
   // Serial fallback ran fault-free: no schedule, no injected faults.
   EXPECT_FALSE(report->run.schedule.used);
   EXPECT_FALSE(report->run.env.empty());
@@ -434,7 +434,7 @@ TEST(ChaosDegradation, BackloggedLaneShedsToSerial) {
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_TRUE(report->degraded);
   EXPECT_TRUE(report->shed);
-  EXPECT_EQ(report->degraded_reason, "shed-backlog");
+  EXPECT_EQ(report->degraded_reason, DegradeReason::kShedBacklog);
   EXPECT_FALSE(report->run.env.empty());
   EXPECT_EQ(service.stats().shed_requests, 1);
   EXPECT_EQ(shed_metric->Value(), shed_before + 1);

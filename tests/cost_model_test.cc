@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include "algorithms/scripts.h"
+#include "cluster/transmission_ledger.h"
 #include "cost/cost_model.h"
 #include "data/generators.h"
 #include "lang/parser.h"
+#include "obs/cost_audit.h"
 #include "plan/plan_builder.h"
 #include "sparsity/estimator.h"
 
@@ -86,16 +88,58 @@ TEST(CostModel, CostTreeMissingVariable) {
 
 TEST(CostModel, ScalarBroadcastCostsOnePass) {
   Fixture f;
-  CostedStats scalar;
-  scalar.stats.rows = 1;
-  scalar.stats.cols = 1;
-  CostedStats mat;
+  VarStats vars;
+  CostedStats& mat = vars.vars["M"];
   mat.stats.rows = 1000;
   mat.stats.cols = 1000;
   mat.stats.sparsity = 1.0;
-  const CostedStats out = f.model->ElementwiseCost(PlanOp::kMul, scalar, mat);
-  EXPECT_EQ(out.stats.rows, 1000);
-  EXPECT_GT(out.seconds, 0.0);
+  const PlanNodePtr plan = MakeBinary(PlanOp::kMul, MakeConst(2),
+                                      MakeInput("M", Shape{1000, 1000, false}));
+  auto out = f.model->CostTree(*plan, vars);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  EXPECT_EQ(out->stats.rows, 1000);
+  EXPECT_GT(out->seconds, 0.0);
+}
+
+// Simulated seconds of a predicted charge, as the ledger converts it.
+double BookedSeconds(const PredictedCost& charge, const ClusterModel& model) {
+  TransmissionLedger ledger(model);
+  ledger.AddLocalFlops(charge.local_flops);
+  ledger.AddDistributedFlops(charge.distributed_flops);
+  for (size_t i = 0; i < charge.bytes.size(); ++i) {
+    ledger.AddTransmission(static_cast<TransmissionPrimitive>(i),
+                           charge.bytes[i]);
+  }
+  return ledger.Breakdown().TotalSeconds();
+}
+
+TEST(CostModel, CostTreePricesWhatTheEngineBooks) {
+  // The optimizer's price of a statement is the cost audit's prediction
+  // of what the engine books for it, op by op.
+  Fixture f;
+  const std::vector<std::string> statements = {
+      "y = norm(read(\"ds\"));",
+      "y = trace(t(read(\"ds\")) %*% read(\"ds\"));",
+      "y = exp(read(\"ds\"));",
+      "y = log(read(\"ds\"));",
+      "y = sqrt(sum(read(\"ds\")));",
+      "y = abs(sum(read(\"ds\")));",
+      "y = diag(t(read(\"ds\")) %*% read(\"ds\"));",
+      "y = eye(64);",
+      "y = zeros(64, 3);",
+      "y = rand(64, 3);",
+  };
+  for (const std::string& statement : statements) {
+    SCOPED_TRACE(statement);
+    auto program = CompileScript(statement + "\n", f.catalog);
+    ASSERT_TRUE(program.ok()) << program.status().ToString();
+    auto priced = f.model->CostTree(*program->statements[0].plan, VarStats{});
+    ASSERT_TRUE(priced.ok()) << priced.status().ToString();
+    auto booked = PredictProgramCost(*program, f.catalog, f.estimator,
+                                     f.cluster, EngineTraits{}, 1);
+    ASSERT_TRUE(booked.ok()) << booked.status().ToString();
+    EXPECT_DOUBLE_EQ(priced->seconds, BookedSeconds(*booked, f.cluster));
+  }
 }
 
 TEST(CostModel, PropagateProgramStats) {

@@ -176,6 +176,42 @@ TEST(Parser, ErrorsMentionLine) {
   EXPECT_NE(program.status().message().find("line 2"), std::string::npos);
 }
 
+// Each of these used to overflow the stack (200 000 levels deep).
+TEST(Parser, RejectsDeepNesting) {
+  constexpr int kDeep = 200000;
+  const std::string parens =
+      "x = " + std::string(kDeep, '(') + "a" + std::string(kDeep, ')') + ";";
+  const std::string negations = "x = " + std::string(kDeep, '-') + "a;";
+  std::string sum = "x = a";
+  for (int i = 1; i < kDeep; ++i) sum += " + a";
+  sum += ";";
+  std::string loops;
+  for (int i = 0; i < kDeep; ++i) loops += "while (1) {";
+  for (const std::string& script : {parens, negations, sum, loops}) {
+    auto program = ParseProgram(script);
+    ASSERT_FALSE(program.ok());
+    EXPECT_EQ(program.status().code(), StatusCode::kParseError);
+    EXPECT_NE(program.status().message().find("nested deeper than 1000"),
+              std::string::npos)
+        << program.status().ToString();
+  }
+}
+
+TEST(Parser, AcceptsModerateNesting) {
+  constexpr int kDepth = 500;
+  const std::string parens = "x = " + std::string(kDepth, '(') + "a" +
+                             std::string(kDepth, ')') + ";";
+  const std::string negations = "x = " + std::string(kDepth, '-') + "a;";
+  std::string sum = "x = a";
+  for (int i = 1; i < kDepth; ++i) sum += " + a";
+  sum += ";";
+  for (const std::string& script : {parens, negations, sum}) {
+    auto program = ParseProgram(script);
+    ASSERT_TRUE(program.ok()) << program.status().ToString();
+    EXPECT_EQ(program->statements.size(), 1u);
+  }
+}
+
 TEST(Ast, CloneIsDeep) {
   auto expr = ParseExpression("a %*% (b + c)").value();
   auto clone = expr->Clone();

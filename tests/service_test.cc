@@ -611,7 +611,7 @@ TEST(Admission, QueueEatenDeadlineShedsToSerial) {
   const ServiceReport& report = results[0].value();
   EXPECT_TRUE(report.degraded);
   EXPECT_TRUE(report.shed);
-  EXPECT_EQ(report.degraded_reason, "shed-deadline");
+  EXPECT_EQ(report.degraded_reason, DegradeReason::kShedDeadline);
   // Shed is degraded, not rejected: the serial fallback's answer is the
   // exact one.
   ExpectBitwiseEqual(reference->run.env.at("x"), report.run.env.at("x"),

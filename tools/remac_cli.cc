@@ -598,7 +598,7 @@ int Main(int argc, char** argv) {
           HumanSeconds(r.timing.execute_seconds).c_str(),
           HumanSeconds(r.timing.total_seconds).c_str(),
           r.degraded ? "  DEGRADED: " : "",
-          r.degraded ? r.degraded_reason.c_str() : "");
+          r.degraded ? DegradeReasonName(r.degraded_reason) : "");
       if (!trace_dir.empty() && r.trace != nullptr) {
         const std::string trace_path =
             trace_dir + "/trace-" +
@@ -728,7 +728,9 @@ int Main(int argc, char** argv) {
               OptimizerKindName(config.optimizer),
               EstimatorKindName(config.estimator),
               EngineKindName(config.engine));
-  std::printf("compile:   %s wall", HumanSeconds(run->compile_wall_seconds).c_str());
+  std::printf("compile:   parse %s, optimize %s wall",
+              HumanSeconds(run->parse_wall_seconds).c_str(),
+              HumanSeconds(run->compile_wall_seconds).c_str());
   if (run->optimize.options_found > 0 || run->optimize.applied_cse > 0) {
     std::printf(" — %d options found, %d CSE + %d LSE + %d cross-block applied",
                 run->optimize.options_found, run->optimize.applied_cse,
