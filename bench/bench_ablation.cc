@@ -170,8 +170,9 @@ void BM_EstimatorMultiply(benchmark::State& state) {
   stats.rows = a.rows();
   stats.cols = a.cols();
   stats.sparsity = a.Sparsity();
-  stats.row_counts = a.ToCsr().RowCounts();
-  stats.col_counts = a.ToCsr().ColCounts();
+  RowColCounts counts = a.CountRowsAndCols();
+  stats.row_counts = std::move(counts.row_counts);
+  stats.col_counts = std::move(counts.col_counts);
   const SparsityEstimator& est =
       state.range(0) == 0 ? static_cast<const SparsityEstimator&>(md)
                           : static_cast<const SparsityEstimator&>(mnc);

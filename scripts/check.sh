@@ -3,8 +3,9 @@
 #
 #   tsan        build with -DREMAC_SANITIZE=thread and run the concurrent
 #               suites (pool, ledger, task graph, plan service, metrics
-#               registry) and the parser's hostile-input cases under
-#               ThreadSanitizer
+#               registry), the parser's hostile-input cases and the
+#               catalog's statistics counting (Catalog, Generators*,
+#               MatrixCounts) under ThreadSanitizer
 #   asan        the same suites under AddressSanitizer
 #   ubsan       the same suites under UndefinedBehaviorSanitizer
 #   bench-smoke one quick benchmark with --json, validating the emitted
@@ -45,7 +46,7 @@ ASAN_DIR="${2:-build-asan}"
 BENCH_DIR="${3:-build}"
 UBSAN_DIR="${4:-build-ubsan}"
 # Parameterized suites print as Prefix/Suite.Test, hence */Kernels*.*.
-FILTER='ThreadPool.*:LanePool.*:Ledger.*:TaskGraph.*:Sched*.*:Kernels*.*:*/Kernels*.*:Fingerprint*.*:PlanCache*.*:Service*.*:Admission*.*:MatCache*.*:MatrixBytes.*:Obs*.*:Chaos*.*:Fault*.*:Trace*.*:Contention*.*:Fusion*.*:Sketch*.*:TiledMatrix2D.*:Executor*.*:CostModel*.*:Parser.*'
+FILTER='ThreadPool.*:LanePool.*:Ledger.*:TaskGraph.*:Sched*.*:Kernels*.*:*/Kernels*.*:Fingerprint*.*:PlanCache*.*:Service*.*:Admission*.*:MatCache*.*:MatrixBytes.*:Obs*.*:Chaos*.*:Fault*.*:Trace*.*:Contention*.*:Fusion*.*:Sketch*.*:TiledMatrix2D.*:Executor*.*:CostModel*.*:Parser.*:Catalog.*:Generators*.*:MatrixCounts.*'
 
 GATES=()
 RESULTS=()

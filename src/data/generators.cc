@@ -47,12 +47,14 @@ Matrix GenerateMatrix(const DatasetSpec& spec) {
   Rng rng(spec.seed);
   if (spec.sparsity > kDenseFormatThreshold) {
     DenseMatrix m(spec.rows, spec.cols);
+    int64_t nnz = 0;
     for (int64_t i = 0; i < m.size(); ++i) {
       if (rng.NextDouble() < spec.sparsity) {
         m.data()[i] = rng.NextGaussian();
+        nnz += m.data()[i] != 0.0 ? 1 : 0;
       }
     }
-    return Matrix::WrapDense(std::move(m));
+    return Matrix::WrapDense(std::move(m), nnz);
   }
   const int64_t target_nnz = static_cast<int64_t>(
       spec.sparsity * static_cast<double>(spec.rows) *

@@ -64,16 +64,4 @@ DenseMatrix CsrMatrix::ToDense() const {
   return out;
 }
 
-std::vector<int64_t> CsrMatrix::RowCounts() const {
-  std::vector<int64_t> counts(static_cast<size_t>(rows_));
-  for (int64_t r = 0; r < rows_; ++r) counts[r] = RowNnz(r);
-  return counts;
-}
-
-std::vector<int64_t> CsrMatrix::ColCounts() const {
-  std::vector<int64_t> counts(static_cast<size_t>(cols_), 0);
-  for (int32_t c : col_idx_) ++counts[c];
-  return counts;
-}
-
 }  // namespace remac

@@ -62,10 +62,6 @@ class CsrMatrix {
   /// Materializes the dense equivalent (for tests and small results).
   DenseMatrix ToDense() const;
 
-  /// Per-row and per-column non-zero counts (used by the MNC sketch).
-  std::vector<int64_t> RowCounts() const;
-  std::vector<int64_t> ColCounts() const;
-
  private:
   int64_t rows_ = 0;
   int64_t cols_ = 0;

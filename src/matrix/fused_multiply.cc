@@ -192,8 +192,8 @@ Result<Matrix> MultiplyTransposed(const Matrix& a, bool a_transposed,
   Metrics().fused_bytes_avoided->Add((a_transposed ? a.SizeInBytes() : 0) +
                                      (b_transposed ? b.SizeInBytes() : 0));
   if (a.is_dense() && b.is_dense()) {
-    return Matrix::FromDense(MultiplyDenseDense(a.dense(), a_transposed,
-                                                b.dense(), b_transposed));
+    return MultiplyDenseDense(a.dense(), a_transposed, b.dense(),
+                              b_transposed);
   }
   if (!a.is_dense() && b.is_dense()) {
     const CsrMatrix& sa = a.csr();

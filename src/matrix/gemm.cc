@@ -1,5 +1,8 @@
 #include "matrix/kernel_internal.h"
 
+#include <atomic>
+#include <bit>
+
 /// AVX2 tiles are compiled (behind a runtime CPU check) only for x86-64
 /// GCC/Clang; everything else runs the scalar tile.
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
@@ -42,11 +45,15 @@ struct GemmOperands {
 
 /// Accumulates tile C(i0 .. i0+rows, x0 .. x0+cols) over j in [j0, j1):
 /// loads the tile, adds the j-terms in ascending order, stores it back.
-using TileFn = void (*)(const GemmOperands& g, int64_t i0, int64_t x0,
-                        int64_t j0, int64_t j1, int64_t rows, int64_t cols);
+/// With `count` set (the tile's last j-block) it returns how many stored
+/// cells are non-zero (`!= 0.0`, so NaN counts and -0.0 does not);
+/// otherwise it returns 0.
+using TileFn = int64_t (*)(const GemmOperands& g, int64_t i0, int64_t x0,
+                           int64_t j0, int64_t j1, int64_t rows, int64_t cols,
+                           bool count);
 
-void TileScalar(const GemmOperands& g, int64_t i0, int64_t x0, int64_t j0,
-                int64_t j1, int64_t rows, int64_t cols) {
+int64_t TileScalar(const GemmOperands& g, int64_t i0, int64_t x0, int64_t j0,
+                   int64_t j1, int64_t rows, int64_t cols, bool count) {
   double acc[kGemvTileRows][kGemmTileCols];
   for (int64_t r = 0; r < rows; ++r) {
     const double* cr = g.c + (i0 + r) * g.ldc + x0;
@@ -60,10 +67,15 @@ void TileScalar(const GemmOperands& g, int64_t i0, int64_t x0, int64_t j0,
       for (int64_t x = 0; x < cols; ++x) acc[r][x] += v * bj[x];
     }
   }
+  int64_t nnz = 0;
   for (int64_t r = 0; r < rows; ++r) {
     double* cr = g.c + (i0 + r) * g.ldc + x0;
-    for (int64_t x = 0; x < cols; ++x) cr[x] = acc[r][x];
+    for (int64_t x = 0; x < cols; ++x) {
+      cr[x] = acc[r][x];
+      nnz += acc[r][x] != 0.0 ? 1 : 0;
+    }
   }
+  return count ? nnz : 0;
 }
 
 #if REMAC_KERNEL_AVX2
@@ -91,6 +103,14 @@ REMAC_AVX2 inline void Store(double* p, __m256d v, bool masked, __m256i mask) {
   }
 }
 
+/// Non-zero (`!= 0.0`: unordered compare, so NaN counts) lanes among the
+/// first `lanes` of v.
+REMAC_AVX2 inline int64_t NonZeroLanes(__m256d v, int64_t lanes) {
+  const int bits = _mm256_movemask_pd(
+      _mm256_cmp_pd(v, _mm256_setzero_pd(), _CMP_NEQ_UQ));
+  return std::popcount(static_cast<unsigned>(bits) & ((1u << lanes) - 1u));
+}
+
 /// The reference kernel's `if (v == 0.0) continue; acc += v * b;` without
 /// a branch, in separate mul and add (never FMA). Lanes whose left value is
 /// ±0 add +0.0 instead of v * b, so 0 * Inf and 0 * NaN never reach acc,
@@ -107,10 +127,11 @@ REMAC_AVX2 inline __m256d MulAddSkip(__m256d acc, __m256d v, __m256d b) {
 /// broadcast of each row's left value times the R-row slice of B. The
 /// last vector is masked to the tile's column count.
 template <int R, int NV>
-REMAC_AVX2 void TileAvx2(const GemmOperands& g, int64_t i0, int64_t x0,
-                         int64_t j0, int64_t j1, int64_t /*rows*/,
-                         int64_t cols) {
-  const __m256i tail = LaneMask(cols - 4 * (NV - 1));
+REMAC_AVX2 int64_t TileAvx2(const GemmOperands& g, int64_t i0, int64_t x0,
+                            int64_t j0, int64_t j1, int64_t /*rows*/,
+                            int64_t cols, bool count) {
+  const int64_t tail_lanes = cols - 4 * (NV - 1);
+  const __m256i tail = LaneMask(tail_lanes);
   const int64_t rs = g.rs, js = g.js, ldb = g.ldb, ldc = g.ldc;
   const double* a = g.a + i0 * rs + j0 * js;
   const double* bj = g.b + j0 * ldb + x0;
@@ -141,16 +162,25 @@ REMAC_AVX2 void TileAvx2(const GemmOperands& g, int64_t i0, int64_t x0,
       Store(c + r * ldc + 4 * q, acc[r][q], q == NV - 1, tail);
     }
   }
+  if (!count) return 0;
+  int64_t nnz = 0;
+  for (int r = 0; r < R; ++r) {
+    for (int q = 0; q < NV; ++q) {
+      nnz += NonZeroLanes(acc[r][q], q == NV - 1 ? tail_lanes : 4);
+    }
+  }
+  return nnz;
 }
 
 /// n = 1 (GEMV): up to 16 output rows in the lanes of NV vectors. Each
 /// row's left value is a contiguous load when L is Aᵀ (rs = 1) and a
 /// gather otherwise; the one right value per j is broadcast.
 template <bool kContiguous, int NV>
-REMAC_AVX2 void GemvAvx2(const GemmOperands& g, int64_t i0, int64_t x0,
-                         int64_t j0, int64_t j1, int64_t rows,
-                         int64_t /*cols*/) {
-  const __m256i tail = LaneMask(rows - 4 * (NV - 1));
+REMAC_AVX2 int64_t GemvAvx2(const GemmOperands& g, int64_t i0, int64_t x0,
+                            int64_t j0, int64_t j1, int64_t rows,
+                            int64_t /*cols*/, bool count) {
+  const int64_t tail_lanes = rows - 4 * (NV - 1);
+  const __m256i tail = LaneMask(tail_lanes);
   const int64_t rs = g.rs, js = g.js, ldb = g.ldb;
   const __m256i offsets = _mm256_setr_epi64x(0, rs, 2 * rs, 3 * rs);
   const double* aj = g.a + i0 * rs + j0 * js;
@@ -174,6 +204,12 @@ REMAC_AVX2 void GemvAvx2(const GemmOperands& g, int64_t i0, int64_t x0,
   }
 #pragma GCC unroll 4
   for (int q = 0; q < NV; ++q) Store(c + 4 * q, acc[q], q == NV - 1, tail);
+  if (!count) return 0;
+  int64_t nnz = 0;
+  for (int q = 0; q < NV; ++q) {
+    nnz += NonZeroLanes(acc[q], q == NV - 1 ? tail_lanes : 4);
+  }
+  return nnz;
 }
 
 /// Indexed by [rows - 1][vectors - 1] and [contiguous][vectors - 1].
@@ -227,8 +263,8 @@ DenseMatrix MultiplyDenseDenseNaive(const DenseMatrix& a,
   return c;
 }
 
-DenseMatrix MultiplyDenseDense(const DenseMatrix& a, bool a_transposed,
-                               const DenseMatrix& b, bool b_transposed) {
+Matrix MultiplyDenseDense(const DenseMatrix& a, bool a_transposed,
+                          const DenseMatrix& b, bool b_transposed) {
   const int64_t rows = a_transposed ? a.cols() : a.rows();
   const int64_t depth = a_transposed ? a.rows() : a.cols();
   const int64_t n = b_transposed ? b.rows() : b.cols();
@@ -251,6 +287,8 @@ DenseMatrix MultiplyDenseDense(const DenseMatrix& a, bool a_transposed,
   const int64_t tile_rows = gemv ? kGemvTileRows : kGemmTileRows;
   const int64_t tile_cols = gemv ? 1 : kGemmTileCols;
   [[maybe_unused]] const bool avx = HasAvx2();
+  // Each tile counts its non-zeros as it stores its last j-block (with
+  // depth 0 no block runs and C stays all zero).
   auto run_tile = [&](int64_t i0, int64_t x0, int64_t j0, int64_t j1) {
     const int64_t tr = std::min(tile_rows, rows - i0);
     const int64_t tc = std::min(tile_cols, n - x0);
@@ -261,29 +299,32 @@ DenseMatrix MultiplyDenseDense(const DenseMatrix& a, bool a_transposed,
                   : kTilesAvx2[tr - 1][(tc + 3) / 4 - 1];
     }
 #endif
-    tile(g, i0, x0, j0, j1, tr, tc);
+    return tile(g, i0, x0, j0, j1, tr, tc, j1 == depth);
   };
   // Parallel chunks are whole row tiles. Within a chunk, groups of row
   // tiles sweep the j-blocks in ascending order, each tile storing its C
   // between blocks: a stored double reloads exactly, so per element the
   // j-terms still accumulate in ascending order from +0.0.
   const int64_t row_tiles = (rows + tile_rows - 1) / tile_rows;
+  std::atomic<int64_t> nnz{0};
   ParallelForRows(
       row_tiles, tile_rows * n * std::max<int64_t>(1, depth),
       [&](int64_t t0, int64_t t1) {
+        int64_t local = 0;
         for (int64_t g0 = t0; g0 < t1; g0 += kGemmGroupTiles) {
           const int64_t g1 = std::min(t1, g0 + kGemmGroupTiles);
           for (int64_t j0 = 0; j0 < depth; j0 += kGemmDepthBlock) {
             const int64_t j1 = std::min(depth, j0 + kGemmDepthBlock);
             for (int64_t x0 = 0; x0 < n; x0 += tile_cols) {
               for (int64_t t = g0; t < g1; ++t) {
-                run_tile(t * tile_rows, x0, j0, j1);
+                local += run_tile(t * tile_rows, x0, j0, j1);
               }
             }
           }
         }
+        nnz.fetch_add(local, std::memory_order_relaxed);
       });
-  return c;
+  return Matrix::FromDense(std::move(c), nnz.load(std::memory_order_relaxed));
 }
 
 }  // namespace internal

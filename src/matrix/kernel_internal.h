@@ -277,9 +277,11 @@ DenseMatrix MultiplyDenseDenseNaive(const DenseMatrix& a,
 /// op(A) op(B) for dense operands, op = transpose where flagged: the
 /// register-tiled core behind Multiply and MultiplyTransposed, bitwise
 /// identical to MultiplyDenseDenseNaive on the materialized operands
-/// (see gemm.cc).
-DenseMatrix MultiplyDenseDense(const DenseMatrix& a, bool a_transposed,
-                               const DenseMatrix& b, bool b_transposed);
+/// (see gemm.cc). The tiles count the product's non-zeros as they store
+/// it, so the result is wrapped by Matrix::FromDense(c, nnz) without a
+/// scan.
+Matrix MultiplyDenseDense(const DenseMatrix& a, bool a_transposed,
+                          const DenseMatrix& b, bool b_transposed);
 
 }  // namespace internal
 }  // namespace remac

@@ -297,8 +297,7 @@ Result<Matrix> Multiply(const Matrix& a, const Matrix& b) {
   if (a.cols() != b.rows()) return ShapeError("multiply", a, b);
   Metrics().multiplies->Add();
   if (a.is_dense() && b.is_dense()) {
-    return Matrix::FromDense(
-        MultiplyDenseDense(a.dense(), false, b.dense(), false));
+    return MultiplyDenseDense(a.dense(), false, b.dense(), false);
   }
   if (!a.is_dense() && b.is_dense()) {
     return Matrix::FromDense(

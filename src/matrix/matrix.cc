@@ -114,6 +114,31 @@ CsrMatrix Matrix::ToCsr() const {
   return is_dense() ? CsrMatrix::FromDense(*dense_) : *csr_;
 }
 
+RowColCounts Matrix::CountRowsAndCols() const {
+  RowColCounts counts;
+  counts.row_counts.assign(static_cast<size_t>(rows()), 0);
+  counts.col_counts.assign(static_cast<size_t>(cols()), 0);
+  int64_t* row = counts.row_counts.data();
+  int64_t* col = counts.col_counts.data();
+  if (is_dense()) {
+    const int64_t n = cols();
+    const double* p = dense_->data();
+    for (int64_t r = 0; r < rows(); ++r, p += n) {
+      int64_t in_row = 0;
+      for (int64_t c = 0; c < n; ++c) {
+        const int64_t nz = p[c] != 0.0 ? 1 : 0;
+        in_row += nz;
+        col[c] += nz;
+      }
+      row[r] = in_row;
+    }
+    return counts;
+  }
+  for (int64_t r = 0; r < rows(); ++r) row[r] = csr_->RowNnz(r);
+  for (int32_t c : csr_->col_idx()) ++col[c];
+  return counts;
+}
+
 double Matrix::At(int64_t r, int64_t c) const {
   if (is_dense()) return dense_->At(r, c);
   const CsrMatrix& m = *csr_;

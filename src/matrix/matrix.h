@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <variant>
+#include <vector>
 
 #include "matrix/csr_matrix.h"
 #include "matrix/dense_matrix.h"
@@ -13,6 +14,13 @@ namespace remac {
 
 /// Storage format of a Matrix.
 enum class MatrixFormat { kDense, kSparse };
+
+/// Non-zeros per row and per column of a Matrix (the MNC sketch's exact
+/// counts and the catalog's statistics).
+struct RowColCounts {
+  std::vector<int64_t> row_counts;  // length rows()
+  std::vector<int64_t> col_counts;  // length cols()
+};
 
 /// \brief Format-polymorphic matrix value.
 ///
@@ -71,6 +79,12 @@ class Matrix {
   DenseMatrix ToDense() const;
   /// Materializes a CSR copy regardless of the stored format.
   CsrMatrix ToCsr() const;
+
+  /// Per-row and per-column non-zero counts in one pass over the stored
+  /// payload, with no format conversion. Dense cells count when
+  /// `v != 0.0` (-0.0 does not count; NaN and Inf do); CSR entries count
+  /// as stored, so an explicitly stored 0.0 counts.
+  RowColCounts CountRowsAndCols() const;
 
   /// Element read in either format (O(log rowNnz) for sparse).
   double At(int64_t r, int64_t c) const;

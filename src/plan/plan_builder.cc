@@ -12,9 +12,9 @@ void DataCatalog::Register(const std::string& name, Matrix value) {
   stats.rows = value.rows();
   stats.cols = value.cols();
   stats.sparsity = value.Sparsity();
-  const CsrMatrix csr = value.ToCsr();
-  stats.row_counts = csr.RowCounts();
-  stats.col_counts = csr.ColCounts();
+  RowColCounts counts = value.CountRowsAndCols();
+  stats.row_counts = std::move(counts.row_counts);
+  stats.col_counts = std::move(counts.col_counts);
   stats_[name] = std::move(stats);
   values_.insert_or_assign(name, std::move(value));
   ++versions_[name];

@@ -43,10 +43,8 @@ void ScaleTo(std::vector<double>* counts, double target_total, double cap) {
 }  // namespace
 
 std::shared_ptr<const MncSketch> MncSketch::FromMatrix(const Matrix& m) {
-  const CsrMatrix csr = m.ToCsr();
-  const auto row_counts = csr.RowCounts();
-  const auto col_counts = csr.ColCounts();
-  return FromCounts(m.rows(), m.cols(), row_counts, col_counts);
+  const RowColCounts counts = m.CountRowsAndCols();
+  return FromCounts(m.rows(), m.cols(), counts.row_counts, counts.col_counts);
 }
 
 std::shared_ptr<const MncSketch> MncSketch::FromCounts(

@@ -336,6 +336,52 @@ TEST_P(KernelsOnePassTest, DenseSparseMultiplyOfAllZeroRightOperand) {
       ax, Matrix::FromDense(DenseSparseAllRows(a.dense(), x.csr()))));
 }
 
+TEST_P(KernelsOnePassTest, DenseDenseMultiplyCountsAsItStores) {
+  // (m, k, n): a 1x1, depth 0, empty outputs, GEMV (n = 1) with a row
+  // tail and with two depth blocks, tile-row and tile-column tails, three
+  // depth blocks, and one shape past the parallel grain.
+  const struct {
+    int64_t m, k, n;
+  } shapes[] = {{1, 1, 1},   {5, 0, 3},    {0, 4, 3},   {3, 4, 0},
+                {7, 9, 1},   {13, 300, 1}, {9, 5, 19},  {6, 513, 18},
+                {200, 64, 20}};
+  uint64_t seed = 70;
+  for (const auto& [m, k, n] : shapes) {
+    // Zero fraction 0.9 leaves many all-zero output cells (and results
+    // sparse enough to be stored as CSR).
+    for (double zero_frac : {0.0, 0.9}) {
+      const std::string where = std::to_string(m) + "x" + std::to_string(k) +
+                                "x" + std::to_string(n) +
+                                " zeros=" + std::to_string(zero_frac);
+      const Matrix a = Cells(m, k, zero_frac, seed++, true, false);
+      const Matrix b = Cells(k, n, zero_frac, seed++, true, false);
+      const Matrix at = Transpose(a);
+      const Matrix bt = Transpose(b);
+      const Matrix want = MultiplyReferenceNaive(a, b).value();
+      EXPECT_TRUE(Identical(Multiply(a, b).value(), want)) << where;
+      EXPECT_TRUE(
+          Identical(MultiplyTransposed(at, true, b, false).value(), want))
+          << where << " AtB";
+      EXPECT_TRUE(
+          Identical(MultiplyTransposed(a, false, bt, true).value(), want))
+          << where << " ABt";
+      EXPECT_TRUE(
+          Identical(MultiplyTransposed(at, true, bt, true).value(), want))
+          << where << " AtBt";
+      // NaN / Inf operands: the stored count equals a rescan.
+      const Matrix sa = Cells(m, k, zero_frac, seed++, true);
+      const Matrix sb = Cells(k, n, zero_frac, seed++, true);
+      for (const Matrix& got :
+           {Multiply(sa, sb).value(),
+            MultiplyTransposed(Transpose(sa), true, Transpose(sb), true)
+                .value()}) {
+        EXPECT_TRUE(Identical(got, Matrix::FromDense(got.ToDense())))
+            << where << " specials";
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Threads, KernelsOnePassTest,
                          ::testing::Values(1, 2, 4));
 

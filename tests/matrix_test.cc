@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <tuple>
+#include <utility>
+#include <vector>
+
+#include "common/rng.h"
 #include "matrix/csr_matrix.h"
 #include "matrix/dense_matrix.h"
 #include "matrix/matrix.h"
@@ -64,10 +70,9 @@ TEST(CsrMatrix, RoundTripThroughDense) {
 TEST(CsrMatrix, RowAndColCounts) {
   auto m = CsrMatrix::FromTriplets(3, 3,
                                    {{0, 0, 1.0}, {0, 1, 1.0}, {2, 1, 1.0}});
-  const auto rows = m.RowCounts();
-  const auto cols = m.ColCounts();
-  EXPECT_EQ(rows, (std::vector<int64_t>{2, 0, 1}));
-  EXPECT_EQ(cols, (std::vector<int64_t>{1, 2, 0}));
+  const RowColCounts counts = Matrix::WrapCsr(std::move(m)).CountRowsAndCols();
+  EXPECT_EQ(counts.row_counts, (std::vector<int64_t>{2, 0, 1}));
+  EXPECT_EQ(counts.col_counts, (std::vector<int64_t>{1, 2, 0}));
 }
 
 TEST(CsrMatrix, EmptyRows) {
@@ -130,6 +135,106 @@ TEST(Matrix, SizeInBytesReflectsFormat) {
   const Matrix sparse = Matrix::FromDense(d);
   const Matrix dense = Matrix::WrapDense(std::move(d));
   EXPECT_LT(sparse.SizeInBytes(), dense.SizeInBytes());
+}
+
+/// --- CountRowsAndCols ------------------------------------------------------
+///
+/// The counts are read in place from the stored format. They must equal
+/// the definition they replaced: materialize a CSR copy (ToCsr drops the
+/// dense cells that compare equal to 0.0), then take row-pointer
+/// differences and column-index tallies.
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+RowColCounts CsrCopyCounts(const Matrix& m) {
+  const CsrMatrix csr = m.ToCsr();
+  RowColCounts counts;
+  counts.col_counts.assign(static_cast<size_t>(csr.cols()), 0);
+  for (int64_t r = 0; r < csr.rows(); ++r) {
+    counts.row_counts.push_back(csr.RowNnz(r));
+  }
+  for (int32_t c : csr.col_idx()) ++counts.col_counts[c];
+  return counts;
+}
+
+void ExpectCountsMatchCsrCopy(const Matrix& m) {
+  const RowColCounts got = m.CountRowsAndCols();
+  const RowColCounts want = CsrCopyCounts(m);
+  EXPECT_EQ(got.row_counts, want.row_counts)
+      << m.rows() << "x" << m.cols() << (m.is_dense() ? " dense" : " csr");
+  EXPECT_EQ(got.col_counts, want.col_counts)
+      << m.rows() << "x" << m.cols() << (m.is_dense() ? " dense" : " csr");
+}
+
+TEST(MatrixCounts, DenseCountsSpecialValuesLikeTheCsrCopy) {
+  // -0.0 compares equal to 0.0 and is not counted; NaN and +-Inf are.
+  const DenseMatrix d(3, 4, {0.0, -0.0, kNaN, 1.0,     //
+                             kInf, -kInf, 0.0, -0.0,   //
+                             -0.0, 0.0, -0.0, 0.0});
+  const Matrix m = Matrix::WrapDense(d);
+  const RowColCounts counts = m.CountRowsAndCols();
+  EXPECT_EQ(counts.row_counts, (std::vector<int64_t>{2, 2, 0}));
+  EXPECT_EQ(counts.col_counts, (std::vector<int64_t>{1, 1, 1, 1}));
+  ExpectCountsMatchCsrCopy(m);
+}
+
+TEST(MatrixCounts, CsrCountsExplicitlyStoredZeros) {
+  // FromTriplets keeps a stored 0.0 and a duplicate pair summing to 0.0.
+  auto csr = CsrMatrix::FromTriplets(
+      3, 3, {{0, 0, 0.0}, {0, 2, 1.0}, {1, 1, 2.0}, {1, 1, -2.0}, {2, 2, 0.0}});
+  ASSERT_EQ(csr.nnz(), 4);
+  const Matrix m = Matrix::WrapCsr(std::move(csr));
+  const RowColCounts counts = m.CountRowsAndCols();
+  EXPECT_EQ(counts.row_counts, (std::vector<int64_t>{2, 1, 1}));
+  EXPECT_EQ(counts.col_counts, (std::vector<int64_t>{1, 1, 2}));
+  ExpectCountsMatchCsrCopy(m);
+}
+
+TEST(MatrixCounts, EmptyZeroAndSingleCellShapes) {
+  const std::pair<int64_t, int64_t> shapes[] = {
+      {0, 0}, {0, 5}, {5, 0}, {1, 1}, {4, 3}};
+  for (const auto& [rows, cols] : shapes) {
+    // All-zero in both formats.
+    const Matrix dense = Matrix::WrapDense(DenseMatrix(rows, cols));
+    const Matrix sparse = Matrix::Zeros(rows, cols);
+    for (const Matrix& m : {dense, sparse}) {
+      const RowColCounts counts = m.CountRowsAndCols();
+      EXPECT_EQ(counts.row_counts, std::vector<int64_t>(rows, 0));
+      EXPECT_EQ(counts.col_counts, std::vector<int64_t>(cols, 0));
+      ExpectCountsMatchCsrCopy(m);
+    }
+  }
+  const Matrix one = Matrix::WrapDense(DenseMatrix(1, 1, {-3.5}));
+  EXPECT_EQ(one.CountRowsAndCols().row_counts, (std::vector<int64_t>{1}));
+  EXPECT_EQ(one.CountRowsAndCols().col_counts, (std::vector<int64_t>{1}));
+  const Matrix one_csr = Matrix::WrapCsr(CsrMatrix::FromDense(one.dense()));
+  EXPECT_EQ(one_csr.CountRowsAndCols().row_counts, (std::vector<int64_t>{1}));
+  EXPECT_EQ(one_csr.CountRowsAndCols().col_counts, (std::vector<int64_t>{1}));
+}
+
+TEST(MatrixCounts, RandomMatricesMatchTheCsrCopyInBothFormats) {
+  const std::tuple<int64_t, int64_t, double> cases[] = {
+      {1, 40, 0.5}, {40, 1, 0.5}, {97, 13, 0.05}, {64, 47, 0.6},
+      {200, 31, 0.95}};
+  uint64_t seed = 7;
+  for (const auto& [rows, cols, fill] : cases) {
+    Rng rng(seed++);
+    DenseMatrix d(rows, cols);
+    for (int64_t i = 0; i < d.size(); ++i) {
+      const double u = rng.NextDouble();
+      if (u < fill) {
+        d.data()[i] = rng.NextGaussian();
+      } else if (u < fill + 0.02) {
+        d.data()[i] = -0.0;
+      } else if (u < fill + 0.03) {
+        d.data()[i] = kNaN;
+      }
+    }
+    ExpectCountsMatchCsrCopy(Matrix::WrapDense(d));
+    ExpectCountsMatchCsrCopy(Matrix::WrapCsr(CsrMatrix::FromDense(d)));
+    ExpectCountsMatchCsrCopy(Matrix::FromDense(std::move(d)));
+  }
 }
 
 }  // namespace

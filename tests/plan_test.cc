@@ -25,8 +25,30 @@ TEST(Catalog, RegisterDerivesStats) {
   EXPECT_EQ(stats->rows, 20);
   EXPECT_EQ(stats->cols, 5);
   EXPECT_DOUBLE_EQ(stats->sparsity, 1.0);
-  EXPECT_EQ(stats->row_counts.size(), 20u);
-  EXPECT_EQ(stats->col_counts.size(), 5u);
+  EXPECT_EQ(stats->row_counts, std::vector<int64_t>(20, 5));
+  EXPECT_EQ(stats->col_counts, std::vector<int64_t>(5, 20));
+  auto b = catalog.Stats("b");
+  ASSERT_TRUE(b.ok());
+  EXPECT_EQ(b->row_counts, std::vector<int64_t>(20, 1));
+  EXPECT_EQ(b->col_counts, std::vector<int64_t>{20});
+
+  // Counts come from the stored format: zeros (and -0.0) in a dense value
+  // are skipped, entries of a CSR value count as stored.
+  DataCatalog mixed;
+  mixed.Register("D", Matrix::WrapDense(DenseMatrix(
+                          2, 3, {0.0, 2.0, -0.0, 1.0, 0.0, 3.0})));
+  mixed.Register("S", Matrix::WrapCsr(CsrMatrix::FromTriplets(
+                          3, 2, {{0, 1, 4.0}, {2, 0, 5.0}, {2, 1, 6.0}})));
+  auto d = mixed.Stats("D");
+  ASSERT_TRUE(d.ok());
+  EXPECT_DOUBLE_EQ(d->sparsity, 0.5);
+  EXPECT_EQ(d->row_counts, (std::vector<int64_t>{1, 2}));
+  EXPECT_EQ(d->col_counts, (std::vector<int64_t>{1, 1, 1}));
+  auto s = mixed.Stats("S");
+  ASSERT_TRUE(s.ok());
+  EXPECT_DOUBLE_EQ(s->sparsity, 0.5);
+  EXPECT_EQ(s->row_counts, (std::vector<int64_t>{1, 0, 2}));
+  EXPECT_EQ(s->col_counts, (std::vector<int64_t>{1, 2}));
 }
 
 TEST(Catalog, MissingEntries) {

@@ -123,7 +123,7 @@ TEST_P(GeneratorPropertyTest, SkewConcentratesColumnMass) {
   spec.zipf_cols = zipf;
   spec.seed = 43;
   const Matrix m = GenerateMatrix(spec);
-  const auto cols = m.ToCsr().ColCounts();
+  const auto cols = m.CountRowsAndCols().col_counts;
   int64_t head = 0;
   int64_t total = 0;
   for (size_t c = 0; c < cols.size(); ++c) {

@@ -44,9 +44,9 @@ MatrixStats StatsOf(const Matrix& m) {
   stats.rows = m.rows();
   stats.cols = m.cols();
   stats.sparsity = m.Sparsity();
-  const CsrMatrix csr = m.ToCsr();
-  stats.row_counts = csr.RowCounts();
-  stats.col_counts = csr.ColCounts();
+  RowColCounts counts = m.CountRowsAndCols();
+  stats.row_counts = std::move(counts.row_counts);
+  stats.col_counts = std::move(counts.col_counts);
   return stats;
 }
 
