@@ -16,9 +16,8 @@
 // and the binary exits 1 if any claim fails. Claims judge simulated
 // execution seconds. Only the compile-cost claims of Fig 8(a) and
 // Fig 10(a) judge real compile wall time, which is printed in its own
-// column and never added to simulated time. Every run is pinned to the
-// paper's engine, the 1D row-block layout (ClusterModel::dist2d = kOff).
-// EXPERIMENTS.md quotes one full run.
+// column and never added to simulated time. EXPERIMENTS.md quotes one
+// full run.
 
 #include <algorithm>
 #include <chrono>
@@ -95,12 +94,10 @@ void Band(const char* figure, const std::string& claim, const Pairs& pairs,
 
 using Change = std::function<void(RunConfig&)>;
 
-/// Applies `change` to a default RunConfig, then pins the result to the
-/// paper's engine: the 1D row-block layout.
-RunConfig PaperConfig(const Change& change) {
+/// A default RunConfig with `change` applied.
+RunConfig ConfigWith(const Change& change) {
   RunConfig config;
   change(config);
-  config.cluster.dist2d = Dist2DMode::kOff;
   return config;
 }
 
@@ -206,7 +203,7 @@ Cells Sweep(const char* figure, const std::vector<Algorithm>& algorithms,
         }
         const std::string key = Cells::Key(algorithm.name, ds, arm.label);
         auto m = st.ok() ? MeasureScript(algorithm.script(ds, kIterations),
-                                         PaperConfig(arm.change), kIterations,
+                                         ConfigWith(arm.change), kIterations,
                                          std::string(figure) + "/" + key)
                          : Result<Measurement>(st);
         if (!Ran(figure, key, m.status())) continue;
@@ -335,7 +332,7 @@ void Fig8a(bool quick) {
   std::printf("(a trailing '>' marks a tree-wise run truncated by its node "
               "budget)\n");
   auto compile = [](const std::string& script, const Change& change) {
-    auto m = CompileOnly(script, SharedCatalog(), PaperConfig(change));
+    auto m = CompileOnly(script, SharedCatalog(), ConfigWith(change));
     return Ran("fig8a", "compile", m.status()) ? std::move(m).value()
                                                 : RunReport{};
   };

@@ -3,11 +3,12 @@
 #
 #   tsan        build with -DREMAC_SANITIZE=thread and run the concurrent
 #               suites (pool, ledger, task graph, plan service, metrics
-#               registry), the parser's hostile-input cases and the
-#               catalog's statistics counting (Catalog, Generators*,
-#               MatrixCounts) under ThreadSanitizer
+#               registry), the parser's and the MatrixMarket reader's
+#               hostile-input cases and the catalog's statistics counting
+#               (Catalog, Generators*, MatrixCounts) under ThreadSanitizer
 #   asan        the same suites under AddressSanitizer
-#   ubsan       the same suites under UndefinedBehaviorSanitizer
+#   ubsan       the same suites under UndefinedBehaviorSanitizer, in a
+#               Debug build so that assert()s run too
 #   bench-smoke one quick benchmark with --json, validating the emitted
 #               metrics block against tools/metrics_manifest.txt, then the
 #               bench_kernels perf gate (blocked GEMM, fused
@@ -20,11 +21,7 @@
 #               emitted span trees checked by tools/validate_trace.py;
 #               the recorded saturation curve re-gated by
 #               tools/check_scaling.py so throughput may not collapse as
-#               effective parallelism grows),
-#               then the bench_distributed 2D-layout gate (SUMMA must
-#               beat 1D on ledger bytes for at least one sparse/skewed
-#               program with bitwise-identical results; writes
-#               BENCH_dist2d.json)
+#               effective parallelism grows)
 #   paper       bench_paper --quick: a subset of the paper's evaluation on
 #               its 1D engine, failing when any figure's claimed shape
 #               (who wins, by what factor, where the crossover falls)
@@ -46,7 +43,7 @@ ASAN_DIR="${2:-build-asan}"
 BENCH_DIR="${3:-build}"
 UBSAN_DIR="${4:-build-ubsan}"
 # Parameterized suites print as Prefix/Suite.Test, hence */Kernels*.*.
-FILTER='ThreadPool.*:LanePool.*:Ledger.*:TaskGraph.*:Sched*.*:Kernels*.*:*/Kernels*.*:Fingerprint*.*:PlanCache*.*:Service*.*:Admission*.*:MatCache*.*:MatrixBytes.*:Obs*.*:Chaos*.*:Fault*.*:Trace*.*:Contention*.*:Fusion*.*:Sketch*.*:TiledMatrix2D.*:Executor*.*:CostModel*.*:Parser.*:Catalog.*:Generators*.*:MatrixCounts.*'
+FILTER='ThreadPool.*:LanePool.*:Ledger.*:TaskGraph.*:Sched*.*:Kernels*.*:*/Kernels*.*:Fingerprint*.*:PlanCache*.*:Service*.*:Admission*.*:MatCache*.*:MatrixBytes.*:Obs*.*:Chaos*.*:Fault*.*:Trace*.*:Contention*.*:Fusion*.*:Sketch*.*:Executor*.*:CostModel*.*:Parser.*:Catalog.*:Generators*.*:MatrixCounts.*:MatrixMarket.*'
 
 GATES=()
 RESULTS=()
@@ -81,11 +78,14 @@ require_cache() {
   fi
 }
 
-sanitizer_gate() {  # sanitizer_gate NAME DIR SANITIZE_VALUE ENV_VAR
+# sanitizer_gate NAME DIR SANITIZE_VALUE ENV_VAR [BUILD_TYPE]
+# (BUILD_TYPE defaults to RelWithDebInfo, which compiles assert()s out)
+sanitizer_gate() {
   local name="$1" dir="$2" value="$3" env_var="$4"
+  local build_type="${5:-RelWithDebInfo}"
   require_cache "$dir" "$value" || return 1
   cmake -B "$dir" -S . -DREMAC_SANITIZE="$value" \
-    -DCMAKE_BUILD_TYPE=RelWithDebInfo || return 1
+    -DCMAKE_BUILD_TYPE="$build_type" || return 1
   cmake --build "$dir" -j --target remac_tests || return 1
   echo "== running concurrent suites under $name =="
   env "$env_var=${!env_var:-halt_on_error=1}" \
@@ -140,12 +140,7 @@ bench_smoke_gate() {
   # the BENCH_service.json it just wrote, so a recorded curve that
   # collapses as effective parallelism grows fails the check on its own
   # gate line even when bench_load's exit code is swallowed upstream.
-  python3 tools/check_scaling.py BENCH_service.json || return 1
-  # 2D-layout gate: bench_distributed exits non-zero unless the 2D tiled
-  # SUMMA path moves strictly fewer TransmissionLedger bytes than forced
-  # 1D on at least one sparse/skewed program, with bitwise-identical
-  # results (writes BENCH_dist2d.json).
-  run_bench bench_distributed --quick --json
+  python3 tools/check_scaling.py BENCH_service.json
 }
 
 if sanitizer_gate ThreadSanitizer "$TSAN_DIR" thread TSAN_OPTIONS; then
@@ -161,7 +156,7 @@ else
 fi
 
 if sanitizer_gate UndefinedBehaviorSanitizer "$UBSAN_DIR" undefined \
-     UBSAN_OPTIONS; then
+     UBSAN_OPTIONS Debug; then
   record ubsan pass
 else
   record ubsan fail

@@ -18,18 +18,6 @@ const char* TransmissionPrimitiveName(TransmissionPrimitive pr) {
   return "?";
 }
 
-const char* Dist2DModeName(Dist2DMode mode) {
-  switch (mode) {
-    case Dist2DMode::kAuto:
-      return "auto";
-    case Dist2DMode::kOff:
-      return "off";
-    case Dist2DMode::kForce2D:
-      return "force2d";
-  }
-  return "?";
-}
-
 double ClusterModel::WPrimitive(TransmissionPrimitive pr) const {
   switch (pr) {
     case TransmissionPrimitive::kCollection:

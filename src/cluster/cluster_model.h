@@ -15,16 +15,6 @@ inline constexpr int kNumTransmissionPrimitives = 4;
 
 const char* TransmissionPrimitiveName(TransmissionPrimitive pr);
 
-/// Whether the cost model may place a multiply on the 2D tiled layout
-/// (SUMMA over a pr x pc worker grid) instead of the 1D hash-partitioned
-/// one: kAuto lets the cost model pick whichever is cheaper per operator,
-/// kOff forces the 1D layout (the paper's baseline and the bench's
-/// comparison arm), kForce2D always takes SUMMA when it applies (both
-/// operands distributed, more than one worker).
-enum class Dist2DMode { kAuto, kOff, kForce2D };
-
-const char* Dist2DModeName(Dist2DMode mode);
-
 /// \brief Static description of the (simulated) cluster.
 ///
 /// Mirrors the paper's 7-node testbed: one driver plus `num_workers`
@@ -60,11 +50,6 @@ struct ClusterModel {
   /// Side length of the square blocks matrices are partitioned into
   /// (the paper inherits SystemDS's 1000 x 1000 blocks).
   int64_t block_size = 1024;
-
-  /// 2D tiled layout policy (see Dist2DMode). Auto by default: the DP
-  /// optimizer and the runtime score SUMMA against CPMM per multiply and
-  /// take the cheaper plan.
-  Dist2DMode dist2d = Dist2DMode::kAuto;
 
   /// Weight accessors (reciprocal rates).
   double WFlop() const { return 1.0 / flops_per_sec; }

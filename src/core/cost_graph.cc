@@ -57,6 +57,12 @@ Status CostGraph::Build() {
         table.stats[static_cast<size_t>(i) * n + j] = merged;
       }
     }
+  }
+  // The interval tables exist: chain costs may be read from here on.
+  built_ = true;
+  for (size_t b = 0; b < space_->blocks.size(); ++b) {
+    BlockTable& table = tables_[b];
+    const int n = static_cast<int>(space_->blocks[b].factors.size());
     table.default_cost =
         ChainCostWithUnits(static_cast<int>(b), 0, n, {}, &table.default_split);
     std::function<void(const SplitNode*)> collect = [&](const SplitNode* s) {
@@ -67,7 +73,6 @@ Status CostGraph::Build() {
     };
     collect(table.default_split.get());
   }
-  built_ = true;
   // Skeleton glue costs do not depend on the chosen options (blocks are
   // contracted internally only); price them once.
   total_skeleton_seconds_ = 0.0;

@@ -27,10 +27,9 @@ EstimatedProduct EstimateMultiply(const SparsityEstimator& estimator,
   const NodeStats& eb = b_transposed ? (tb = estimator.Transpose(b)) : b;
   EstimatedProduct out;
   out.stats = estimator.Multiply(ea, eb);
-  out.costing =
-      SelectMultiplyCosting(InfoOf(ea, a_distributed),
-                            InfoOf(eb, b_distributed), out.stats.sparsity,
-                            model);
+  out.costing = CostMultiply(InfoOf(ea, a_distributed),
+                             InfoOf(eb, b_distributed), out.stats.sparsity,
+                             model);
   return out;
 }
 
@@ -64,9 +63,8 @@ CostedStats CostModel::MultiplyCost(const CostedStats& a,
 
 double CostModel::MultiplySeconds(const CostedStats& a, const CostedStats& b,
                                   double sp_out) const {
-  const OpCosting costing =
-      SelectMultiplyCosting(ToMatInfo(a), ToMatInfo(b), sp_out, model_);
-  return costing.Seconds(model_);
+  return CostMultiply(ToMatInfo(a), ToMatInfo(b), sp_out, model_)
+      .Seconds(model_);
 }
 
 CostedStats CostModel::TransposeCost(const CostedStats& a) const {
@@ -97,8 +95,6 @@ MultiplyLayout LayoutOf(MultiplyMethod method) {
       return MultiplyLayout::kBmm1D;
     case MultiplyMethod::kCpmm:
       return MultiplyLayout::kCpmm1D;
-    case MultiplyMethod::kSumma2D:
-      return MultiplyLayout::kSumma2D;
   }
   return MultiplyLayout::kUnset;
 }

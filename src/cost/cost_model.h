@@ -25,9 +25,9 @@ struct CostedStats {
 MatInfo InfoOf(const NodeStats& stats, bool distributed);
 
 /// Estimated product op(a) %*% op(b), op transposing when the flag is
-/// set: the result statistics and the costing SelectMultiplyCosting picks
-/// for the fused transpose-multiply. Shared by CostPredictor,
-/// MultiplyCost and AnnotateMultiplyLayouts.
+/// set: the result statistics and its CostMultiply price for the fused
+/// transpose-multiply. Shared by CostPredictor, MultiplyCost and
+/// AnnotateMultiplyLayouts.
 struct EstimatedProduct {
   NodeStats stats;
   OpCosting costing;
@@ -107,8 +107,8 @@ Result<VarStats> PropagateProgramStats(const CompiledProgram& program,
                                        int loop_sweeps = 2);
 
 /// Stamps every kMatMul node of `program` with the physical layout the
-/// cost model selects for it (PlanNode::layout: local / BMM / CPMM /
-/// SUMMA-2D), pricing operands at their steady-state statistics with the
+/// cost model selects for it (PlanNode::layout: local / BMM / CPMM),
+/// pricing operands at their steady-state statistics with the
 /// executor's transpose fusion (FusedMultiplyOperands). Advisory plan
 /// metadata for reporting (`remac run --stats`); execution re-derives the
 /// same decision from actual statistics, and nodes whose operand

@@ -1,5 +1,6 @@
 #include "io/matrix_market.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdio>
 #include <fstream>
@@ -59,6 +60,23 @@ Result<Header> ParseHeader(const std::string& line) {
   return header;
 }
 
+/// Rejects a size line no matrix can have: a negative count, a rows x
+/// cols product that overflows, or more entries than cells.
+Status CheckSize(int64_t rows, int64_t cols, int64_t nnz,
+                 const std::string& line) {
+  if (rows < 0 || cols < 0 || nnz < 0) {
+    return Status::ParseError("negative size in: '" + line + "'");
+  }
+  int64_t cells = 0;
+  if (__builtin_mul_overflow(rows, cols, &cells)) {
+    return Status::OutOfRange("rows x cols overflows in: '" + line + "'");
+  }
+  if (nnz > cells) {
+    return Status::OutOfRange("more entries than cells in: '" + line + "'");
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 Result<Matrix> ParseMatrixMarket(const std::string& content) {
@@ -76,12 +94,21 @@ Result<Matrix> ParseMatrixMarket(const std::string& content) {
   int64_t rows = 0;
   int64_t cols = 0;
   int64_t nnz = 0;
+  // Bytes left after the size line. Allocations sized from the header are
+  // capped by what they can hold: an entry line takes at least 4 bytes
+  // ("1 1\n"), an array value at least 2 ("0\n"), the last one a byte
+  // less for its missing newline.
+  const std::streamoff pos = in.tellg();  // -1 once the input is spent
+  const int64_t remaining =
+      pos < 0 ? 0 : static_cast<int64_t>(content.size()) - pos;
   if (header.coordinate) {
     if (!(dims >> rows >> cols >> nnz)) {
       return Status::ParseError("bad coordinate size line: '" + line + "'");
     }
+    REMAC_RETURN_NOT_OK(CheckSize(rows, cols, nnz, line));
     std::vector<std::tuple<int64_t, int64_t, double>> triplets;
-    triplets.reserve(static_cast<size_t>(nnz) * (header.symmetric ? 2 : 1));
+    triplets.reserve(static_cast<size_t>(std::min(nnz, (remaining + 1) / 4)) *
+                     (header.symmetric ? 2 : 1));
     for (int64_t k = 0; k < nnz; ++k) {
       if (!NextDataLine(in, &line)) {
         return Status::ParseError(StringFormat(
@@ -112,6 +139,13 @@ Result<Matrix> ParseMatrixMarket(const std::string& content) {
   }
   if (!(dims >> rows >> cols)) {
     return Status::ParseError("bad array size line: '" + line + "'");
+  }
+  REMAC_RETURN_NOT_OK(CheckSize(rows, cols, 0, line));
+  if (rows * cols > (remaining + 1) / 2) {
+    return Status::ParseError(StringFormat(
+        "array data ended early: %lld x %lld values cannot fit in %lld bytes",
+        static_cast<long long>(rows), static_cast<long long>(cols),
+        static_cast<long long>(remaining)));
   }
   DenseMatrix m(rows, cols);
   // Array format is column-major.

@@ -7,9 +7,8 @@ namespace remac {
 /// SystemDS (Section 4.2 of the paper: "we use a dense format if S_V > 0.4").
 ///
 /// This is the single source of truth for the dense/CSR boundary: Matrix's
-/// format choice, the physical byte model (MatrixBytes), blocked/tiled
-/// per-block byte accounting, per-tile sparsity annotations
-/// (TiledMatrix2D), and the fingerprint sparsity bucketing all read it, so
+/// format choice, the physical byte model (MatrixBytes), blocked per-block
+/// byte accounting and the fingerprint sparsity bucketing all read it, so
 /// every layer agrees on where a value flips between formats.
 inline constexpr double kDenseFormatThreshold = 0.4;
 

@@ -22,13 +22,11 @@ namespace remac {
 /// (runtime/plan_walk.h: transpose fusion, scalar degradation, placement,
 /// fused-tape booking, barrier-commit loops) over the optimizer's
 /// sparsity *estimates* instead of materialized matrices, in the domain
-/// the optimizer prices plans with (cost/cost_predictor.h). Every operator
-/// books the same OpCosting on both sides except multiplies, whose layout
-/// the prediction picks with SelectMultiplyCosting's uniform-sparsity
-/// estimate where the runtime prices SUMMA on exact tiles. Any
-/// predicted-vs-actual gap therefore comes from estimation: of
-/// sparsities, and of the layout chosen on them. After execution, the
-/// runner pairs the prediction with the ledger delta.
+/// the optimizer prices plans with (cost/cost_predictor.h). The walk
+/// books the same OpCosting for every operator on both sides, so any
+/// predicted-vs-actual gap comes from estimation: of sparsities, and of
+/// the multiply method (local, BMM or CPMM) chosen on them. After
+/// execution, the runner pairs the prediction with the ledger delta.
 
 /// FLOPs and per-primitive transmission bytes a program is predicted to
 /// book into the TransmissionLedger.

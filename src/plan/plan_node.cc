@@ -99,8 +99,6 @@ const char* MultiplyLayoutName(MultiplyLayout layout) {
       return "BMM/1D";
     case MultiplyLayout::kCpmm1D:
       return "CPMM/1D";
-    case MultiplyLayout::kSumma2D:
-      return "SUMMA/2D";
   }
   return "?";
 }

@@ -76,9 +76,9 @@ struct Shape {
 
 /// Physical layout the cost model chose for a kMatMul node (stamped on
 /// the optimized plan by AnnotateMultiplyLayouts so tooling can report
-/// the 1D/2D decision; purely advisory metadata — execution re-derives
-/// the same choice from actual statistics, and Equals ignores it).
-enum class MultiplyLayout { kUnset, kLocal, kBmm1D, kCpmm1D, kSumma2D };
+/// the decision; purely advisory metadata — execution re-derives the
+/// same choice from actual statistics, and Equals ignores it).
+enum class MultiplyLayout { kUnset, kLocal, kBmm1D, kCpmm1D };
 
 const char* MultiplyLayoutName(MultiplyLayout layout);
 

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <tuple>
+#include <utility>
 
 #include "common/rng.h"
 #include "common/string_util.h"
@@ -173,12 +174,20 @@ Result<Matrix> Executor::ComputeMultiply(const RtValue& a, bool a_transposed,
                                          const RtValue& b, bool b_transposed,
                                          OpCosting* costing) {
   StageSpan span(Metrics().multiply_seconds, nullptr, "multiply");
+  // Fused kernels consume the transpose flags directly: no operand is
+  // materialized (remac.kernel.fused_transpose counts these).
   REMAC_ASSIGN_OR_RETURN(
-      DistValue out, ExecMultiply(a.matrix, a.distributed, a_transposed,
-                                  b.matrix, b.distributed, b_transposed,
-                                  model_));
-  *costing = out.costing;
-  return std::move(out.value);
+      Matrix out,
+      MultiplyTransposed(a.matrix, a_transposed, b.matrix, b_transposed));
+  // A transpose swaps the dimensions and keeps the sparsity.
+  const auto op_info = [](const RtValue& v, bool transposed) {
+    MatInfo info = v.Info();
+    if (transposed) std::swap(info.rows, info.cols);
+    return info;
+  };
+  *costing = CostMultiply(op_info(a, a_transposed), op_info(b, b_transposed),
+                          out.Sparsity(), model_);
+  return out;
 }
 
 Result<Matrix> Executor::ComputeElementwise(PlanOp op, const Matrix& a,

@@ -141,8 +141,12 @@ inline Result<double> ApplyScalarBinary(PlanOp op, double a, double b) {
 /// (CRTP `Derived`) supplies the payload arithmetic: real matrices booked
 /// into the TransmissionLedger (Executor), or estimator statistics booked
 /// into a predicted charge (CostPredictor: the optimizer's cost model,
-/// its statistics propagation and the cost audit). The only costing a domain
-/// prices itself is the multiply layout (ComputeMultiply). The hooks a
+/// its statistics propagation and the cost audit). The walk prices every
+/// operator but the fused transpose-multiply, which each domain prices
+/// with CostMultiply on op(a) and op(b) as it sees them (ComputeMultiply):
+/// the estimate domain reads a transposed operand's statistics off the
+/// estimator's Transpose, whose sparsity may differ from the operand's own
+/// in the last bit, so pricing it here would move estimates. The hooks a
 /// domain implements are the `self().` calls below; the protected ones
 /// have defaults.
 template <typename Derived, typename Payload>

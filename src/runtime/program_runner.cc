@@ -156,7 +156,7 @@ Result<CompiledProgram> OptimizeCompiled(const CompiledProgram& program,
   if (!optimized.ok()) return optimized;
   CompiledProgram final_program = std::move(optimized).value();
   // Stamp each multiply with the layout the cost model picks for it
-  // (1D BMM/CPMM vs 2D SUMMA) so the plan records the decision for
+  // (local, BMM or CPMM) so the plan records the decision for
   // reporting. Advisory: a failed annotation leaves nodes at kUnset.
   const CostModel layout_model(config.cluster, estimator.get(), &catalog);
   (void)AnnotateMultiplyLayouts(&final_program, layout_model);

@@ -82,8 +82,7 @@ const char* DegradeReasonName(DegradeReason reason) {
 
 std::string PlanConfigDigest(const RunConfig& config) {
   std::string digest = StringFormat(
-      "o%d,e%d,g%d,c%d,s%d,i%d,tb%lld,eb%lld,w%d,f%.6g,l%.6g,m%lld,bs%lld,"
-      "d%d",
+      "o%d,e%d,g%d,c%d,s%d,i%d,tb%lld,eb%lld,w%d,f%.6g,l%.6g,m%lld,bs%lld",
       static_cast<int>(config.optimizer), static_cast<int>(config.estimator),
       static_cast<int>(config.engine), static_cast<int>(config.combiner),
       static_cast<int>(config.search), config.max_iterations,
@@ -92,8 +91,7 @@ std::string PlanConfigDigest(const RunConfig& config) {
       config.cluster.num_workers, config.cluster.flops_per_sec,
       config.cluster.local_flops_per_sec,
       static_cast<long long>(config.cluster.driver_memory_bytes),
-      static_cast<long long>(config.cluster.block_size),
-      static_cast<int>(config.cluster.dist2d));
+      static_cast<long long>(config.cluster.block_size));
   for (const std::string& key : config.forced_option_keys) {
     digest += '+';
     digest += key;

@@ -4,7 +4,6 @@
 #include <numeric>
 
 #include "cluster/cluster_model.h"
-#include "cluster/grid2d_partitioner.h"
 #include "cluster/partitioner.h"
 #include "cluster/transmission_ledger.h"
 
@@ -139,68 +138,6 @@ TEST(Partitioner, WorkerLoadsOneByNGrid) {
   const auto loads = p.WorkerLoads(weights, 64);
   const double total = std::accumulate(loads.begin(), loads.end(), 0.0);
   EXPECT_DOUBLE_EQ(total, 128.0);
-}
-
-TEST(Grid2D, MakeGridMostSquareExactArea) {
-  const Grid2DShape g6 = Grid2DPartitioner::MakeGrid(6);
-  EXPECT_EQ(g6.rows, 2);
-  EXPECT_EQ(g6.cols, 3);
-  const Grid2DShape g4 = Grid2DPartitioner::MakeGrid(4);
-  EXPECT_EQ(g4.rows, 2);
-  EXPECT_EQ(g4.cols, 2);
-  const Grid2DShape g12 = Grid2DPartitioner::MakeGrid(12);
-  EXPECT_EQ(g12.rows, 3);
-  EXPECT_EQ(g12.cols, 4);
-  // Primes degrade to 1 x p; the area always stays exactly num_workers.
-  const Grid2DShape g7 = Grid2DPartitioner::MakeGrid(7);
-  EXPECT_EQ(g7.rows, 1);
-  EXPECT_EQ(g7.cols, 7);
-  const Grid2DShape g1 = Grid2DPartitioner::MakeGrid(1);
-  EXPECT_EQ(g1.rows, 1);
-  EXPECT_EQ(g1.cols, 1);
-}
-
-TEST(Grid2D, BlockCyclicOwnership) {
-  const Grid2DPartitioner grid(6);  // 2 x 3
-  EXPECT_EQ(grid.WorkerOf(0, 0), 0);
-  EXPECT_EQ(grid.WorkerOf(0, 1), 1);
-  EXPECT_EQ(grid.WorkerOf(0, 3), 0);  // wraps over worker columns
-  EXPECT_EQ(grid.WorkerOf(1, 0), 3);  // second worker row
-  EXPECT_EQ(grid.WorkerOf(2, 0), 0);  // wraps over worker rows
-  EXPECT_EQ(grid.WorkerOf(3, 4), grid.WorkerOf(1, 1));
-}
-
-TEST(Grid2D, RowAndColGroups) {
-  const Grid2DPartitioner grid(6);  // 2 x 3
-  EXPECT_EQ(grid.RowGroup(0), (std::vector<int>{0, 1, 2}));
-  EXPECT_EQ(grid.RowGroup(1), (std::vector<int>{3, 4, 5}));
-  EXPECT_EQ(grid.ColGroup(0), (std::vector<int>{0, 3}));
-  EXPECT_EQ(grid.ColGroup(2), (std::vector<int>{2, 5}));
-}
-
-TEST(Grid2D, WorkerLoadsBalancedOnUniformGrid) {
-  // Block-cyclic ownership on a uniform grid divisible by the worker
-  // grid is perfectly balanced (better than the hash partitioner's
-  // statistical spread).
-  const Grid2DPartitioner grid(6);  // 2 x 3
-  std::vector<double> weights(12 * 12, 1.0);
-  const auto loads = grid.WorkerLoads(weights, 12);
-  ASSERT_EQ(loads.size(), 6u);
-  for (double l : loads) EXPECT_DOUBLE_EQ(l, 24.0);
-}
-
-TEST(Grid2D, WorkerLoadsSkewedColumnSpreadsOverWorkerRows) {
-  // A heavy tile column lands on a single worker *column*, but cycles
-  // over the pr worker rows — the 2D analogue of skew tolerance.
-  const Grid2DPartitioner grid(4);  // 2 x 2
-  const int64_t n = 8;
-  std::vector<double> weights(n * n, 0.0);
-  for (int64_t r = 0; r < n; ++r) weights[r * n] = 1.0;  // tile column 0
-  const auto loads = grid.WorkerLoads(weights, n);
-  EXPECT_DOUBLE_EQ(loads[0], 4.0);  // worker (0,0)
-  EXPECT_DOUBLE_EQ(loads[1], 0.0);  // worker (0,1): different column
-  EXPECT_DOUBLE_EQ(loads[2], 4.0);  // worker (1,0)
-  EXPECT_DOUBLE_EQ(loads[3], 0.0);
 }
 
 }  // namespace

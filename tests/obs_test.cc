@@ -432,31 +432,27 @@ TEST(ObsAudit, ExactEstimatorPredictionMatchesLedger) {
     cases.push_back({GdScript("A", 3), optimizer});
   }
   for (const Case& c : cases) {
-    for (Dist2DMode dist2d : {Dist2DMode::kOff, Dist2DMode::kAuto}) {
-      for (bool fuse : {true, false}) {
-        RunConfig config;
-        config.cluster.driver_memory_bytes = 1 << 20;
-        config.cluster.dist2d = dist2d;
-        config.optimizer = c.optimizer;
-        config.estimator = EstimatorKind::kExact;
-        config.fuse_elementwise = fuse;
-        config.max_iterations = 3;
-        SCOPED_TRACE(c.script + " optimizer=" +
-                     OptimizerKindName(c.optimizer) + " dist2d=" +
-                     std::to_string(static_cast<int>(dist2d)) +
-                     " fuse=" + std::to_string(fuse));
-        auto run = RunScript(c.script, ParityCatalog(), config);
-        ASSERT_TRUE(run.ok()) << run.status().ToString();
-        const CostAuditRecord& audit = run->audit;
-        ASSERT_TRUE(audit.valid) << audit.error;
-        EXPECT_GT(audit.flops.actual, 0.0);
-        EXPECT_EQ(audit.flops.predicted, audit.flops.actual);
-        for (size_t i = 0; i < audit.transmission.size(); ++i) {
-          EXPECT_EQ(audit.transmission[i].predicted,
-                    audit.transmission[i].actual)
-              << TransmissionPrimitiveName(
-                     static_cast<TransmissionPrimitive>(i));
-        }
+    for (bool fuse : {true, false}) {
+      RunConfig config;
+      config.cluster.driver_memory_bytes = 1 << 20;
+      config.optimizer = c.optimizer;
+      config.estimator = EstimatorKind::kExact;
+      config.fuse_elementwise = fuse;
+      config.max_iterations = 3;
+      SCOPED_TRACE(c.script + " optimizer=" +
+                   OptimizerKindName(c.optimizer) + " fuse=" +
+                   std::to_string(fuse));
+      auto run = RunScript(c.script, ParityCatalog(), config);
+      ASSERT_TRUE(run.ok()) << run.status().ToString();
+      const CostAuditRecord& audit = run->audit;
+      ASSERT_TRUE(audit.valid) << audit.error;
+      EXPECT_GT(audit.flops.actual, 0.0);
+      EXPECT_EQ(audit.flops.predicted, audit.flops.actual);
+      for (size_t i = 0; i < audit.transmission.size(); ++i) {
+        EXPECT_EQ(audit.transmission[i].predicted,
+                  audit.transmission[i].actual)
+            << TransmissionPrimitiveName(
+                   static_cast<TransmissionPrimitive>(i));
       }
     }
   }

@@ -199,6 +199,43 @@ TEST(MatrixMarket, CommentsAndBlanksInterleavedWithData) {
   EXPECT_EQ(parsed->nnz(), 3);
 }
 
+TEST(MatrixMarket, RejectsBadSizeLines) {
+  const std::string array = "%%MatrixMarket matrix array real general\n";
+  const std::string coord = "%%MatrixMarket matrix coordinate real general\n";
+  struct Case {
+    std::string content;
+    StatusCode code;
+  };
+  const std::vector<Case> cases = {
+      // Negative rows, cols or nnz.
+      {array + "-1 5\n", StatusCode::kParseError},
+      {array + "5 -1\n", StatusCode::kParseError},
+      {coord + "3 3 -2\n", StatusCode::kParseError},
+      {coord + "-3 3 1\n1 1 1\n", StatusCode::kParseError},
+      // rows * cols overflows int64.
+      {array + "4000000000 4000000000\n1\n", StatusCode::kOutOfRange},
+      {coord + "9223372036854775807 2 1\n1 1 1\n", StatusCode::kOutOfRange},
+      // More coordinate entries than cells.
+      {coord + "2 2 5\n1 1 1\n", StatusCode::kOutOfRange},
+      // Huge dimensions over a two-value body: nothing may be sized from
+      // the header (an 8e18-byte array, a 24 TB triplet reserve).
+      {array + "1000000000 1000000000\n1\n2\n", StatusCode::kParseError},
+      {coord + "1000000 1000000 1000000000000\n1 1 1\n2 2 2\n",
+       StatusCode::kParseError},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.content);
+    const Result<Matrix> parsed = ParseMatrixMarket(c.content);
+    ASSERT_FALSE(parsed.ok());
+    EXPECT_EQ(parsed.status().code(), c.code) << parsed.status().ToString();
+  }
+  // The bounds admit what they must: an empty matrix, a full one.
+  ASSERT_TRUE(ParseMatrixMarket(array + "0 0\n").ok());
+  ASSERT_TRUE(ParseMatrixMarket(coord + "0 7 0\n").ok());
+  ASSERT_TRUE(ParseMatrixMarket(array + "2 1\n1 2").ok());
+  ASSERT_TRUE(ParseMatrixMarket(coord + "1 2 2\n1 1 1\n1 2 2").ok());
+}
+
 TEST(MatrixMarket, SymmetricPatternWithInterleavedComments) {
   const std::string content =
       "%%MatrixMarket matrix coordinate pattern symmetric\n"
