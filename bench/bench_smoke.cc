@@ -61,9 +61,10 @@ int main(int argc, char** argv) {
               Fmt(m->execution_seconds).c_str(),
               Fmt(m->compile_wall_seconds).c_str());
 
-  // Chaos pass: one seeded fault-injected task-graph run, so the
-  // remac.fault.* / remac.retry.* metric set registers and the manifest
-  // check covers it.
+  // Chaos pass: one seeded fault-injected task-graph run, so
+  // remac.retry.exhausted and the pool's lane metrics register and the
+  // manifest check covers them. Fault and retry counts live in the
+  // run's ScheduleReport, printed below.
   RunConfig chaos = config;
   chaos.scheduler = SchedulerKind::kTaskGraph;
   chaos.faults = FaultPlan::Chaos(17);
@@ -78,10 +79,11 @@ int main(int argc, char** argv) {
               static_cast<long long>(c->schedule.retries),
               Fmt(c->schedule.wasted_seconds).c_str());
 
-  // Serving pass: two requests through a PlanService so the plan-cache
-  // (remac.plancache.*) and materialized-intermediate (remac.matcache.*)
-  // metric families register and the manifest check covers them. The
-  // second request must hit both caches.
+  // Serving pass: two requests through a PlanService so the service,
+  // plan-cache and materialized-intermediate metrics (latency
+  // histograms, invalidations, matcache probes and hits) register and
+  // the manifest check covers them. The second request must hit both
+  // caches; the other cache counts live in ServiceStats, printed below.
   {
     PlanService service(&SharedCatalog());
     const std::string gram =

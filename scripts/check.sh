@@ -9,8 +9,10 @@
 #   asan        the same suites under AddressSanitizer
 #   ubsan       the same suites under UndefinedBehaviorSanitizer, in a
 #               Debug build so that assert()s run too
-#   bench-smoke one quick benchmark with --json, validating the emitted
-#               metrics block against tools/metrics_manifest.txt, then the
+#   bench-smoke one quick benchmark with --json, checking that the
+#               emitted metrics block registers exactly the metrics listed
+#               in tools/metrics_manifest.txt (none missing, none
+#               unlisted), then the
 #               bench_kernels perf gate (blocked GEMM, fused
 #               transpose-multiply and elementwise-fusion speedup floors;
 #               writes BENCH_kernels.json), then the bench_service

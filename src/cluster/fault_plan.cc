@@ -3,39 +3,10 @@
 #include <cmath>
 
 #include "common/string_util.h"
-#include "obs/metrics.h"
 
 namespace remac {
 
 namespace {
-
-/// Process-wide fault/retry metric handles. Constructed on the first
-/// injector, which registers every `remac.fault.*` / `remac.retry.*`
-/// name even for runs that end up injecting nothing — the bench-smoke
-/// manifest check relies on a chaos pass registering the full set.
-struct FaultMetrics {
-  Counter* injected =
-      MetricsRegistry::Global().GetCounter("remac.fault.injected");
-  Counter* transients =
-      MetricsRegistry::Global().GetCounter("remac.fault.transients");
-  Counter* crashes =
-      MetricsRegistry::Global().GetCounter("remac.fault.crashes");
-  Counter* stragglers =
-      MetricsRegistry::Global().GetCounter("remac.fault.stragglers");
-  Gauge* wasted_seconds =
-      MetricsRegistry::Global().GetGauge("remac.fault.wasted_seconds");
-  Counter* retry_attempts =
-      MetricsRegistry::Global().GetCounter("remac.retry.attempts");
-  Counter* retry_exhausted =
-      MetricsRegistry::Global().GetCounter("remac.retry.exhausted");
-  Gauge* backoff_seconds =
-      MetricsRegistry::Global().GetGauge("remac.retry.backoff_seconds");
-};
-
-FaultMetrics& Metrics() {
-  static FaultMetrics metrics;
-  return metrics;
-}
 
 /// FNV-1a 64 over the key bytes, mixed with seed and salt via splitmix64
 /// finalization. Pure function of its inputs: the same (seed, key, salt)
@@ -92,9 +63,7 @@ const char* FaultKindName(FaultKind kind) {
   return "?";
 }
 
-FaultInjector::FaultInjector(FaultPlan plan) : plan_(plan) {
-  Metrics();  // register the full metric set up front
-}
+FaultInjector::FaultInjector(FaultPlan plan) : plan_(plan) {}
 
 double FaultInjector::Draw(std::string_view task_key, uint64_t salt) const {
   const uint64_t h = MixHash(plan_.seed, task_key, salt);
@@ -113,8 +82,6 @@ FaultDecision FaultInjector::Probe(std::string_view task_key, int attempt) {
       first_attempts_.fetch_add(1, std::memory_order_relaxed) ==
           plan_.crash_at_task) {
     crashes_.fetch_add(1, std::memory_order_relaxed);
-    Metrics().crashes->Add();
-    Metrics().injected->Add();
     decision.kind = FaultKind::kWorkerCrash;
     return decision;
   }
@@ -124,8 +91,6 @@ FaultDecision FaultInjector::Probe(std::string_view task_key, int attempt) {
   if (attempt < plan_.transient_fail_attempts &&
       Draw(task_key, /*salt=*/1) < plan_.transient_probability) {
     transients_.fetch_add(1, std::memory_order_relaxed);
-    Metrics().transients->Add();
-    Metrics().injected->Add();
     decision.kind = FaultKind::kTransient;
     return decision;
   }
@@ -133,7 +98,6 @@ FaultDecision FaultInjector::Probe(std::string_view task_key, int attempt) {
   // Straggler: the task's placement is slow; every attempt on it drags.
   if (Draw(task_key, /*salt=*/2) < plan_.straggler_probability) {
     stragglers_.fetch_add(1, std::memory_order_relaxed);
-    Metrics().stragglers->Add();
     decision.kind = FaultKind::kStraggler;
     decision.slowdown = plan_.straggler_factor;
   }

@@ -77,6 +77,16 @@ Status CheckSize(int64_t rows, int64_t cols, int64_t nnz,
   return Status::OK();
 }
 
+/// Rejects a row or column count above kMaxMatrixMarketDim.
+Status CheckDims(int64_t rows, int64_t cols, const std::string& line) {
+  if (rows > kMaxMatrixMarketDim || cols > kMaxMatrixMarketDim) {
+    return Status::OutOfRange(StringFormat(
+        "dimension above the limit of %lld in: '%s'",
+        static_cast<long long>(kMaxMatrixMarketDim), line.c_str()));
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 Result<Matrix> ParseMatrixMarket(const std::string& content) {
@@ -106,6 +116,7 @@ Result<Matrix> ParseMatrixMarket(const std::string& content) {
       return Status::ParseError("bad coordinate size line: '" + line + "'");
     }
     REMAC_RETURN_NOT_OK(CheckSize(rows, cols, nnz, line));
+    REMAC_RETURN_NOT_OK(CheckDims(rows, cols, line));
     std::vector<std::tuple<int64_t, int64_t, double>> triplets;
     triplets.reserve(static_cast<size_t>(std::min(nnz, (remaining + 1) / 4)) *
                      (header.symmetric ? 2 : 1));
@@ -147,6 +158,9 @@ Result<Matrix> ParseMatrixMarket(const std::string& content) {
         static_cast<long long>(rows), static_cast<long long>(cols),
         static_cast<long long>(remaining)));
   }
+  // After the byte cap: a header the body cannot fill reports as short
+  // data, whatever its dimensions.
+  REMAC_RETURN_NOT_OK(CheckDims(rows, cols, line));
   DenseMatrix m(rows, cols);
   // Array format is column-major.
   for (int64_t c = 0; c < cols; ++c) {

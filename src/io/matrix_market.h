@@ -1,12 +1,18 @@
 #ifndef REMAC_IO_MATRIX_MARKET_H_
 #define REMAC_IO_MATRIX_MARKET_H_
 
+#include <cstdint>
 #include <string>
 
 #include "common/status.h"
 #include "matrix/matrix.h"
 
 namespace remac {
+
+/// Largest row or column count the reader accepts: 2^24 = 16,777,216,
+/// about 140x the largest paper dataset (cri1 and red1, 120,000 rows).
+/// The CSR row pointers of a matrix at the limit take 128 MiB.
+inline constexpr int64_t kMaxMatrixMarketDim = int64_t{1} << 24;
 
 /// \brief Matrix Market (.mtx) file I/O.
 ///
@@ -16,6 +22,9 @@ namespace remac {
 /// Coordinate files use 1-based indices; symmetric coordinate files store
 /// the lower triangle and are mirrored on read. Pattern files get 1.0
 /// values. Integer fields are read as doubles.
+///
+/// A size line with more than kMaxMatrixMarketDim rows or columns is
+/// rejected before anything is sized from it.
 Result<Matrix> ReadMatrixMarket(const std::string& path);
 
 /// Writes `m` in coordinate format (or array format when `dense` is set).

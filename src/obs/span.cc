@@ -1,23 +1,15 @@
 #include "obs/span.h"
 
-#include "sched/thread_pool.h"
-#include "sched/trace.h"
-
 namespace remac {
 
-StageSpan::StageSpan(Histogram* histogram, TraceSink* trace, std::string name,
+StageSpan::StageSpan(Histogram* histogram, std::string name,
                      const char* category)
     : histogram_(histogram),
-      trace_(trace),
       name_(std::move(name)),
       category_(category),
       start_(std::chrono::steady_clock::now()) {
   if (Tracer::Global().enabled()) ctx_ = CurrentTraceContext();
-  if (trace_ != nullptr || ctx_.active()) {
-    // Both sinks share the process trace epoch, so one stamp serves the
-    // TraceSink event and the request span alike.
-    trace_start_us_ = TraceNowMicros();
-  }
+  if (ctx_.active()) trace_start_us_ = TraceNowMicros();
 }
 
 double StageSpan::Stop() {
@@ -25,15 +17,6 @@ double StageSpan::Stop() {
   elapsed_seconds_ = ElapsedSeconds();
   stopped_ = true;
   if (histogram_ != nullptr) histogram_->Observe(elapsed_seconds_);
-  if (trace_ != nullptr) {
-    TraceEvent event;
-    event.name = name_.empty() ? "stage" : name_;
-    event.category = category_;
-    event.thread = ThreadPool::CurrentWorkerId();
-    event.start_us = trace_start_us_;
-    event.duration_us = elapsed_seconds_ * 1e6;
-    trace_->Record(std::move(event));
-  }
   if (ctx_.active()) {
     RecordSpanIn(ctx_, name_.empty() ? "stage" : name_, category_,
                  trace_start_us_, trace_start_us_ + elapsed_seconds_ * 1e6);

@@ -9,25 +9,22 @@
 
 namespace remac {
 
-class TraceSink;
-
 /// \brief RAII stage timer.
 ///
 /// Starts a steady-clock timer on construction and, on Stop() or
-/// destruction, records the elapsed seconds into a registry histogram
-/// and (when a sink is attached) emits a Chrome-trace event so pipeline
-/// stages appear on the same timeline as executor tasks. When the
-/// calling thread carries an active TraceContext the span is also
-/// recorded into the request's span tree under its current parent.
+/// destruction, records the elapsed seconds into a registry histogram.
+/// When the calling thread carries an active TraceContext the span is
+/// also recorded into the request's span tree under its current parent,
+/// on the same timeline as the executor's task spans.
 ///
 ///   StageSpan span(registry.GetHistogram("remac.compile.parse_seconds"),
-///                  trace, "parse");
+///                  "parse");
 ///
 /// Stop() is idempotent; ElapsedSeconds() may be polled while running.
 class StageSpan {
  public:
-  explicit StageSpan(Histogram* histogram, TraceSink* trace = nullptr,
-                     std::string name = {}, const char* category = "stage");
+  explicit StageSpan(Histogram* histogram, std::string name = {},
+                     const char* category = "stage");
   ~StageSpan() { Stop(); }
 
   StageSpan(const StageSpan&) = delete;
@@ -41,7 +38,6 @@ class StageSpan {
 
  private:
   Histogram* histogram_;
-  TraceSink* trace_;
   TraceContext ctx_;
   std::string name_;
   const char* category_;

@@ -12,20 +12,13 @@ namespace remac {
 
 namespace {
 
-/// Process-wide aggregates of the per-request trace accounting; the
-/// Tracer constructor touches these so the remac.trace.* family is
-/// registered even while tracing stays disabled.
-struct TraceMetrics {
-  Counter* requests =
+/// Process-wide count of traced requests; the Tracer constructor touches
+/// it so the name is registered even while tracing stays disabled. Spans
+/// and drops are counted once, per trace (RequestTrace::size, dropped).
+Counter* TracedRequests() {
+  static Counter* requests =
       MetricsRegistry::Global().GetCounter("remac.trace.requests");
-  Counter* spans = MetricsRegistry::Global().GetCounter("remac.trace.spans");
-  Counter* dropped =
-      MetricsRegistry::Global().GetCounter("remac.trace.dropped");
-};
-
-TraceMetrics& Metrics() {
-  static TraceMetrics metrics;
-  return metrics;
+  return requests;
 }
 
 double SteadyMicros() {
@@ -55,9 +48,8 @@ thread_local TraceContext tl_context;
 
 double TraceNowMicros() {
   // The origin is captured once, on the first call, and shared by every
-  // sink and span in the process — the "single clock epoch" that lets a
-  // request's spans and the scheduler's task events interleave in one
-  // Chrome-trace file.
+  // span in the process, so spans recorded on different threads of one
+  // request share one Chrome-trace timeline.
   static const double origin = SteadyMicros();
   return SteadyMicros() - origin;
 }
@@ -66,16 +58,12 @@ RequestTrace::RequestTrace(uint64_t request_id)
     : request_id_(request_id), start_us_(TraceNowMicros()) {}
 
 void RequestTrace::Record(TraceSpan span) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (spans_.size() >= kMaxSpans) {
-      ++dropped_;
-      Metrics().dropped->Add();
-      return;
-    }
-    spans_.push_back(std::move(span));
+  std::lock_guard<std::mutex> lock(mu_);
+  if (spans_.size() >= kMaxSpans) {
+    ++dropped_;
+    return;
   }
-  Metrics().spans->Add();
+  spans_.push_back(std::move(span));
 }
 
 void RequestTrace::CloseRoot(std::string name) {
@@ -166,7 +154,7 @@ TraceContextScope::~TraceContextScope() {
 }
 
 Tracer::Tracer() {
-  Metrics();  // register remac.trace.* up front, even when disabled
+  TracedRequests();  // registered up front, even when disabled
 }
 
 Tracer& Tracer::Global() {
@@ -185,7 +173,7 @@ void Tracer::SetProfiling(bool on) {
 
 std::shared_ptr<RequestTrace> Tracer::StartRequest() {
   if (!enabled()) return nullptr;
-  Metrics().requests->Add();
+  TracedRequests()->Add();
   return std::make_shared<RequestTrace>(
       next_request_id_.fetch_add(1, std::memory_order_relaxed));
 }

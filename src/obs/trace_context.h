@@ -20,10 +20,10 @@ namespace remac {
 /// context and is captured into every ThreadPool task submitted while it
 /// is installed, so compile, cache, scheduler and kernel spans of one
 /// request land in a single rooted span tree regardless of which worker
-/// ran them. All timestamps — including the sched::TraceSink events the
-/// parallel executor emits — share one process-wide steady-clock epoch
-/// (TraceNowMicros), so a request's spans and its task events line up on
-/// the same Chrome-trace timeline.
+/// ran them. All timestamps share one process-wide steady-clock epoch
+/// (TraceNowMicros), so the spans of a request line up on one
+/// Chrome-trace timeline whichever thread recorded them. The scheduler's
+/// task and loop spans are part of the same tree.
 ///
 /// Everything is off by default. The only cost on the disabled path is a
 /// relaxed atomic load (Tracer::enabled / Tracer::any_active); no clocks
@@ -47,8 +47,7 @@ struct TraceSpan {
 };
 
 /// Microseconds on the process-wide trace clock: a steady clock whose
-/// origin is fixed once per process, shared by request spans and the
-/// scheduler's TraceSink events.
+/// origin is fixed once per process, shared by every span.
 double TraceNowMicros();
 
 /// \brief One request's span tree. Thread-safe: tasks of the request
@@ -80,7 +79,7 @@ class RequestTrace {
   std::vector<TraceSpan> Spans() const;
   int64_t size() const;
   /// Spans discarded after the per-request cap (backstop against
-  /// runaway loops; counted in remac.trace.dropped too).
+  /// runaway loops).
   int64_t dropped() const;
 
   /// Chrome trace-event JSON; ts is relative to the root span's start,

@@ -60,7 +60,7 @@ Executor::Executor(const ClusterModel& model, const DataCatalog* catalog,
     : PlanWalk(model, traits), catalog_(catalog), ledger_(ledger) {}
 
 Result<RtValue> Executor::EvalAssign(const CompiledStmt& stmt) {
-  StageSpan span(Metrics().statement_seconds, nullptr, "statement");
+  StageSpan span(Metrics().statement_seconds, "statement");
   // Last-use buffer handoff: when the assignment target's previous value
   // is read exactly once by the new plan (X = X + ... style updates),
   // move it out of the environment so a fused region can steal its dense
@@ -166,14 +166,14 @@ Matrix Executor::Generate(const PlanNode& node) {
 }
 
 Matrix Executor::ComputeTranspose(const Matrix& m) {
-  StageSpan span(Metrics().transpose_seconds, nullptr, "transpose");
+  StageSpan span(Metrics().transpose_seconds, "transpose");
   return Transpose(m);
 }
 
 Result<Matrix> Executor::ComputeMultiply(const RtValue& a, bool a_transposed,
                                          const RtValue& b, bool b_transposed,
                                          OpCosting* costing) {
-  StageSpan span(Metrics().multiply_seconds, nullptr, "multiply");
+  StageSpan span(Metrics().multiply_seconds, "multiply");
   // Fused kernels consume the transpose flags directly: no operand is
   // materialized (remac.kernel.fused_transpose counts these).
   REMAC_ASSIGN_OR_RETURN(
@@ -192,7 +192,7 @@ Result<Matrix> Executor::ComputeMultiply(const RtValue& a, bool a_transposed,
 
 Result<Matrix> Executor::ComputeElementwise(PlanOp op, const Matrix& a,
                                             const Matrix& b) {
-  StageSpan span(Metrics().elementwise_seconds, nullptr, "elementwise");
+  StageSpan span(Metrics().elementwise_seconds, "elementwise");
   switch (op) {
     case PlanOp::kAdd: return Add(a, b);
     case PlanOp::kSub: return Subtract(a, b);
@@ -298,7 +298,7 @@ Result<FusedExecResult> Executor::StartTape(const FusedTape& tape,
       matrices.push_back(std::move(v.matrix));
     }
   }
-  StageSpan span(Metrics().elementwise_seconds, nullptr, "fused");
+  StageSpan span(Metrics().elementwise_seconds, "fused");
   return ExecuteFusedTape(tape, std::move(matrices), scalars);
 }
 

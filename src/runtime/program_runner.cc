@@ -87,15 +87,13 @@ Result<RunReport> RunInternal(const std::string& source,
   MetricsRegistry& registry = MetricsRegistry::Global();
   RunReport report;
   StageSpan parse_span(
-      registry.GetHistogram("remac.compile.parse_seconds"), nullptr,
-      "parse");
+      registry.GetHistogram("remac.compile.parse_seconds"), "parse");
   REMAC_ASSIGN_OR_RETURN(const CompiledProgram program,
                          CompileScript(source, catalog));
   report.parse_wall_seconds = parse_span.Stop();
 
   StageSpan optimize_span(
-      registry.GetHistogram("remac.compile.optimize_seconds"), nullptr,
-      "optimize");
+      registry.GetHistogram("remac.compile.optimize_seconds"), "optimize");
   REMAC_ASSIGN_OR_RETURN(
       CompiledProgram optimized,
       OptimizeCompiled(program, catalog, config, &report.optimize));
@@ -243,7 +241,7 @@ Status ExecuteCompiled(const CompiledProgram& optimized,
   // request's "execute" span.
   ScopedTraceSpan trace_span("execute", "stage", /*enter=*/true);
   StageSpan execute_span(
-      registry.GetHistogram("remac.executor.execute_seconds"), nullptr,
+      registry.GetHistogram("remac.executor.execute_seconds"),
       "execute-measured");
   const LedgerSnapshot before = LedgerSnapshot::Of(*ledger);
   if (config.scheduler == SchedulerKind::kTaskGraph) {
@@ -252,13 +250,11 @@ Status ExecuteCompiled(const CompiledProgram& optimized,
       // (Session-submitted requests), which must never join its own lane.
       ThreadPool::SetExecLaneThreads(config.pool_threads);
     }
-    TraceSink trace;
     ParallelExecutor executor(config.cluster, &catalog, ledger,
                               &ThreadPool::Global(),
                               TraitsFor(config.engine));
     executor.set_count_input_partition(config.count_input_partition);
     executor.set_intermediate_store(config.intermediates);
-    if (!config.trace_path.empty()) executor.set_trace(&trace);
     std::unique_ptr<FaultInjector> faults;
     if (config.faults.enabled) {
       faults = std::make_unique<FaultInjector>(config.faults);
@@ -270,9 +266,6 @@ Status ExecuteCompiled(const CompiledProgram& optimized,
     report->schedule = executor.schedule();
     REMAC_RETURN_NOT_OK(run_status);
     report->env = executor.env();
-    if (!config.trace_path.empty()) {
-      REMAC_RETURN_NOT_OK(trace.WriteChromeJson(config.trace_path));
-    }
   } else {
     Executor executor(config.cluster, &catalog, ledger,
                       TraitsFor(config.engine));

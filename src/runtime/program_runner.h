@@ -86,9 +86,6 @@ struct RunConfig {
   /// (0 = keep the pool's current size). Must not shrink/grow the pool
   /// while another run is in flight.
   int pool_threads = 0;
-  /// When non-empty (and scheduler == kTaskGraph), per-task trace events
-  /// are written to this path as Chrome-trace JSON (chrome://tracing).
-  std::string trace_path;
   /// Deterministic fault injection (chaos runs). Only the task-graph
   /// scheduler injects faults; the serial executor always runs fault-free
   /// and serves as the reference (and degradation fallback) path.

@@ -27,6 +27,21 @@ double TaskCostSeconds(const TransmissionLedger& ledger) {
   return b.computation_seconds + b.transmission_seconds;
 }
 
+/// Trace clock when a request trace is active, else 0 (no clock read).
+double TraceTimestampUs() {
+  return CurrentTraceContext().active() ? TraceNowMicros() : 0.0;
+}
+
+/// Records a completed task, loop or loop condition into the calling
+/// thread's request span tree. The pool wrapper installed the submitting
+/// request's context on this worker, so the span joins that request's
+/// tree under the caller's current parent.
+void RecordTaskSpan(const std::string& name, const char* category,
+                    double start_us) {
+  RecordSpanIn(CurrentTraceContext(), name, category, start_us,
+               TraceTimestampUs());
+}
+
 }  // namespace
 
 std::string ScheduleReport::ToString() const {
@@ -138,39 +153,11 @@ Executor ParallelExecutor::MakeTaskExecutor(
   return executor;
 }
 
-double ParallelExecutor::TraceTimestampUs() const {
-  return (trace_ != nullptr || CurrentTraceContext().active())
-             ? TraceNowMicros()
-             : 0.0;
-}
-
-void ParallelExecutor::RecordTrace(const std::string& name,
-                                   const char* category, double start_us,
-                                   double end_us, double queue_us,
-                                   const TransmissionLedger& task_ledger) {
-  if (trace_ != nullptr) {
-    TraceEvent event;
-    event.name = name;
-    event.category = category;
-    event.thread = ThreadPool::CurrentWorkerId();
-    event.start_us = start_us;
-    event.duration_us = std::max(0.0, end_us - start_us);
-    event.queue_us = queue_us;
-    event.flops = task_ledger.TotalFlops();
-    event.bytes = task_ledger.TotalBytes();
-    trace_->Record(event);
-  }
-  // The same completed task lands in the request's span tree (the pool
-  // wrapper installed the submitting request's context on this worker).
-  RecordSpanIn(CurrentTraceContext(), name, category, start_us, end_us);
-}
-
 Status ParallelExecutor::Run(const std::vector<CompiledStmt>& statements,
                              int max_loop_iterations) {
   Result<ListTimes> run =
       RunList(statements, max_loop_iterations, /*barrier_commit=*/false,
               /*rand_base=*/0);
-  MetricsRegistry& registry = MetricsRegistry::Global();
   if (faults_ != nullptr) {
     // Published even when the run failed: an exhausted-retries error is
     // exactly when the fault/retry counters matter most.
@@ -185,12 +172,9 @@ Status ParallelExecutor::Run(const std::vector<CompiledStmt>& statements,
     schedule_.wasted_seconds = wasted_seconds_.load(std::memory_order_relaxed);
     schedule_.backoff_seconds =
         backoff_seconds_.load(std::memory_order_relaxed);
-    registry.GetCounter("remac.retry.attempts")->Add(schedule_.retries);
-    registry.GetCounter("remac.retry.exhausted")->Add(schedule_.exhausted);
-    registry.GetGauge("remac.fault.wasted_seconds")
-        ->Add(schedule_.wasted_seconds);
-    registry.GetGauge("remac.retry.backoff_seconds")
-        ->Add(schedule_.backoff_seconds);
+    MetricsRegistry::Global()
+        .GetCounter("remac.retry.exhausted")
+        ->Add(schedule_.exhausted);
   }
   REMAC_RETURN_NOT_OK(run.status());
   const ListTimes times = *run;
@@ -209,16 +193,6 @@ Status ParallelExecutor::Run(const std::vector<CompiledStmt>& statements,
   schedule_.makespan_seconds = std::clamp(
       schedule_.makespan_seconds + times.makespan_seconds,
       schedule_.critical_path_seconds, schedule_.serial_seconds);
-  registry.GetGauge("remac.sched.tasks")
-      ->Add(static_cast<double>(schedule_.tasks));
-  registry.GetGauge("remac.sched.edges")
-      ->Add(static_cast<double>(schedule_.edges));
-  registry.GetGauge("remac.sched.serial_seconds")
-      ->Add(schedule_.serial_seconds);
-  registry.GetGauge("remac.sched.critical_path_seconds")
-      ->Add(schedule_.critical_path_seconds);
-  registry.GetGauge("remac.sched.makespan_seconds")
-      ->Add(schedule_.makespan_seconds);
   return Status::OK();
 }
 
@@ -245,7 +219,6 @@ Result<ParallelExecutor::ListTimes> ParallelExecutor::RunList(
     std::atomic<uint64_t> consumed{0};
     double cost_makespan = 0.0;
     double cost_critical = 0.0;
-    double ready_us = 0.0;
   };
   std::vector<NodeState> state(n);
   std::vector<std::vector<int>> unique_deps(n);
@@ -269,7 +242,6 @@ Result<ParallelExecutor::ListTimes> ParallelExecutor::RunList(
 
   std::function<void(int)> execute;
   auto submit = [&](int id) {
-    state[static_cast<size_t>(id)].ready_us = TraceTimestampUs();
     pool_->Submit([&execute, id] { execute(id); });
   };
   auto fail = [&](Status status) {
@@ -381,8 +353,7 @@ Result<ParallelExecutor::ListTimes> ParallelExecutor::RunList(
           ns.cost_critical = cost + lost_cost;
           AtomicAdd(serial_seconds_, cost + lost_cost);
           if (ledger_ != nullptr) ledger_->MergeFrom(task_ledger);
-          RecordTrace(node.label, "task", start_us, TraceTimestampUs(),
-                      std::max(0.0, start_us - ns.ready_us), task_ledger);
+          RecordTaskSpan(node.label, "task", start_us);
           break;
         }
       } else {
@@ -395,11 +366,7 @@ Result<ParallelExecutor::ListTimes> ParallelExecutor::RunList(
           ns.cost_critical = loop->critical_path_seconds;
           ns.consumed.store(loop->rand_consumed, std::memory_order_release);
         }
-        if (trace_ != nullptr || CurrentTraceContext().active()) {
-          TransmissionLedger empty(model_);
-          RecordTrace(node.label, "loop", start_us, TraceTimestampUs(),
-                      std::max(0.0, start_us - ns.ready_us), empty);
-        }
+        RecordTaskSpan(node.label, "loop", start_us);
       }
     }
     int inline_next = -1;
@@ -418,7 +385,6 @@ Result<ParallelExecutor::ListTimes> ParallelExecutor::RunList(
       if (--outstanding == 0) done_cv.notify_all();
     }
     if (inline_next < 0) break;
-    state[static_cast<size_t>(inline_next)].ready_us = TraceTimestampUs();
     id = inline_next;
    }
   };
@@ -505,8 +471,7 @@ Result<ParallelExecutor::ListTimes> ParallelExecutor::RunLoop(
       total.critical_path_seconds += cost;
       AtomicAdd(serial_seconds_, cost);
       if (ledger_ != nullptr) ledger_->MergeFrom(cond_ledger);
-      RecordTrace("loop-cond", "condition", start_us, TraceTimestampUs(),
-                  0.0, cond_ledger);
+      RecordTaskSpan("loop-cond", "condition", start_us);
       if (flag == 0.0) break;
     }
     REMAC_ASSIGN_OR_RETURN(

@@ -12,7 +12,6 @@
 #include "runtime/executor.h"
 #include "sched/task_graph.h"
 #include "sched/thread_pool.h"
-#include "sched/trace.h"
 
 namespace remac {
 
@@ -83,8 +82,6 @@ class ParallelExecutor {
 
   /// See Executor::set_count_input_partition.
   void set_count_input_partition(bool on) { count_input_partition_ = on; }
-  /// Optional per-task trace sink (Chrome-trace events).
-  void set_trace(TraceSink* trace) { trace_ = trace; }
   /// Optional fault oracle for chaos runs. Failed attempts are retried
   /// (up to the plan's max_retries) with their wasted work double-booked
   /// into the ledger; results stay bitwise-identical to a fault-free run
@@ -134,22 +131,12 @@ class ParallelExecutor {
   RtValue StoreGetOr(const std::string& name, bool* found) const;
   void StoreSet(const std::string& name, RtValue value);
 
-  /// Records a completed task into the attached TraceSink (when set) and
-  /// into the calling thread's request TraceContext (when active) — both
-  /// on the shared process trace epoch.
-  void RecordTrace(const std::string& name, const char* category,
-                   double start_us, double end_us, double queue_us,
-                   const TransmissionLedger& task_ledger);
-  /// Trace clock when any sink could use it, else 0 (no clock read).
-  double TraceTimestampUs() const;
-
   ClusterModel model_;
   const DataCatalog* catalog_;
   TransmissionLedger* ledger_;
   ThreadPool* pool_;
   EngineTraits traits_;
   bool count_input_partition_ = false;
-  TraceSink* trace_ = nullptr;
   FaultInjector* faults_ = nullptr;
   IntermediateStore* intermediates_ = nullptr;
 

@@ -14,18 +14,12 @@ namespace {
 thread_local ThreadPool* tl_pool = nullptr;
 thread_local int tl_worker_id = -1;
 
-/// Process-wide mirrors of the per-instance pool counters. PoolStats
-/// stays the exact per-pool view (tests assert it; SetGlobalThreads
-/// recreates pools); these aggregate across every pool's lifetime.
-/// The lane families are registered here — unconditionally, so the
-/// metrics manifest sees them even in runs that never build one of the
-/// lanes — and handed to the matching pool at construction.
+/// Process-wide pool metrics. Tasks executed, steals and the peak queue
+/// depth are counted once, per pool, in PoolStats. The lane families are
+/// registered here — unconditionally, so the metrics manifest sees them
+/// even in runs that never build one of the lanes — and handed to the
+/// matching pool at construction.
 struct PoolMetrics {
-  Counter* tasks =
-      MetricsRegistry::Global().GetCounter("remac.pool.tasks_executed");
-  Counter* steals = MetricsRegistry::Global().GetCounter("remac.pool.steals");
-  Gauge* peak_queue_depth =
-      MetricsRegistry::Global().GetGauge("remac.pool.peak_queue_depth");
   /// Submit-to-start latency, observed only while contention profiling
   /// is on (obs/trace_context Tracer) — the disabled path reads no
   /// clocks on submit or execution.
@@ -171,7 +165,6 @@ void ThreadPool::Submit(std::function<void()> fn) {
            !peak_queue_depth_.compare_exchange_weak(
                peak, depth, std::memory_order_relaxed)) {
     }
-    Metrics().peak_queue_depth->SetMax(static_cast<double>(depth));
   }
   pending_.fetch_add(1, std::memory_order_seq_cst);
   // Wake the owner of the deque that received the task; a worker
@@ -197,7 +190,6 @@ bool ThreadPool::PopTask(int preferred, std::function<void()>* out) {
       *out = std::move(queue.items.back());
       queue.items.pop_back();
       steals_.fetch_add(1, std::memory_order_relaxed);
-      Metrics().steals->Add();
     }
     pending_.fetch_sub(1, std::memory_order_acq_rel);
     return true;
@@ -215,7 +207,6 @@ void ThreadPool::WorkerLoop(int index) {
       task();
       task = nullptr;
       tasks_executed_.fetch_add(1, std::memory_order_relaxed);
-      Metrics().tasks->Add();
       if (lane_tasks_ != nullptr) lane_tasks_->Add();
       continue;
     }
@@ -250,7 +241,6 @@ bool ThreadPool::TryRunOne() {
   if (!PopTask(preferred, &task)) return false;
   task();
   tasks_executed_.fetch_add(1, std::memory_order_relaxed);
-  Metrics().tasks->Add();
   if (lane_tasks_ != nullptr) lane_tasks_->Add();
   return true;
 }

@@ -12,8 +12,8 @@ namespace remac {
 
 namespace {
 
-/// Global mirrors of the per-instance counters (instances are the exact
-/// per-cache view; these aggregate across every cache).
+/// Process-wide cache metrics: the ones remacbench and the load harness
+/// read. Every other count lives once, per instance, in MatCacheStats.
 struct MatCacheMetrics {
   /// Contended shard-lock wait (TimedMutexLock; only observed while
   /// contention profiling is on).
@@ -26,24 +26,8 @@ struct MatCacheMetrics {
   Counter* probes =
       MetricsRegistry::Global().GetCounter("remac.matcache.probes");
   Counter* hits = MetricsRegistry::Global().GetCounter("remac.matcache.hits");
-  Counter* misses =
-      MetricsRegistry::Global().GetCounter("remac.matcache.misses");
-  Counter* admits =
-      MetricsRegistry::Global().GetCounter("remac.matcache.admits");
-  Counter* rejects =
-      MetricsRegistry::Global().GetCounter("remac.matcache.rejects");
-  Counter* evictions =
-      MetricsRegistry::Global().GetCounter("remac.matcache.evictions");
   Counter* invalidations =
       MetricsRegistry::Global().GetCounter("remac.matcache.invalidations");
-  Counter* flight_waits =
-      MetricsRegistry::Global().GetCounter("remac.matcache.flight_waits");
-  Gauge* entries =
-      MetricsRegistry::Global().GetGauge("remac.matcache.entries");
-  Gauge* resident_bytes =
-      MetricsRegistry::Global().GetGauge("remac.matcache.resident_bytes");
-  Gauge* flops_saved =
-      MetricsRegistry::Global().GetGauge("remac.matcache.flops_saved");
 };
 
 MatCacheMetrics& Metrics() {
@@ -82,8 +66,6 @@ MatCache::MatCache(MatCacheOptions options)
 void MatCache::Track(const MaterializedIntermediate& entry, int sign) {
   const int64_t bytes = sign * entry.bytes;
   resident_bytes_.fetch_add(bytes, std::memory_order_relaxed);
-  Metrics().entries->Add(sign);
-  Metrics().resident_bytes->Add(static_cast<double>(bytes));
 }
 
 void MatCache::CountProbe(const std::string& key) {
@@ -111,7 +93,6 @@ std::shared_ptr<const MaterializedIntermediate> MatCache::Get(
   std::shared_ptr<const MaterializedIntermediate> entry = lru_.Get(key);
   if (entry == nullptr) {
     misses_.fetch_add(1, std::memory_order_relaxed);
-    Metrics().misses->Add();
     return nullptr;
   }
   hits_.fetch_add(1, std::memory_order_relaxed);
@@ -151,19 +132,16 @@ std::shared_ptr<const MaterializedIntermediate> MatCache::Offer(
   }
   if (!admit) {
     rejects_.fetch_add(1, std::memory_order_relaxed);
-    Metrics().rejects->Add();
     return entry;  // still published to followers, just not resident
   }
 
   admits_.fetch_add(1, std::memory_order_relaxed);
-  Metrics().admits->Add();
   Track(*entry, +1);
   auto displaced = lru_.Put(key, entry, entry->bytes);
   if (displaced.replaced != nullptr) Track(*displaced.replaced, -1);
   for (const auto& victim : displaced.evicted) {
     Track(*victim, -1);
     evictions_.fetch_add(1, std::memory_order_relaxed);
-    Metrics().evictions->Add();
   }
   return entry;
 }
@@ -186,13 +164,11 @@ int MatCache::EraseDatasets(const std::vector<std::string>& names) {
 
 void MatCache::RecordFlightWait(double wait_seconds) {
   flight_waits_.fetch_add(1, std::memory_order_relaxed);
-  Metrics().flight_waits->Add();
   Metrics().flight_wait_seconds->Observe(wait_seconds);
 }
 
 void MatCache::RecordFlopsSaved(double flops) {
   AtomicAdd(&flops_saved_, flops);
-  Metrics().flops_saved->Add(flops);
 }
 
 MatCacheStats MatCache::stats() const {

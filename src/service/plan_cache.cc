@@ -8,25 +8,15 @@ namespace remac {
 
 namespace {
 
-/// Global mirrors of the per-instance cache counters (instances are the
-/// exact per-cache view; these aggregate across every cache).
+/// Process-wide cache metrics. Hits, misses, evictions, entries and
+/// resident bytes are counted once, per instance, in PlanCacheStats.
 struct CacheMetrics {
   /// Contended shard-lock wait (TimedMutexLock; only observed while
   /// contention profiling is on).
   Histogram* lock_wait = MetricsRegistry::Global().GetHistogram(
       "remac.contention.plancache_lock_seconds");
-  Counter* hits =
-      MetricsRegistry::Global().GetCounter("remac.plancache.hits");
-  Counter* misses =
-      MetricsRegistry::Global().GetCounter("remac.plancache.misses");
-  Counter* evictions =
-      MetricsRegistry::Global().GetCounter("remac.plancache.evictions");
   Counter* invalidations =
       MetricsRegistry::Global().GetCounter("remac.plancache.invalidations");
-  Gauge* entries =
-      MetricsRegistry::Global().GetGauge("remac.plancache.entries");
-  Gauge* resident_bytes =
-      MetricsRegistry::Global().GetGauge("remac.plancache.resident_bytes");
 };
 
 CacheMetrics& Metrics() {
@@ -79,19 +69,11 @@ void PlanCache::Track(const CachedPlan& plan, int sign) {
       sign * (plan.resident_bytes > 0 ? plan.resident_bytes
                                       : plan.EstimateResidentBytes());
   resident_bytes_.fetch_add(bytes, std::memory_order_relaxed);
-  Metrics().entries->Add(sign);
-  Metrics().resident_bytes->Add(static_cast<double>(bytes));
 }
 
 std::shared_ptr<const CachedPlan> PlanCache::Get(const std::string& key) {
   std::shared_ptr<const CachedPlan> plan = lru_.Get(key);
-  if (plan == nullptr) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    Metrics().misses->Add();
-  } else {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    Metrics().hits->Add();
-  }
+  (plan == nullptr ? misses_ : hits_).fetch_add(1, std::memory_order_relaxed);
   return plan;
 }
 
@@ -103,7 +85,6 @@ void PlanCache::Put(const std::string& key,
   for (const auto& victim : displaced.evicted) {
     Track(*victim, -1);
     evictions_.fetch_add(1, std::memory_order_relaxed);
-    Metrics().evictions->Add();
   }
 }
 

@@ -13,19 +13,13 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// Global mirrors of the per-service request stats (instances keep the
-/// exact per-service view; these aggregate across every service).
+/// Process-wide service metrics: latency distributions and the counts
+/// that tests and harnesses read from the registry. Request, warm, cold,
+/// flight-wait and degraded counts live once, per service, in
+/// ServiceStats.
 struct ServiceMetrics {
-  Counter* requests =
-      MetricsRegistry::Global().GetCounter("remac.service.requests");
-  Counter* warm_hits =
-      MetricsRegistry::Global().GetCounter("remac.service.warm_hits");
-  Counter* cold_misses =
-      MetricsRegistry::Global().GetCounter("remac.service.cold_misses");
-  Counter* flight_waits =
-      MetricsRegistry::Global().GetCounter("remac.service.flight_waits");
   /// How long single-flight followers actually blocked on a leader's
-  /// optimize — the duration behind the flight_waits count.
+  /// optimize — the duration behind ServiceStats::single_flight_waits.
   Histogram* flight_wait_seconds = MetricsRegistry::Global().GetHistogram(
       "remac.service.flight_wait_seconds");
   Histogram* request_seconds = MetricsRegistry::Global().GetHistogram(
@@ -36,9 +30,7 @@ struct ServiceMetrics {
       MetricsRegistry::Global().GetHistogram("remac.service.cold_seconds");
   Histogram* build_seconds =
       MetricsRegistry::Global().GetHistogram("remac.service.build_seconds");
-  Counter* degraded =
-      MetricsRegistry::Global().GetCounter("remac.service.degraded");
-  /// Requests shed by admission control (a subset of `degraded`).
+  /// Requests shed by admission control (a subset of the degraded ones).
   Counter* shed =
       MetricsRegistry::Global().GetCounter("remac.service.shed");
 };
@@ -190,7 +182,6 @@ Result<ServiceReport> PlanService::RunQueued(
     double queued_seconds) {
   const auto start = Clock::now();
   requests_.fetch_add(1, std::memory_order_relaxed);
-  Metrics().requests->Add();
 
   // Everything below runs under the request's root context: spans opened
   // here — and in every pool task submitted while it is installed — join
@@ -280,7 +271,6 @@ Result<ServiceReport> PlanService::RunQueued(
       }
     } else {
       single_flight_waits_.fetch_add(1, std::memory_order_relaxed);
-      Metrics().flight_waits->Add();
       report.shared_flight = true;
       const auto wait_start = Clock::now();
       const double wait_start_us = TraceNowMicros();
@@ -315,7 +305,6 @@ Result<ServiceReport> PlanService::RunQueued(
       report.degraded = true;
       report.degraded_reason = reason;
       degraded_requests_.fetch_add(1, std::memory_order_relaxed);
-      Metrics().degraded->Add();
       if (reason == DegradeReason::kShedDeadline ||
           reason == DegradeReason::kShedBacklog) {
         report.shed = true;
@@ -389,12 +378,10 @@ Result<ServiceReport> PlanService::RunQueued(
   if (report.cache_hit) {
     warm_requests_.fetch_add(1, std::memory_order_relaxed);
     AtomicAdd(&warm_seconds_, report.timing.total_seconds);
-    Metrics().warm_hits->Add();
     Metrics().warm_seconds->Observe(report.timing.total_seconds);
   } else {
     cold_requests_.fetch_add(1, std::memory_order_relaxed);
     AtomicAdd(&cold_seconds_, report.timing.total_seconds);
-    Metrics().cold_misses->Add();
     Metrics().cold_seconds->Observe(report.timing.total_seconds);
   }
   if (trace != nullptr) trace->CloseRoot("request");

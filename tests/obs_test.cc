@@ -6,6 +6,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -15,8 +16,8 @@
 #include "obs/cost_audit.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
+#include "obs/trace_context.h"
 #include "runtime/program_runner.h"
-#include "sched/trace.h"
 
 namespace remac {
 namespace {
@@ -268,22 +269,28 @@ TEST(ObsExport, WriteToFileIsAtomicAndShortTxtPicksPrometheus) {
 TEST(ObsSpan, ObservesHistogramOnceAndEmitsTrace) {
   MetricsRegistry registry;
   Histogram* hist = registry.GetHistogram("remac.test.span");
-  TraceSink trace;
+  Tracer::Global().SetEnabled(true);
+  const std::shared_ptr<RequestTrace> trace = Tracer::Global().StartRequest();
+  ASSERT_NE(trace, nullptr);
   {
-    StageSpan span(hist, &trace, "unit-test-stage");
+    TraceContextScope scope(TraceContext{trace, RequestTrace::kRootSpanId});
+    StageSpan span(hist, "unit-test-stage");
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
     EXPECT_GE(span.ElapsedSeconds(), 0.004);
     EXPECT_GE(span.Stop(), 0.004);
     span.Stop();  // idempotent: second stop records nothing
   }
+  Tracer::Global().SetEnabled(false);
+  Tracer::Global().SetProfiling(false);
   EXPECT_EQ(hist->Count(), 1);
   // The recorded duration must be the real elapsed time, not zero.
   EXPECT_GE(hist->Sum(), 0.004);
-  ASSERT_EQ(trace.size(), 1);
-  const TraceEvent event = trace.Events()[0];
-  EXPECT_EQ(event.name, "unit-test-stage");
-  EXPECT_EQ(event.category, "stage");
-  EXPECT_GE(event.duration_us, 4000.0);
+  const std::vector<TraceSpan> spans = trace->Spans();
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_EQ(spans[0].name, "unit-test-stage");
+  EXPECT_STREQ(spans[0].category, "stage");
+  EXPECT_EQ(spans[0].parent, RequestTrace::kRootSpanId);
+  EXPECT_GE(spans[0].duration_us, 4000.0);
 }
 
 TEST(ObsSpan, DestructorStops) {

@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <string>
 
 #include "algorithms/scripts.h"
 #include "data/generators.h"
@@ -222,6 +223,13 @@ TEST(MatrixMarket, RejectsBadSizeLines) {
       {array + "1000000000 1000000000\n1\n2\n", StatusCode::kParseError},
       {coord + "1000000 1000000 1000000000000\n1 1 1\n2 2 2\n",
        StatusCode::kParseError},
+      // Dimensions above kMaxMatrixMarketDim: the CSR row pointers are
+      // sized from rows, 8 TB for the first header.
+      {coord + "1000000000000 1 2\n1 1 1\n2 1 2\n", StatusCode::kOutOfRange},
+      {coord + std::to_string(kMaxMatrixMarketDim + 1) + " 1 1\n1 1 1\n",
+       StatusCode::kOutOfRange},
+      {coord + "1 " + std::to_string(kMaxMatrixMarketDim + 1) + " 1\n1 1 1\n",
+       StatusCode::kOutOfRange},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.content);
@@ -234,6 +242,10 @@ TEST(MatrixMarket, RejectsBadSizeLines) {
   ASSERT_TRUE(ParseMatrixMarket(coord + "0 7 0\n").ok());
   ASSERT_TRUE(ParseMatrixMarket(array + "2 1\n1 2").ok());
   ASSERT_TRUE(ParseMatrixMarket(coord + "1 2 2\n1 1 1\n1 2 2").ok());
+  ASSERT_TRUE(ParseMatrixMarket(
+                  coord + "1 " + std::to_string(kMaxMatrixMarketDim) +
+                  " 1\n1 1 1\n")
+                  .ok());
 }
 
 TEST(MatrixMarket, SymmetricPatternWithInterleavedComments) {

@@ -5,27 +5,142 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cctype>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <memory>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "algorithms/scripts.h"
 #include "data/generators.h"
 #include "obs/metrics.h"
+#include "obs/trace_context.h"
 #include "plan/plan_builder.h"
 #include "runtime/executor.h"
 #include "runtime/program_runner.h"
 #include "sched/parallel_executor.h"
 #include "sched/task_graph.h"
 #include "sched/thread_pool.h"
-#include "sched/trace.h"
 
 namespace remac {
 namespace {
+
+/// Strict JSON well-formedness check (the RFC 8259 grammar, no semantic
+/// limits): enough to tell a parseable trace file from a broken one.
+class JsonChecker {
+ public:
+  explicit JsonChecker(const std::string& text) : s_(text) {}
+
+  bool Valid() {
+    if (!Value()) return false;
+    SkipSpace();
+    return i_ == s_.size();
+  }
+
+ private:
+  bool More() const { return i_ < s_.size(); }
+
+  void SkipSpace() {
+    while (More() && (s_[i_] == ' ' || s_[i_] == '\t' || s_[i_] == '\r' ||
+                      s_[i_] == '\n')) {
+      ++i_;
+    }
+  }
+
+  bool Eat(char c) {
+    SkipSpace();
+    if (!More() || s_[i_] != c) return false;
+    ++i_;
+    return true;
+  }
+
+  bool Value() {
+    SkipSpace();
+    if (!More()) return false;
+    if (s_[i_] == '{') return Container('}', /*object=*/true);
+    if (s_[i_] == '[') return Container(']', /*object=*/false);
+    if (s_[i_] == '"') return String();
+    for (const std::string word : {"true", "false", "null"}) {
+      if (s_.compare(i_, word.size(), word) == 0) {
+        i_ += word.size();
+        return true;
+      }
+    }
+    return Number();
+  }
+
+  bool Container(char close, bool object) {
+    ++i_;
+    if (Eat(close)) return true;
+    do {
+      if (object) {
+        SkipSpace();
+        if (!String() || !Eat(':')) return false;
+      }
+      if (!Value()) return false;
+    } while (Eat(','));
+    return Eat(close);
+  }
+
+  bool String() {
+    if (!More() || s_[i_] != '"') return false;
+    for (++i_; More(); ++i_) {
+      const auto c = static_cast<unsigned char>(s_[i_]);
+      if (c == '"') {
+        ++i_;
+        return true;
+      }
+      if (c < 0x20) return false;
+      if (c != '\\') continue;
+      if (++i_ == s_.size()) return false;
+      if (s_[i_] == 'u') {
+        for (int k = 0; k < 4; ++k) {
+          if (++i_ == s_.size() ||
+              !std::isxdigit(static_cast<unsigned char>(s_[i_]))) {
+            return false;
+          }
+        }
+      } else if (std::string("\"\\/bfnrt").find(s_[i_]) ==
+                 std::string::npos) {
+        return false;
+      }
+    }
+    return false;
+  }
+
+  bool Digits() {
+    const size_t start = i_;
+    while (More() && std::isdigit(static_cast<unsigned char>(s_[i_]))) ++i_;
+    return i_ > start;
+  }
+
+  bool Number() {
+    if (More() && s_[i_] == '-') ++i_;
+    if (!Digits()) return false;
+    if (More() && s_[i_] == '.') {
+      ++i_;
+      if (!Digits()) return false;
+    }
+    if (More() && (s_[i_] == 'e' || s_[i_] == 'E')) {
+      ++i_;
+      if (More() && (s_[i_] == '+' || s_[i_] == '-')) ++i_;
+      if (!Digits()) return false;
+    }
+    return true;
+  }
+
+  const std::string& s_;
+  size_t i_ = 0;
+};
+
+bool IsJson(const std::string& text) { return JsonChecker(text).Valid(); }
 
 DataCatalog SchedCatalog() {
   DataCatalog catalog;
@@ -544,7 +659,17 @@ TEST(SchedDeterminism, DynamicRandLoopKeepsTheStreamAligned) {
 // ---------------------------------------------------------------------------
 // Trace hooks
 
+/// Turns request tracing on for one test and off again afterwards.
+struct TracingOn {
+  TracingOn() { Tracer::Global().SetEnabled(true); }
+  ~TracingOn() {
+    Tracer::Global().SetEnabled(false);
+    Tracer::Global().SetProfiling(false);
+  }
+};
+
 TEST(SchedTrace, WritesChromeTraceJson) {
+  TracingOn tracing;
   const DataCatalog catalog = SchedCatalog();
   auto program =
       CompileScript("A = read(\"ds\");\nB = t(A) %*% A;\nC = B + B;\n",
@@ -552,41 +677,87 @@ TEST(SchedTrace, WritesChromeTraceJson) {
   ASSERT_TRUE(program.ok());
   ThreadPool pool(2);
   TransmissionLedger ledger((ClusterModel()));
-  TraceSink trace;
   ParallelExecutor executor(ClusterModel(), &catalog, &ledger, &pool);
-  executor.set_trace(&trace);
-  ASSERT_TRUE(executor.Run(program->statements).ok());
-  EXPECT_GE(trace.size(), 3u);
+  const std::shared_ptr<RequestTrace> trace = Tracer::Global().StartRequest();
+  ASSERT_NE(trace, nullptr);
+  {
+    TraceContextScope scope(TraceContext{trace, RequestTrace::kRootSpanId});
+    ASSERT_TRUE(executor.Run(program->statements).ok());
+  }
+  trace->CloseRoot("request");
 
-  const std::string json = trace.ToChromeJson();
-  EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
+  // One rooted tree: a single root, unique ids, every parent recorded.
+  const std::vector<TraceSpan> spans = trace->Spans();
+  std::set<uint64_t> ids;
+  for (const TraceSpan& span : spans) {
+    EXPECT_TRUE(ids.insert(span.id).second) << "duplicate id " << span.id;
+  }
+  int roots = 0;
+  std::vector<std::string> tasks;
+  for (const TraceSpan& span : spans) {
+    if (span.parent == 0) {
+      ++roots;
+      EXPECT_EQ(span.id, RequestTrace::kRootSpanId);
+    } else {
+      EXPECT_TRUE(ids.count(span.parent)) << span.name << " is orphaned";
+    }
+    if (std::strcmp(span.category, "task") == 0) {
+      EXPECT_EQ(span.parent, RequestTrace::kRootSpanId) << span.name;
+      tasks.push_back(span.name);
+    }
+  }
+  EXPECT_EQ(roots, 1);
+  // One span per executed task: A, B and C.
+  std::sort(tasks.begin(), tasks.end());
+  EXPECT_EQ(tasks, (std::vector<std::string>{"A", "B", "C"}));
+  EXPECT_EQ(static_cast<int64_t>(tasks.size()), executor.schedule().tasks);
 
   const std::string path = testing::TempDir() + "/remac_sched_trace.json";
-  ASSERT_TRUE(trace.WriteChromeJson(path).ok());
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  ASSERT_NE(f, nullptr);
-  char head[16] = {0};
-  const size_t got = std::fread(head, 1, sizeof(head) - 1, f);
-  std::fclose(f);
+  ASSERT_TRUE(trace->WriteChromeJson(path).ok());
+  std::ifstream in(path);
+  std::ostringstream body;
+  body << in.rdbuf();
   std::remove(path.c_str());
-  EXPECT_GT(got, 0u);
-  EXPECT_EQ(head[0], '{');
+  EXPECT_EQ(body.str(), trace->ToChromeJson());
+  EXPECT_TRUE(IsJson(body.str())) << body.str();
+  EXPECT_FALSE(IsJson(body.str().substr(0, body.str().size() / 2)));
 }
 
-TEST(SchedTrace, ProgramRunnerWritesTraceFile) {
+TEST(SchedTrace, ProgramRunnerNestsTaskSpansUnderExecute) {
+  TracingOn tracing;
   const DataCatalog catalog = SchedCatalog();
   RunConfig config;
   config.max_iterations = 2;
   config.scheduler = SchedulerKind::kTaskGraph;
-  config.trace_path = testing::TempDir() + "/remac_runner_trace.json";
-  auto report = RunScript(DfpScript("ds", 2), catalog, config);
+  const std::shared_ptr<RequestTrace> trace = Tracer::Global().StartRequest();
+  ASSERT_NE(trace, nullptr);
+  Result<RunReport> report = Status::Internal("not run");
+  {
+    TraceContextScope scope(TraceContext{trace, RequestTrace::kRootSpanId});
+    report = RunScript(DfpScript("ds", 2), catalog, config);
+  }
   ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_TRUE(report->schedule.used);
-  std::FILE* f = std::fopen(config.trace_path.c_str(), "rb");
-  ASSERT_NE(f, nullptr);
-  std::fclose(f);
-  std::remove(config.trace_path.c_str());
+  ASSERT_TRUE(report->schedule.used);
+
+  const std::vector<TraceSpan> spans = trace->Spans();
+  uint64_t execute_id = 0;
+  for (const TraceSpan& span : spans) {
+    if (span.name == "execute") execute_id = span.id;
+  }
+  ASSERT_NE(execute_id, 0u);
+  // Every task-graph node (statement or whole loop) is one span under
+  // the "execute" stage, and the span tree counts what the schedule
+  // report counts.
+  int64_t nodes = 0;
+  for (const TraceSpan& span : spans) {
+    if (std::strcmp(span.category, "task") == 0 ||
+        std::strcmp(span.category, "loop") == 0) {
+      ++nodes;
+      EXPECT_EQ(span.parent, execute_id) << span.name;
+    }
+  }
+  EXPECT_GT(nodes, 0);
+  EXPECT_EQ(nodes, report->schedule.tasks);
 }
 
 // ---------------------------------------------------------------------------

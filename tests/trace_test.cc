@@ -1,8 +1,7 @@
 // Request-scoped tracing + contention-profiling tests: context
 // propagation across pool tasks, rooted span trees from traced service
-// runs, bitwise identity of results with tracing on vs off, the shared
-// trace-clock epoch, and the contended-only semantics of the profiling
-// clocks. The Trace*/Contention* suites run under TSan/ASan/UBSan via
+// runs, bitwise identity of results with tracing on vs off, and the
+// contended-only semantics of the profiling clocks. The Trace*/Contention* suites run under TSan/ASan/UBSan via
 // scripts/check.sh.
 
 #include <atomic>
@@ -22,7 +21,6 @@
 #include "obs/metrics.h"
 #include "obs/trace_context.h"
 #include "sched/thread_pool.h"
-#include "sched/trace.h"
 #include "service/plan_service.h"
 
 namespace remac {
@@ -299,17 +297,6 @@ TEST(TraceJsonTest, SpansPastTheCapAreCountedAsDropped) {
   EXPECT_EQ(trace.size(), 65536);
   EXPECT_EQ(trace.dropped(), 26);
   EXPECT_NE(trace.ToChromeJson().find("\"dropped\":26"), std::string::npos);
-}
-
-TEST(TraceEpochTest, SinkAndRequestSpansShareTheClock) {
-  // TraceSink events and request spans must land on one timeline: a
-  // sink timestamp taken "now" sits within a request-span bracket.
-  TraceSink sink;
-  const double before = TraceNowMicros();
-  const double sink_now = sink.NowMicros();
-  const double after = TraceNowMicros();
-  EXPECT_GE(sink_now, before);
-  EXPECT_LE(sink_now, after);
 }
 
 // ---------------------------------------------------------------------

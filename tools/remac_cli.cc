@@ -64,6 +64,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/string_util.h"
@@ -385,28 +386,23 @@ int Main(int argc, char** argv) {
   std::string trace_dir;
   double deadline_seconds = 0.0;
   double backlog_factor = 8.0;
+  // --data NAME=PATH and --dataset NAME[:ALIAS] in command-line order.
+  // They are loaded only after every option parsed and the script
+  // opened, so a usage error never pays for reading or generating data.
+  std::vector<std::pair<std::string, std::string>> data_args;
   for (int i = 3; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
     Status st;
-    if (arg == "--data") {
+    if (arg == "--data" || arg == "--dataset") {
       const char* value = next();
       if (value == nullptr) return Usage();
-      const std::string spec = value;
-      const size_t eq = spec.find('=');
-      if (eq == std::string::npos) return Usage();
-      auto m = ReadMatrixMarket(spec.substr(eq + 1));
-      if (!m.ok()) {
-        std::fprintf(stderr, "error: %s\n", m.status().ToString().c_str());
-        return 1;
+      if (arg == "--data" && std::strchr(value, '=') == nullptr) {
+        return Usage();
       }
-      catalog.Register(spec.substr(0, eq), std::move(m).value());
-    } else if (arg == "--dataset") {
-      const char* value = next();
-      if (value == nullptr) return Usage();
-      st = RegisterNamedDataset(&catalog, value);
+      data_args.emplace_back(arg, value);
     } else if (arg == "--optimizer") {
       const char* value = next();
       if (value == nullptr) return Usage();
@@ -534,6 +530,22 @@ int Main(int argc, char** argv) {
   }
   std::ostringstream source;
   source << script_file.rdbuf();
+
+  for (const auto& [option, value] : data_args) {
+    Status st;
+    if (option == "--dataset") {
+      st = RegisterNamedDataset(&catalog, value);
+    } else {
+      const size_t eq = value.find('=');
+      Result<Matrix> m = ReadMatrixMarket(value.substr(eq + 1));
+      st = m.status();
+      if (m.ok()) catalog.Register(value.substr(0, eq), std::move(m).value());
+    }
+    if (!st.ok()) {
+      std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
+      return 1;
+    }
+  }
 
   if (repeat > 0 && command != "compile") {
     // Serve mode: route every request through the plan service. The
