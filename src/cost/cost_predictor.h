@@ -137,8 +137,9 @@ class CostPredictor : public PlanWalk<CostPredictor, NodeStats> {
   }
   NodeStats ComputeUnary(PlanOp op, const NodeStats& m) {
     // exp densifies (exp(0) = 1); log touches stored non-zeros only.
-    return PlainStats(m.rows, m.cols,
-                      op == PlanOp::kExp ? 1.0 : m.sparsity);
+    return PlainStats(
+        m.rows, m.cols,
+        OpInfo(op).pattern == PatternRule::kDense ? 1.0 : m.sparsity);
   }
   NodeStats ComputeLineSums(PlanOp op, const NodeStats& m) {
     // A line sum is non-zero when any of its cells is: the line's

@@ -11,13 +11,6 @@ namespace remac {
 
 namespace {
 
-constexpr std::pair<PlanOp, FusedOp> kFusedOps[] = {
-    {PlanOp::kAdd, FusedOp::kAdd}, {PlanOp::kSub, FusedOp::kSub},
-    {PlanOp::kMul, FusedOp::kMul}, {PlanOp::kDiv, FusedOp::kDiv},
-    {PlanOp::kMin, FusedOp::kMin}, {PlanOp::kMax, FusedOp::kMax},
-    {PlanOp::kExp, FusedOp::kExp}, {PlanOp::kLog, FusedOp::kLog},
-};
-
 /// Registry handles resolved once, process-wide.
 struct FusionMetrics {
   Counter* regions =
@@ -39,10 +32,9 @@ bool FusableOp(const PlanNode& node) {
       node.shape.cols <= 0) {
     return false;
   }
-  const std::optional<FusedOp> op = FusedOpOf(node.op);
-  if (!op.has_value()) return false;
-  const bool unary = *op == FusedOp::kExp || *op == FusedOp::kLog;
-  return node.children.size() == (unary ? 1u : 2u);
+  const PlanOpInfo& info = OpInfo(node.op);
+  return info.cell.has_value() &&
+         node.children.size() == static_cast<size_t>(info.arity);
 }
 
 /// True when `node` belongs to the region rooted at `root`: fusable and
@@ -179,20 +171,6 @@ void FuseStatements(std::vector<CompiledStmt>* statements, Fuser* fuser) {
 }
 
 }  // namespace
-
-std::optional<FusedOp> FusedOpOf(PlanOp op) {
-  for (const auto& [plan_op, fused_op] : kFusedOps) {
-    if (plan_op == op) return fused_op;
-  }
-  return std::nullopt;
-}
-
-PlanOp PlanOpOf(FusedOp op) {
-  for (const auto& [plan_op, fused_op] : kFusedOps) {
-    if (fused_op == op) return plan_op;
-  }
-  return PlanOp::kAdd;  // unreachable: every FusedOp is in the table
-}
 
 PlanNodePtr FuseElementwiseTree(const PlanNodePtr& node,
                                 FusionReport* report) {

@@ -2,19 +2,12 @@
 #define REMAC_PLAN_FUSION_H_
 
 #include <cstdint>
-#include <optional>
 
 #include "matrix/fused_tape.h"
 #include "plan/plan_builder.h"
 #include "plan/plan_node.h"
 
 namespace remac {
-
-/// The tape opcode of a fusable element-wise PlanOp (+ - * / min max exp
-/// log), or nullopt for every other op. This is the one table between the
-/// two enums; PlanOpOf is its inverse.
-std::optional<FusedOp> FusedOpOf(PlanOp op);
-PlanOp PlanOpOf(FusedOp op);
 
 /// What FuseElementwiseChains did to one program.
 struct FusionReport {

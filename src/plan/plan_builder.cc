@@ -81,6 +81,17 @@ std::string CompiledProgram::ToString() const {
 
 namespace {
 
+/// The op a DML call name lowers to, or null for an unknown name.
+const PlanOpInfo* CallOp(const std::string& name) {
+  for (const PlanOpInfo& info : kPlanOps) {
+    if (info.syntax == OpSyntax::kCall && info.family != OpFamily::kInternal &&
+        name == info.name) {
+      return &info;
+    }
+  }
+  return nullptr;
+}
+
 /// Tracks variable shapes while lowering statements in order.
 class Builder {
  public:
@@ -221,60 +232,26 @@ class Builder {
       node->shape = Shape{stats.rows, stats.cols, false};
       return node;
     }
-    if (expr.name == "t") {
-      REMAC_RETURN_NOT_OK(arity(1));
-      REMAC_ASSIGN_OR_RETURN(PlanNodePtr child, BuildExpr(*expr.children[0]));
-      return Finish(MakeUnary(PlanOp::kTranspose, std::move(child)));
+    const PlanOpInfo* info = CallOp(expr.name);
+    if (info == nullptr) {
+      return Status::NotFound(StringFormat("line %d: unknown function '%s'",
+                                           expr.line, expr.name.c_str()));
     }
-    static const std::map<std::string, PlanOp> kUnary = {
-        {"sum", PlanOp::kSum},      {"norm", PlanOp::kNorm},
-        {"sqrt", PlanOp::kSqrt},    {"abs", PlanOp::kAbs},
-        {"ncol", PlanOp::kNcol},    {"nrow", PlanOp::kNrow},
-        {"trace", PlanOp::kTrace},  {"exp", PlanOp::kExp},
-        {"log", PlanOp::kLog},      {"rowSums", PlanOp::kRowSums},
-        {"colSums", PlanOp::kColSums}, {"diag", PlanOp::kDiag}};
-    auto uit = kUnary.find(expr.name);
-    if (uit != kUnary.end()) {
-      REMAC_RETURN_NOT_OK(arity(1));
-      REMAC_ASSIGN_OR_RETURN(PlanNodePtr child, BuildExpr(*expr.children[0]));
-      // Fold ncol/nrow of a known shape into a constant so generator
-      // dimensions are static.
-      if (uit->second == PlanOp::kNcol) {
-        return MakeConst(static_cast<double>(child->shape.cols));
-      }
-      if (uit->second == PlanOp::kNrow) {
-        return MakeConst(static_cast<double>(child->shape.rows));
-      }
-      return Finish(MakeUnary(uit->second, std::move(child)));
+    REMAC_RETURN_NOT_OK(arity(static_cast<size_t>(info->arity)));
+    auto node = std::make_shared<PlanNode>();
+    node->op = info->op;
+    for (const auto& arg : expr.children) {
+      REMAC_ASSIGN_OR_RETURN(PlanNodePtr child, BuildExpr(*arg));
+      node->children.push_back(std::move(child));
     }
-    // Element-wise binary functions (scalar-broadcast like +/-/*//).
-    static const std::map<std::string, PlanOp> kBinary = {
-        {"min", PlanOp::kMin}, {"max", PlanOp::kMax}};
-    auto bit = kBinary.find(expr.name);
-    if (bit != kBinary.end()) {
-      REMAC_RETURN_NOT_OK(arity(2));
-      REMAC_ASSIGN_OR_RETURN(PlanNodePtr lhs, BuildExpr(*expr.children[0]));
-      REMAC_ASSIGN_OR_RETURN(PlanNodePtr rhs, BuildExpr(*expr.children[1]));
-      return Finish(MakeBinary(bit->second, std::move(lhs), std::move(rhs)));
+    // Fold ncol/nrow of a known shape into a constant so generator
+    // dimensions are static.
+    if (info->op == PlanOp::kNcol || info->op == PlanOp::kNrow) {
+      const Shape& of = node->children[0]->shape;
+      return MakeConst(static_cast<double>(
+          info->op == PlanOp::kNcol ? of.cols : of.rows));
     }
-    static const std::map<std::string, PlanOp> kGenerators = {
-        {"eye", PlanOp::kEye},
-        {"zeros", PlanOp::kZeros},
-        {"ones", PlanOp::kOnes},
-        {"rand", PlanOp::kRand}};
-    auto git = kGenerators.find(expr.name);
-    if (git != kGenerators.end()) {
-      REMAC_RETURN_NOT_OK(arity(git->second == PlanOp::kEye ? 1 : 2));
-      auto node = std::make_shared<PlanNode>();
-      node->op = git->second;
-      for (const auto& arg : expr.children) {
-        REMAC_ASSIGN_OR_RETURN(PlanNodePtr child, BuildExpr(*arg));
-        node->children.push_back(std::move(child));
-      }
-      return Finish(std::move(node));
-    }
-    return Status::NotFound(StringFormat("line %d: unknown function '%s'",
-                                         expr.line, expr.name.c_str()));
+    return Finish(std::move(node));
   }
 
   Result<PlanNodePtr> Finish(PlanNodePtr node) {

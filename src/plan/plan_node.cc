@@ -3,49 +3,114 @@
 #include <cmath>
 
 #include "common/string_util.h"
-#include "matrix/fused_tape.h"
 
 namespace remac {
 
-const char* PlanOpName(PlanOp op) {
-  switch (op) {
-    case PlanOp::kInput: return "input";
-    case PlanOp::kConst: return "const";
-    case PlanOp::kMatMul: return "%*%";
-    case PlanOp::kTranspose: return "t";
-    case PlanOp::kAdd: return "+";
-    case PlanOp::kSub: return "-";
-    case PlanOp::kMul: return "*";
-    case PlanOp::kDiv: return "/";
-    case PlanOp::kMin: return "min";
-    case PlanOp::kMax: return "max";
-    case PlanOp::kNcol: return "ncol";
-    case PlanOp::kNrow: return "nrow";
-    case PlanOp::kSum: return "sum";
-    case PlanOp::kNorm: return "norm";
-    case PlanOp::kTrace: return "trace";
-    case PlanOp::kExp: return "exp";
-    case PlanOp::kLog: return "log";
-    case PlanOp::kRowSums: return "rowSums";
-    case PlanOp::kColSums: return "colSums";
-    case PlanOp::kDiag: return "diag";
-    case PlanOp::kSqrt: return "sqrt";
-    case PlanOp::kAbs: return "abs";
-    case PlanOp::kLess: return "<";
-    case PlanOp::kGreater: return ">";
-    case PlanOp::kLessEq: return "<=";
-    case PlanOp::kGreaterEq: return ">=";
-    case PlanOp::kEqual: return "==";
-    case PlanOp::kNotEqual: return "!=";
-    case PlanOp::kReadData: return "read";
-    case PlanOp::kEye: return "eye";
-    case PlanOp::kZeros: return "zeros";
-    case PlanOp::kOnes: return "ones";
-    case PlanOp::kRand: return "rand";
-    case PlanOp::kBlockRef: return "block";
-    case PlanOp::kFusedMap: return "fused";
+namespace {
+
+using F = OpFamily;
+using P = PatternRule;
+using S = ShapeRule;
+using T = TransposeRule;
+using X = OpSyntax;
+constexpr std::optional<FusedOp> kNoCell;
+
+}  // namespace
+
+// min and max stay opaque to transpose push-down, and only + - * / fold
+// as constants (FoldConstants): the rows record the rules the optimizer
+// has always applied, so plans do not move.
+constexpr std::array<PlanOpInfo, kNumPlanOps> kPlanOps = {{
+    {PlanOp::kInput, "input", X::kLeaf, F::kLeaf, 0, kNoCell, S::kGiven,
+     P::kNone, T::kOpaque},
+    {PlanOp::kConst, "const", X::kLeaf, F::kLeaf, 0, kNoCell, S::kGiven,
+     P::kNone, T::kOpaque},
+    {PlanOp::kMatMul, "%*%", X::kInfix, F::kMatrix, 2, kNoCell, S::kMatMul,
+     P::kNone, T::kReverse},
+    {PlanOp::kTranspose, "t", X::kCall, F::kMatrix, 1, kNoCell,
+     S::kTranspose, P::kNone, T::kFlip},
+    {PlanOp::kAdd, "+", X::kInfix, F::kElementwise, 2, FusedOp::kAdd,
+     S::kBroadcast, P::kUnion, T::kThrough},
+    {PlanOp::kSub, "-", X::kInfix, F::kElementwise, 2, FusedOp::kSub,
+     S::kBroadcast, P::kUnion, T::kThrough},
+    {PlanOp::kMul, "*", X::kInfix, F::kElementwise, 2, FusedOp::kMul,
+     S::kBroadcast, P::kIntersect, T::kThrough},
+    {PlanOp::kDiv, "/", X::kInfix, F::kElementwise, 2, FusedOp::kDiv,
+     S::kBroadcast, P::kNumerator, T::kThrough},
+    {PlanOp::kMin, "min", X::kCall, F::kElementwise, 2, FusedOp::kMin,
+     S::kBroadcast, P::kUnion, T::kOpaque},
+    {PlanOp::kMax, "max", X::kCall, F::kElementwise, 2, FusedOp::kMax,
+     S::kBroadcast, P::kUnion, T::kOpaque},
+    {PlanOp::kNcol, "ncol", X::kCall, F::kScalarFunction, 1, kNoCell,
+     S::kScalar, P::kNone, T::kOpaque},
+    {PlanOp::kNrow, "nrow", X::kCall, F::kScalarFunction, 1, kNoCell,
+     S::kScalar, P::kNone, T::kOpaque},
+    {PlanOp::kSum, "sum", X::kCall, F::kReduction, 1, kNoCell, S::kScalar,
+     P::kNone, T::kAbsorb},
+    {PlanOp::kNorm, "norm", X::kCall, F::kReduction, 1, kNoCell, S::kScalar,
+     P::kNone, T::kAbsorb},
+    {PlanOp::kTrace, "trace", X::kCall, F::kReduction, 1, kNoCell,
+     S::kScalar, P::kNone, T::kAbsorb},
+    {PlanOp::kSqrt, "sqrt", X::kCall, F::kScalarFunction, 1, kNoCell,
+     S::kScalarArg, P::kNone, T::kThrough},
+    {PlanOp::kAbs, "abs", X::kCall, F::kScalarFunction, 1, kNoCell,
+     S::kScalarArg, P::kNone, T::kThrough},
+    {PlanOp::kExp, "exp", X::kCall, F::kElementwise, 1, FusedOp::kExp,
+     S::kSame, P::kDense, T::kThrough},
+    {PlanOp::kLog, "log", X::kCall, F::kElementwise, 1, FusedOp::kLog,
+     S::kSame, P::kNumerator, T::kThrough},
+    {PlanOp::kRowSums, "rowSums", X::kCall, F::kLineSum, 1, kNoCell,
+     S::kRowSums, P::kNone, T::kOutside},
+    {PlanOp::kColSums, "colSums", X::kCall, F::kLineSum, 1, kNoCell,
+     S::kColSums, P::kNone, T::kOutside},
+    {PlanOp::kDiag, "diag", X::kCall, F::kMatrix, 1, kNoCell, S::kDiag,
+     P::kNone, T::kOutside},
+    {PlanOp::kLess, "<", X::kInfix, F::kComparison, 2, kNoCell, S::kCompare,
+     P::kNone, T::kAbsorb},
+    {PlanOp::kGreater, ">", X::kInfix, F::kComparison, 2, kNoCell,
+     S::kCompare, P::kNone, T::kAbsorb},
+    {PlanOp::kLessEq, "<=", X::kInfix, F::kComparison, 2, kNoCell,
+     S::kCompare, P::kNone, T::kAbsorb},
+    {PlanOp::kGreaterEq, ">=", X::kInfix, F::kComparison, 2, kNoCell,
+     S::kCompare, P::kNone, T::kAbsorb},
+    {PlanOp::kEqual, "==", X::kInfix, F::kComparison, 2, kNoCell,
+     S::kCompare, P::kNone, T::kAbsorb},
+    {PlanOp::kNotEqual, "!=", X::kInfix, F::kComparison, 2, kNoCell,
+     S::kCompare, P::kNone, T::kAbsorb},
+    {PlanOp::kReadData, "read", X::kCall, F::kGenerator, 0, kNoCell,
+     S::kGiven, P::kNone, T::kOpaque},
+    {PlanOp::kEye, "eye", X::kCall, F::kGenerator, 1, kNoCell, S::kSquare,
+     P::kNone, T::kSymmetric},
+    {PlanOp::kZeros, "zeros", X::kCall, F::kGenerator, 2, kNoCell, S::kDims,
+     P::kNone, T::kSwapDims},
+    {PlanOp::kOnes, "ones", X::kCall, F::kGenerator, 2, kNoCell, S::kDims,
+     P::kNone, T::kSwapDims},
+    {PlanOp::kRand, "rand", X::kCall, F::kGenerator, 2, kNoCell, S::kDims,
+     P::kNone, T::kOpaque},
+    {PlanOp::kBlockRef, "block", X::kLeaf, F::kInternal, 0, kNoCell,
+     S::kGiven, P::kNone, T::kOpaque},
+    {PlanOp::kFusedMap, "fused", X::kCall, F::kInternal, -1, kNoCell,
+     S::kFused, P::kNone, T::kOpaque},
+}};
+
+constexpr bool RowsInEnumeratorOrder() {
+  for (size_t i = 0; i < kNumPlanOps; ++i) {
+    if (static_cast<size_t>(kPlanOps[i].op) != i) return false;
   }
-  return "?";
+  return true;
+}
+static_assert(RowsInEnumeratorOrder(),
+              "kPlanOps needs exactly one row per PlanOp, in order");
+
+const char* PlanOpName(PlanOp op) { return OpInfo(op).name; }
+
+std::optional<FusedOp> FusedOpOf(PlanOp op) { return OpInfo(op).cell; }
+
+PlanOp PlanOpOf(FusedOp op) {
+  for (const PlanOpInfo& info : kPlanOps) {
+    if (info.cell == op) return info.op;
+  }
+  return PlanOp::kAdd;  // unreachable: every FusedOp is some row's cell op
 }
 
 std::string PlanNode::ToString() const {
@@ -58,35 +123,23 @@ std::string PlanNode::ToString() const {
       return "read(\"" + name + "\")";
     case PlanOp::kBlockRef:
       return StringFormat("B%d", static_cast<int>(value));
-    case PlanOp::kTranspose:
-      return "t(" + children[0]->ToString() + ")";
-    case PlanOp::kFusedMap: {
-      std::vector<std::string> args;
-      args.reserve(children.size());
-      for (const auto& child : children) args.push_back(child->ToString());
-      return "fused{" + (fused != nullptr ? fused->ToString() : "") + "}(" +
-             Join(args, ", ") + ")";
-    }
-    case PlanOp::kMatMul:
-    case PlanOp::kAdd:
-    case PlanOp::kSub:
-    case PlanOp::kMul:
-    case PlanOp::kDiv:
-    case PlanOp::kLess:
-    case PlanOp::kGreater:
-    case PlanOp::kLessEq:
-    case PlanOp::kGreaterEq:
-    case PlanOp::kEqual:
-    case PlanOp::kNotEqual:
-      return "(" + children[0]->ToString() + " " + PlanOpName(op) + " " +
-             children[1]->ToString() + ")";
-    default: {
-      std::vector<std::string> args;
-      args.reserve(children.size());
-      for (const auto& child : children) args.push_back(child->ToString());
-      return std::string(PlanOpName(op)) + "(" + Join(args, ", ") + ")";
-    }
+    default:
+      break;
   }
+  if (OpInfo(op).syntax == OpSyntax::kInfix) {
+    return "(" + children[0]->ToString() + " " + PlanOpName(op) + " " +
+           children[1]->ToString() + ")";
+  }
+  std::string out = PlanOpName(op);
+  if (op == PlanOp::kFusedMap) {
+    out += "{" + (fused != nullptr ? fused->ToString() : "") + "}";
+  }
+  out += "(";
+  for (size_t i = 0; i < children.size(); ++i) {
+    if (i > 0) out += ", ";
+    out += children[i]->ToString();
+  }
+  return out + ")";
 }
 
 const char* MultiplyLayoutName(MultiplyLayout layout) {
@@ -167,22 +220,6 @@ PlanNodePtr MakeBinary(PlanOp op, PlanNodePtr lhs, PlanNodePtr rhs) {
   return node;
 }
 
-bool IsElementwiseOp(PlanOp op) {
-  return op == PlanOp::kAdd || op == PlanOp::kSub || op == PlanOp::kMul ||
-         op == PlanOp::kDiv || op == PlanOp::kMin || op == PlanOp::kMax;
-}
-
-bool IsComparisonOp(PlanOp op) {
-  return op == PlanOp::kLess || op == PlanOp::kGreater ||
-         op == PlanOp::kLessEq || op == PlanOp::kGreaterEq ||
-         op == PlanOp::kEqual || op == PlanOp::kNotEqual;
-}
-
-bool IsGeneratorOp(PlanOp op) {
-  return op == PlanOp::kReadData || op == PlanOp::kEye ||
-         op == PlanOp::kZeros || op == PlanOp::kOnes || op == PlanOp::kRand;
-}
-
 MultiplyOperands FusedMultiplyOperands(const PlanNode& matmul) {
   MultiplyOperands out;
   out.lhs = matmul.children[0].get();
@@ -221,16 +258,15 @@ Status InferShapes(PlanNode* node) {
   for (auto& child : node->children) {
     REMAC_RETURN_NOT_OK(InferShapes(child.get()));
   }
-  switch (node->op) {
-    case PlanOp::kInput:
-    case PlanOp::kConst:
-    case PlanOp::kReadData:
-    case PlanOp::kBlockRef:
-      // Shapes assigned at construction (from the symbol table / catalog).
+  const auto arg = [node](size_t i) -> const Shape& {
+    return node->children[i]->shape;
+  };
+  switch (OpInfo(node->op).shape) {
+    case ShapeRule::kGiven:
       return Status::OK();
-    case PlanOp::kMatMul: {
-      const Shape& l = node->children[0]->shape;
-      const Shape& r = node->children[1]->shape;
+    case ShapeRule::kMatMul: {
+      const Shape& l = arg(0);
+      const Shape& r = arg(1);
       if (l.cols != r.rows) {
         return ShapeErrorAt(*node, StringFormat("inner dims %lld vs %lld",
                                                 static_cast<long long>(l.cols),
@@ -239,19 +275,12 @@ Status InferShapes(PlanNode* node) {
       node->shape = Shape{l.rows, r.cols, false};
       return Status::OK();
     }
-    case PlanOp::kTranspose: {
-      const Shape& c = node->children[0]->shape;
-      node->shape = Shape{c.cols, c.rows, c.is_scalar};
+    case ShapeRule::kTranspose:
+      node->shape = Shape{arg(0).cols, arg(0).rows, arg(0).is_scalar};
       return Status::OK();
-    }
-    case PlanOp::kAdd:
-    case PlanOp::kSub:
-    case PlanOp::kMul:
-    case PlanOp::kDiv:
-    case PlanOp::kMin:
-    case PlanOp::kMax: {
-      const Shape& l = node->children[0]->shape;
-      const Shape& r = node->children[1]->shape;
+    case ShapeRule::kBroadcast: {
+      const Shape& l = arg(0);
+      const Shape& r = arg(1);
       if (l.ScalarLike() && r.ScalarLike()) {
         node->shape = Shape{1, 1, l.is_scalar && r.is_scalar};
       } else if (l.ScalarLike()) {
@@ -267,26 +296,26 @@ Status InferShapes(PlanNode* node) {
       }
       return Status::OK();
     }
-    case PlanOp::kNcol:
-    case PlanOp::kNrow:
-    case PlanOp::kSum:
-    case PlanOp::kNorm:
-    case PlanOp::kTrace:
+    case ShapeRule::kScalar:
       node->shape = Shape{1, 1, true};
       return Status::OK();
-    case PlanOp::kExp:
-    case PlanOp::kLog:
-      node->shape = node->children[0]->shape;
-      node->shape.is_scalar = node->children[0]->shape.is_scalar;
+    case ShapeRule::kScalarArg:
+      if (!arg(0).ScalarLike()) {
+        return ShapeErrorAt(*node, "scalar function of a matrix");
+      }
+      node->shape = arg(0);
       return Status::OK();
-    case PlanOp::kRowSums:
-      node->shape = Shape{node->children[0]->shape.rows, 1, false};
+    case ShapeRule::kSame:
+      node->shape = arg(0);
       return Status::OK();
-    case PlanOp::kColSums:
-      node->shape = Shape{1, node->children[0]->shape.cols, false};
+    case ShapeRule::kRowSums:
+      node->shape = Shape{arg(0).rows, 1, false};
       return Status::OK();
-    case PlanOp::kDiag: {
-      const Shape& c = node->children[0]->shape;
+    case ShapeRule::kColSums:
+      node->shape = Shape{1, arg(0).cols, false};
+      return Status::OK();
+    case ShapeRule::kDiag: {
+      const Shape& c = arg(0);
       if (c.cols == 1) {
         node->shape = Shape{c.rows, c.rows, false};  // vector -> diag matrix
       } else if (c.rows == c.cols) {
@@ -296,44 +325,29 @@ Status InferShapes(PlanNode* node) {
       }
       return Status::OK();
     }
-    case PlanOp::kSqrt:
-    case PlanOp::kAbs: {
-      node->shape = node->children[0]->shape;
-      return Status::OK();
-    }
-    case PlanOp::kLess:
-    case PlanOp::kGreater:
-    case PlanOp::kLessEq:
-    case PlanOp::kGreaterEq:
-    case PlanOp::kEqual:
-    case PlanOp::kNotEqual: {
-      if (!node->children[0]->shape.ScalarLike() ||
-          !node->children[1]->shape.ScalarLike()) {
+    case ShapeRule::kCompare:
+      if (!arg(0).ScalarLike() || !arg(1).ScalarLike()) {
         return ShapeErrorAt(*node, "comparison of non-scalars");
       }
       node->shape = Shape{1, 1, true};
       return Status::OK();
-    }
-    case PlanOp::kEye: {
+    case ShapeRule::kSquare: {
       REMAC_ASSIGN_OR_RETURN(const int64_t n, ConstDim(*node, 0));
       node->shape = Shape{n, n, false};
       return Status::OK();
     }
-    case PlanOp::kZeros:
-    case PlanOp::kOnes:
-    case PlanOp::kRand: {
+    case ShapeRule::kDims: {
       REMAC_ASSIGN_OR_RETURN(const int64_t r, ConstDim(*node, 0));
       REMAC_ASSIGN_OR_RETURN(const int64_t c, ConstDim(*node, 1));
       node->shape = Shape{r, c, false};
       return Status::OK();
     }
-    case PlanOp::kFusedMap: {
+    case ShapeRule::kFused:
       if (node->fused == nullptr) {
         return Status::Internal("kFusedMap node without a tape");
       }
       node->shape = Shape{node->fused->rows, node->fused->cols, false};
       return Status::OK();
-    }
   }
   return Status::Internal("unhandled op in InferShapes");
 }

@@ -1,12 +1,15 @@
 #ifndef REMAC_PLAN_PLAN_NODE_H_
 #define REMAC_PLAN_PLAN_NODE_H_
 
+#include <array>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/status.h"
+#include "matrix/fused_tape.h"
 
 namespace remac {
 
@@ -59,7 +62,97 @@ enum class PlanOp {
   kFusedMap,
 };
 
+/// How a node renders (PlanNode::ToString) and is spelled in DML.
+enum class OpSyntax {
+  kLeaf,   // a name, a literal or a block reference
+  kInfix,  // (lhs op rhs)
+  kCall,   // name(args)
+};
+
+/// What an op computes; the plan walk evaluates each family alike.
+enum class OpFamily {
+  kLeaf,            // input, const
+  kGenerator,       // read, eye, zeros, ones, rand
+  kMatrix,          // %*%, t, diag
+  kElementwise,     // a cell op over matrices: + - * / min max exp log
+  kComparison,      // < > <= >= == != (scalar 0/1)
+  kScalarFunction,  // sqrt, abs, ncol, nrow
+  kReduction,       // sum, norm, trace
+  kLineSum,         // rowSums, colSums
+  kInternal,        // block references and fused regions
+};
+
+/// How InferShapes derives a node's shape from its children.
+enum class ShapeRule {
+  kGiven,      // assigned at construction (symbol table, catalog, block)
+  kMatMul,     // (r x k) (k x c) -> r x c
+  kTranspose,  // (r x c) -> c x r
+  kBroadcast,  // equal shapes, or one ScalarLike side broadcast
+  kScalar,     // any argument -> scalar
+  kSame,       // the argument's shape
+  kScalarArg,  // a ScalarLike argument's shape; a matrix is an error
+  kRowSums,    // (r x c) -> r x 1
+  kColSums,    // (r x c) -> 1 x c
+  kDiag,       // vector -> diagonal matrix; square matrix -> its diagonal
+  kCompare,    // two ScalarLike arguments -> scalar
+  kSquare,     // eye(n): n x n
+  kDims,       // zeros/ones/rand(r, c): r x c
+  kFused,      // the fused tape's region shape
+};
+
+/// Non-zero pattern of an elementwise result, as the sparsity estimators
+/// and the executor's unary maps read it.
+enum class PatternRule {
+  kNone,       // not an elementwise op
+  kUnion,      // either operand's non-zeros (+, -, and min/max's bound);
+               // a non-zero scalar broadcast densifies
+  kIntersect,  // both operands' non-zeros (*)
+  kNumerator,  // the first operand's non-zeros (safe divide, log)
+  kDense,      // every cell (exp: exp(0) = 1)
+};
+
+/// How transpose push-down (PushDownTransposes) treats a pending t().
+enum class TransposeRule {
+  kOpaque,     // stays below t(): wrapped unless scalar or symmetric
+  kFlip,       // t itself: toggles the pending transpose
+  kReverse,    // t(XY) = t(Y) t(X)
+  kThrough,    // a cell-wise map: the transpose moves into every argument
+  kOutside,    // argument untouched, the result transposed (rowSums...)
+  kAbsorb,     // scalar-valued: a pending transpose is dropped
+  kSymmetric,  // t(I) = I
+  kSwapDims,   // zeros/ones(r, c) transposed is zeros/ones(c, r)
+};
+
+/// \brief One row of the op table: every per-op fact the layers share.
+struct PlanOpInfo {
+  PlanOp op;
+  const char* name;  // DML spelling (call name or infix token)
+  OpSyntax syntax;
+  OpFamily family;
+  int arity;  // plan children; -1 for the variadic fused region
+  std::optional<FusedOp> cell;  // per-cell semantics (FusedApply)
+  ShapeRule shape;
+  PatternRule pattern;
+  TransposeRule transpose;
+};
+
+inline constexpr size_t kNumPlanOps =
+    static_cast<size_t>(PlanOp::kFusedMap) + 1;
+
+/// The op table, one row per PlanOp in enumerator order. Adding an op
+/// that reuses existing rules is a one-row change.
+extern const std::array<PlanOpInfo, kNumPlanOps> kPlanOps;
+
+inline const PlanOpInfo& OpInfo(PlanOp op) {
+  return kPlanOps[static_cast<size_t>(op)];
+}
+
 const char* PlanOpName(PlanOp op);
+
+/// The tape opcode of a fusable element-wise PlanOp (its row's cell op),
+/// or nullopt for every other op; PlanOpOf is its inverse.
+std::optional<FusedOp> FusedOpOf(PlanOp op);
+PlanOp PlanOpOf(FusedOp op);
 
 /// Inferred shape of a plan node. A scalar is 1 x 1 with is_scalar set;
 /// 1 x 1 matrices (e.g., d^T A^T A d) are freely usable in scalar
@@ -84,8 +177,6 @@ const char* MultiplyLayoutName(MultiplyLayout layout);
 
 struct PlanNode;
 using PlanNodePtr = std::shared_ptr<PlanNode>;
-
-struct FusedTape;  // matrix/fused_tape.h
 
 /// \brief A node of the logical plan tree.
 ///
@@ -127,12 +218,14 @@ PlanNodePtr MakeConst(double value);
 PlanNodePtr MakeUnary(PlanOp op, PlanNodePtr child);
 PlanNodePtr MakeBinary(PlanOp op, PlanNodePtr lhs, PlanNodePtr rhs);
 
-/// True for +, -, *, /, min, max (element-wise binary family).
-bool IsElementwiseOp(PlanOp op);
 /// True for the comparison family.
-bool IsComparisonOp(PlanOp op);
+inline bool IsComparisonOp(PlanOp op) {
+  return OpInfo(op).family == OpFamily::kComparison;
+}
 /// True for generator nodes (read/eye/zeros/ones/rand).
-bool IsGeneratorOp(PlanOp op);
+inline bool IsGeneratorOp(PlanOp op) {
+  return OpInfo(op).family == OpFamily::kGenerator;
+}
 
 /// The operands a kMatMul node multiplies once its t() children are
 /// fused into it: t(X) %*% Y and X %*% t(Y) multiply X or Y with a

@@ -10,16 +10,14 @@ namespace {
 /// Counts additive terms a node would expand into (an upper-bound guide
 /// for the expansion limit).
 int64_t TermCount(const PlanNode& node) {
-  switch (node.op) {
-    case PlanOp::kAdd:
-    case PlanOp::kSub:
-      return TermCount(*node.children[0]) + TermCount(*node.children[1]);
-    case PlanOp::kMatMul:
-    case PlanOp::kMul:
-      return TermCount(*node.children[0]) * TermCount(*node.children[1]);
-    default:
-      return 1;
+  const std::optional<FusedOp> cell = OpInfo(node.op).cell;
+  if (cell == FusedOp::kAdd || cell == FusedOp::kSub) {
+    return TermCount(*node.children[0]) + TermCount(*node.children[1]);
   }
+  if (cell == FusedOp::kMul || node.op == PlanOp::kMatMul) {
+    return TermCount(*node.children[0]) * TermCount(*node.children[1]);
+  }
+  return 1;
 }
 
 PlanNodePtr WithShape(PlanNodePtr node) {
@@ -29,66 +27,47 @@ PlanNodePtr WithShape(PlanNodePtr node) {
   return node;
 }
 
+PlanNodePtr ApplyPushDown(const PlanNodePtr& node, bool pending);
+
+/// A fresh `node` over its children, each pushed down with `pending`.
+PlanNodePtr Rebuild(const PlanNode& node, bool pending) {
+  auto out = std::make_shared<PlanNode>();
+  out->op = node.op;
+  out->children.reserve(node.children.size());
+  for (const auto& child : node.children) {
+    out->children.push_back(ApplyPushDown(child, pending));
+  }
+  return WithShape(std::move(out));
+}
+
 PlanNodePtr ApplyPushDown(const PlanNodePtr& node, bool pending) {
-  switch (node->op) {
-    case PlanOp::kTranspose:
+  switch (OpInfo(node->op).transpose) {
+    case TransposeRule::kFlip:
       return ApplyPushDown(node->children[0], !pending);
-    case PlanOp::kMatMul: {
+    case TransposeRule::kReverse:
       if (pending) {
         // t(XY) = t(Y) t(X).
-        return WithShape(MakeBinary(PlanOp::kMatMul,
+        return WithShape(MakeBinary(node->op,
                                     ApplyPushDown(node->children[1], true),
                                     ApplyPushDown(node->children[0], true)));
       }
-      return WithShape(MakeBinary(PlanOp::kMatMul,
-                                  ApplyPushDown(node->children[0], false),
-                                  ApplyPushDown(node->children[1], false)));
-    }
-    case PlanOp::kAdd:
-    case PlanOp::kSub:
-    case PlanOp::kMul:
-    case PlanOp::kDiv:
-      return WithShape(MakeBinary(node->op,
-                                  ApplyPushDown(node->children[0], pending),
-                                  ApplyPushDown(node->children[1], pending)));
-    case PlanOp::kSqrt:
-    case PlanOp::kAbs:
-    case PlanOp::kExp:
-    case PlanOp::kLog:
-      return WithShape(
-          MakeUnary(node->op, ApplyPushDown(node->children[0], pending)));
-    case PlanOp::kRowSums:
-    case PlanOp::kColSums:
-    case PlanOp::kDiag: {
-      PlanNodePtr out = WithShape(
-          MakeUnary(node->op, ApplyPushDown(node->children[0], false)));
+      return Rebuild(*node, false);
+    case TransposeRule::kThrough:
+      return Rebuild(*node, pending);
+    case TransposeRule::kAbsorb:
+      // Scalar-valued: a pending transpose is a no-op; the arguments' own
+      // transposes still push down (sum(t(X)) = sum(X), norm likewise).
+      return Rebuild(*node, false);
+    case TransposeRule::kOutside: {
+      PlanNodePtr out = Rebuild(*node, false);
       if (pending && !out->shape.ScalarLike()) {
         return WithShape(MakeUnary(PlanOp::kTranspose, std::move(out)));
       }
       return out;
     }
-    case PlanOp::kSum:
-    case PlanOp::kNorm:
-    case PlanOp::kTrace:
-      // Scalar-valued: a pending transpose is a no-op; the argument's own
-      // transposes still push down (sum(t(X)) = sum(X), norm likewise).
-      return WithShape(
-          MakeUnary(node->op, ApplyPushDown(node->children[0], false)));
-    case PlanOp::kLess:
-    case PlanOp::kGreater:
-    case PlanOp::kLessEq:
-    case PlanOp::kGreaterEq:
-    case PlanOp::kEqual:
-    case PlanOp::kNotEqual:
-      return WithShape(MakeBinary(node->op,
-                                  ApplyPushDown(node->children[0], false),
-                                  ApplyPushDown(node->children[1], false)));
-    case PlanOp::kConst:
+    case TransposeRule::kSymmetric:
       return node->Clone();
-    case PlanOp::kEye:
-      return node->Clone();  // t(I) = I
-    case PlanOp::kZeros:
-    case PlanOp::kOnes: {
+    case TransposeRule::kSwapDims: {
       PlanNodePtr out = node->Clone();
       if (pending && node->children.size() == 2) {
         std::swap(out->children[0], out->children[1]);
@@ -96,17 +75,14 @@ PlanNodePtr ApplyPushDown(const PlanNodePtr& node, bool pending) {
       }
       return out;
     }
-    case PlanOp::kInput:
-    case PlanOp::kReadData:
-    case PlanOp::kRand:
-    default: {
-      PlanNodePtr out = node->Clone();
-      if (pending && !node->shape.ScalarLike() && !node->symmetric) {
-        return WithShape(MakeUnary(PlanOp::kTranspose, std::move(out)));
-      }
-      return out;
-    }
+    case TransposeRule::kOpaque:
+      break;
   }
+  PlanNodePtr out = node->Clone();
+  if (pending && !node->shape.ScalarLike() && !node->symmetric) {
+    return WithShape(MakeUnary(PlanOp::kTranspose, std::move(out)));
+  }
+  return out;
 }
 
 bool IsScalarLike(const PlanNode& node) { return node.shape.ScalarLike(); }
@@ -230,12 +206,10 @@ PlanNodePtr FoldConstants(const PlanNodePtr& node) {
       is_const(out->children[1])) {
     const double a = out->children[0]->value;
     const double b = out->children[1]->value;
-    switch (out->op) {
-      case PlanOp::kAdd: return MakeConst(a + b);
-      case PlanOp::kSub: return MakeConst(a - b);
-      case PlanOp::kMul: return MakeConst(a * b);
-      case PlanOp::kDiv: return MakeConst(b == 0.0 ? 0.0 : a / b);
-      default: break;
+    // Only + - * / fold; min and max never have.
+    const std::optional<FusedOp> cell = OpInfo(out->op).cell;
+    if (cell.has_value() && *cell != FusedOp::kMin && *cell != FusedOp::kMax) {
+      return MakeConst(FusedApply(*cell, a, b));
     }
   }
   if (out->op == PlanOp::kMul && out->children.size() == 2) {

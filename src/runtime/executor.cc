@@ -193,13 +193,13 @@ Result<Matrix> Executor::ComputeMultiply(const RtValue& a, bool a_transposed,
 Result<Matrix> Executor::ComputeElementwise(PlanOp op, const Matrix& a,
                                             const Matrix& b) {
   StageSpan span(Metrics().elementwise_seconds, "elementwise");
-  switch (op) {
-    case PlanOp::kAdd: return Add(a, b);
-    case PlanOp::kSub: return Subtract(a, b);
-    case PlanOp::kMul: return ElementwiseMultiply(a, b);
-    case PlanOp::kDiv: return ElementwiseDivide(a, b);
-    case PlanOp::kMin: return ElementwiseMin(a, b);
-    case PlanOp::kMax: return ElementwiseMax(a, b);
+  switch (*OpInfo(op).cell) {
+    case FusedOp::kAdd: return Add(a, b);
+    case FusedOp::kSub: return Subtract(a, b);
+    case FusedOp::kMul: return ElementwiseMultiply(a, b);
+    case FusedOp::kDiv: return ElementwiseDivide(a, b);
+    case FusedOp::kMin: return ElementwiseMin(a, b);
+    case FusedOp::kMax: return ElementwiseMax(a, b);
     default:
       return Status::Internal("bad elementwise op");
   }
@@ -207,34 +207,28 @@ Result<Matrix> Executor::ComputeElementwise(PlanOp op, const Matrix& a,
 
 Result<Matrix> Executor::ComputeBroadcast(PlanOp op, const Matrix& m,
                                           double s, bool scalar_left) {
-  switch (op) {
-    case PlanOp::kMul:
-      return ScalarMultiply(m, s);
-    case PlanOp::kAdd:
-      return ApplyCellwise(m, FusedOp::kAdd, s);  // m + s on either side
-    case PlanOp::kDiv:
-      if (!scalar_left) return ScalarMultiply(m, s == 0.0 ? 0.0 : 1.0 / s);
-      [[fallthrough]];  // scalar ./ matrix: safe cell-wise division
-    case PlanOp::kSub:
-    case PlanOp::kMin:
-    case PlanOp::kMax:
-      // Operand order preserved (min/max ties and NaNs resolve to the left
-      // operand, see FusedApply).
-      return ApplyCellwise(m, *FusedOpOf(op), s, scalar_left);
-    default:
-      return Status::Internal("bad scalar-matrix op");
+  const FusedOp cell = *OpInfo(op).cell;
+  if (cell == FusedOp::kMul) return ScalarMultiply(m, s);
+  if (cell == FusedOp::kDiv && !scalar_left) {
+    return ScalarMultiply(m, s == 0.0 ? 0.0 : 1.0 / s);
   }
+  // Operand order preserved (min/max ties and NaNs resolve to the left
+  // operand, see FusedApply); scalar ./ matrix is the safe cell-wise
+  // division.
+  return ApplyCellwise(m, cell, s, scalar_left);
 }
 
 Matrix Executor::ComputeUnary(PlanOp op, const Matrix& m) {
-  if (op == PlanOp::kExp) {
-    return ApplyCellwise(m, FusedOp::kExp);  // exp(0) = 1 densifies
+  const FusedOp cell = *OpInfo(op).cell;
+  if (OpInfo(op).pattern == PatternRule::kDense) {
+    return ApplyCellwise(m, cell);  // exp(0) = 1 densifies
   }
-  // Safe log: zero cells stay zero (stored explicit zeros included, so
-  // the result is bitwise-identical to the fused tape's cell-wise
-  // FusedApply(kLog) regardless of how zeros are represented).
+  // The map keeps zeros zero, so it runs over the stored values only
+  // (stored explicit zeros included, so the result is bitwise-identical
+  // to the fused tape's cell-wise FusedApply regardless of how zeros are
+  // represented).
   CsrMatrix csr = m.ToCsr();
-  for (auto& v : csr.mutable_values()) v = FusedApply(FusedOp::kLog, v, 0.0);
+  for (auto& v : csr.mutable_values()) v = FusedApply(cell, v, 0.0);
   return Matrix::FromCsr(std::move(csr));
 }
 

@@ -14,7 +14,6 @@
 #include "common/string_util.h"
 #include "distributed/distributed_ops.h"
 #include "matrix/fused_tape.h"
-#include "plan/fusion.h"
 #include "plan/plan_builder.h"
 
 namespace remac {
@@ -115,7 +114,7 @@ struct TapeStep {
 /// Scalar semantics of a binary PlanOp: the FusedApply cell semantics for
 /// the element-wise family, 0/1 for comparisons.
 inline Result<double> ApplyScalarBinary(PlanOp op, double a, double b) {
-  if (const std::optional<FusedOp> fused = FusedOpOf(op)) {
+  if (const std::optional<FusedOp> fused = OpInfo(op).cell) {
     return FusedApply(*fused, a, b);
   }
   switch (op) {
@@ -134,10 +133,11 @@ inline Result<double> ApplyScalarBinary(PlanOp op, double a, double b) {
 ///
 /// The walk owns everything execution and cost prediction share: the
 /// statement loop (static trip counts, loop variables, barrier-commit
-/// staging), the PlanOp dispatch, the kMatMul transpose unwrap with its
-/// degenerate-scalar fallback, scalar/1x1 classification and the
-/// broadcast choice, engine-trait placement, the per-step booking of
-/// kFusedMap tapes, and which OpCosting each operator books. A domain
+/// staging), the op dispatch (a case for each op with an evaluation of
+/// its own, the rest by its op-table family), the kMatMul transpose
+/// unwrap with its degenerate-scalar fallback, scalar/1x1 classification
+/// and the broadcast choice, engine-trait placement, the per-step booking
+/// of kFusedMap tapes, and which OpCosting each operator books. A domain
 /// (CRTP `Derived`) supplies the payload arithmetic: real matrices booked
 /// into the TransmissionLedger (Executor), or estimator statistics booked
 /// into a predicted charge (CostPredictor: the optimizer's cost model,
@@ -284,6 +284,7 @@ class PlanWalk {
   }
 
   Result<Value> EvalImpl(const PlanNode& node) {
+    // Ops with an evaluation of their own; the rest evaluate by family.
     switch (node.op) {
       case PlanOp::kInput:
         return self().Input(node.name);
@@ -291,16 +292,6 @@ class PlanWalk {
         return self().Literal(node.value);
       case PlanOp::kReadData:
         return self().ReadData(node.name);
-      case PlanOp::kEye:
-      case PlanOp::kZeros:
-      case PlanOp::kOnes:
-      case PlanOp::kRand: {
-        Payload out = self().Generate(node);
-        // Only rand() output may outgrow the driver.
-        const bool distributed = node.op == PlanOp::kRand &&
-                                 IsDistributedSize(Ops::Bytes(out), model_);
-        return Value::FromMatrix(std::move(out), distributed);
-      }
       case PlanOp::kTranspose: {
         REMAC_ASSIGN_OR_RETURN(const Value child, Eval(*node.children[0]));
         if (child.is_scalar) return child;
@@ -323,23 +314,48 @@ class PlanWalk {
         self().CountOp();
         return Multiply(a, ops.lhs_transposed, b, ops.rhs_transposed);
       }
-      case PlanOp::kAdd:
-      case PlanOp::kSub:
-      case PlanOp::kMul:
-      case PlanOp::kDiv:
-      case PlanOp::kMin:
-      case PlanOp::kMax:
-      case PlanOp::kLess:
-      case PlanOp::kGreater:
-      case PlanOp::kLessEq:
-      case PlanOp::kGreaterEq:
-      case PlanOp::kEqual:
-      case PlanOp::kNotEqual:
-        return EvalBinary(node);
-      case PlanOp::kSum:
-      case PlanOp::kTrace:
-      case PlanOp::kNorm: {
+      case PlanOp::kDiag: {
         REMAC_ASSIGN_OR_RETURN(const Value child, Eval(*node.children[0]));
+        const Payload m = child.AsMatrix();
+        self().CountOp();
+        const MatInfo info = Ops::Info(m, false);
+        if (info.cols != 1.0 && info.rows != info.cols) {
+          return Status::DimensionMismatch("diag of a non-square matrix");
+        }
+        // Books no simulated cost; the result stays on the driver.
+        return Value::FromMatrix(self().ComputeDiag(m), false);
+      }
+      case PlanOp::kFusedMap:
+        return EvalFusedMap(node);
+      case PlanOp::kBlockRef:
+        return self().BlockRef(static_cast<int>(node.value));
+      default:
+        break;
+    }
+    const PlanOpInfo& row = OpInfo(node.op);
+    if (row.family == OpFamily::kGenerator) {
+      Payload out = self().Generate(node);
+      // Only rand() output may outgrow the driver.
+      const bool distributed = node.op == PlanOp::kRand &&
+                               IsDistributedSize(Ops::Bytes(out), model_);
+      return Value::FromMatrix(std::move(out), distributed);
+    }
+    if (row.family == OpFamily::kComparison ||
+        (row.family == OpFamily::kElementwise && row.arity == 2)) {
+      return EvalBinary(node);
+    }
+    // The unary families.
+    REMAC_ASSIGN_OR_RETURN(const Value child, Eval(*node.children[0]));
+    switch (row.family) {
+      case OpFamily::kElementwise: {  // a unary cell-wise map
+        if (child.is_scalar) {
+          return Value::Scalar(FusedApply(*row.cell, child.scalar, 0.0));
+        }
+        self().CountOp();
+        Payload out = self().ComputeUnary(node.op, child.matrix);
+        return Booked(std::move(out), CostScalarOp(child.Info()));
+      }
+      case OpFamily::kReduction: {
         if (child.is_scalar) {
           return node.op == PlanOp::kNorm
                      ? Value::Scalar(std::fabs(child.scalar))
@@ -358,21 +374,7 @@ class PlanWalk {
         self().BookDistributedFlops(flops);
         return Value::Scalar(self().ComputeReduction(node.op, child.matrix));
       }
-      case PlanOp::kExp:
-      case PlanOp::kLog: {
-        REMAC_ASSIGN_OR_RETURN(const Value child, Eval(*node.children[0]));
-        if (child.is_scalar) {
-          return Value::Scalar(node.op == PlanOp::kExp
-                                   ? std::exp(child.scalar)
-                                   : std::log(child.scalar));
-        }
-        self().CountOp();
-        Payload out = self().ComputeUnary(node.op, child.matrix);
-        return Booked(std::move(out), CostScalarOp(child.Info()));
-      }
-      case PlanOp::kRowSums:
-      case PlanOp::kColSums: {
-        REMAC_ASSIGN_OR_RETURN(const Value child, Eval(*node.children[0]));
+      case OpFamily::kLineSum: {
         const Payload m = child.AsMatrix();
         self().CountOp();
         Payload out = self().ComputeLineSums(node.op, m);
@@ -380,37 +382,19 @@ class PlanWalk {
         const bool distributed = IsDistributedSize(Ops::Bytes(out), model_);
         return Value::FromMatrix(std::move(out), distributed);
       }
-      case PlanOp::kDiag: {
-        REMAC_ASSIGN_OR_RETURN(const Value child, Eval(*node.children[0]));
-        const Payload m = child.AsMatrix();
-        self().CountOp();
-        const MatInfo info = Ops::Info(m, false);
-        if (info.cols != 1.0 && info.rows != info.cols) {
-          return Status::DimensionMismatch("diag of a non-square matrix");
+      case OpFamily::kScalarFunction: {
+        if (node.op == PlanOp::kNcol || node.op == PlanOp::kNrow) {
+          const MatInfo info = Ops::Info(child.AsMatrix(), false);
+          return Value::Scalar(node.op == PlanOp::kNcol ? info.cols
+                                                        : info.rows);
         }
-        // Books no simulated cost; the result stays on the driver.
-        return Value::FromMatrix(self().ComputeDiag(m), false);
-      }
-      case PlanOp::kSqrt:
-      case PlanOp::kAbs: {
-        REMAC_ASSIGN_OR_RETURN(const Value child, Eval(*node.children[0]));
         REMAC_ASSIGN_OR_RETURN(const double v, child.AsScalar());
         return Value::Scalar(node.op == PlanOp::kSqrt ? std::sqrt(v)
                                                       : std::fabs(v));
       }
-      case PlanOp::kNcol:
-      case PlanOp::kNrow: {
-        REMAC_ASSIGN_OR_RETURN(const Value child, Eval(*node.children[0]));
-        const MatInfo info = Ops::Info(child.AsMatrix(), false);
-        return Value::Scalar(node.op == PlanOp::kNcol ? info.cols
-                                                      : info.rows);
-      }
-      case PlanOp::kFusedMap:
-        return EvalFusedMap(node);
-      case PlanOp::kBlockRef:
-        return self().BlockRef(static_cast<int>(node.value));
+      default:
+        return Status::Internal("unhandled op in plan evaluation");
     }
-    return Status::Internal("unhandled op in plan evaluation");
   }
 
   Result<Value> EvalBinary(const PlanNode& node) {

@@ -48,11 +48,12 @@ class SparsityEstimator {
 
   virtual NodeStats Multiply(const NodeStats& a, const NodeStats& b) const = 0;
   virtual NodeStats Transpose(const NodeStats& a) const = 0;
-  /// op is one of kAdd/kSub/kMul/kDiv.
+  /// op is a binary elementwise op; the estimate follows its PatternRule.
   virtual NodeStats Elementwise(PlanOp op, const NodeStats& a,
                                 const NodeStats& b) const = 0;
   /// Scalar (1x1) broadcast against a matrix: sparsity is preserved for
-  /// * and /, densified for + and - with a non-zero scalar.
+  /// * and /, densified for the union-pattern ops (+, -, min, max) with a
+  /// non-zero scalar.
   virtual NodeStats ScalarBroadcast(PlanOp op, const NodeStats& matrix) const;
 };
 

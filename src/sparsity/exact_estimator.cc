@@ -69,16 +69,12 @@ NodeStats ExactEstimator::Elementwise(PlanOp op, const NodeStats& a,
                                       const NodeStats& b) const {
   if (a.pattern && b.pattern) {
     Result<Matrix> out = [&]() -> Result<Matrix> {
-      switch (op) {
-        case PlanOp::kAdd:
-        case PlanOp::kSub:
-        case PlanOp::kMin:
-        case PlanOp::kMax:
+      switch (OpInfo(op).pattern) {
+        case PatternRule::kUnion:
           // Union of the patterns bounds the min/max result.
           return Add(*a.pattern, *b.pattern);
-        case PlanOp::kMul:
+        case PatternRule::kIntersect:
           return ElementwiseMultiply(*a.pattern, *b.pattern);
-        case PlanOp::kDiv:
         default:
           return *a.pattern;
       }
@@ -88,7 +84,7 @@ NodeStats ExactEstimator::Elementwise(PlanOp op, const NodeStats& a,
   // An operand without a pattern (e.g. a scalar-broadcast result): safe
   // divide still keeps the numerator's pattern; the other ops fall back
   // to the metadata estimator's independence rules.
-  if (op == PlanOp::kDiv) return a;
+  if (OpInfo(op).pattern == PatternRule::kNumerator) return a;
   return MetadataEstimator().Elementwise(op, a, b);
 }
 

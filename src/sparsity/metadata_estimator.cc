@@ -44,19 +44,16 @@ NodeStats MetadataEstimator::Elementwise(PlanOp op, const NodeStats& a,
   NodeStats s;
   s.rows = a.rows;
   s.cols = a.cols;
-  switch (op) {
-    case PlanOp::kAdd:
-    case PlanOp::kSub:
-    case PlanOp::kMin:
-    case PlanOp::kMax:
+  switch (OpInfo(op).pattern) {
+    case PatternRule::kUnion:
       // Union under independence (min/max can surface either operand's
       // non-zeros, so the union is the conservative pattern).
       s.sparsity = a.sparsity + b.sparsity - a.sparsity * b.sparsity;
       break;
-    case PlanOp::kMul:
+    case PatternRule::kIntersect:
       s.sparsity = a.sparsity * b.sparsity;
       break;
-    case PlanOp::kDiv:
+    case PatternRule::kNumerator:
       // Safe divide: zeros of the numerator stay zero.
       s.sparsity = a.sparsity;
       break;

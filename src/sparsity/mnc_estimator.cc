@@ -52,20 +52,14 @@ NodeStats MncEstimator::Transpose(const NodeStats& a) const {
 
 NodeStats MncEstimator::Elementwise(PlanOp op, const NodeStats& a,
                                     const NodeStats& b) const {
-  switch (op) {
-    case PlanOp::kAdd:
-    case PlanOp::kSub:
-    case PlanOp::kMin:
-    case PlanOp::kMax:
+  switch (OpInfo(op).pattern) {
+    case PatternRule::kUnion:
       // min/max patterns are bounded by the union, like add.
       return FromSketch(SketchAdd(*SketchOf(a), *SketchOf(b)));
-    case PlanOp::kMul:
+    case PatternRule::kIntersect:
       return FromSketch(SketchElemMul(*SketchOf(a), *SketchOf(b)));
-    case PlanOp::kDiv:
-    default: {
-      NodeStats s = a;  // safe divide keeps the numerator's pattern
-      return s;
-    }
+    default:
+      return a;  // safe divide keeps the numerator's pattern
   }
 }
 

@@ -111,6 +111,27 @@ TEST(Executor, SumNormNcolNrow) {
   EXPECT_DOUBLE_EQ(q->AsScalar().value(), 6.0);
 }
 
+TEST(Executor, ScalarAndOneByOneExpLogAgreeBitwise) {
+  // Scalars and 1x1 matrices are interchangeable: the scalar path applies
+  // the same cell semantics (FusedApply) as the matrix kernels, so the
+  // safe log maps 0 to 0 either way.
+  const DataCatalog catalog = ExecCatalog();
+  for (const std::string fn : {"exp", "log"}) {
+    for (const std::string gen : {"zeros(1, 1)", "ones(1, 1)", "rand(1, 1)"}) {
+      const std::string script = "M = " + gen + ";\na = " + fn +
+                                 "(sum(M));\nb = sum(" + fn + "(M));\n";
+      auto program = CompileScript(script, catalog);
+      ASSERT_TRUE(program.ok()) << program.status().ToString();
+      Executor executor(ClusterModel(), &catalog, nullptr);
+      ASSERT_TRUE(executor.Run(program->statements).ok()) << script;
+      const double a = executor.Get("a")->AsScalar().value();
+      const double b = executor.Get("b")->AsScalar().value();
+      EXPECT_EQ(std::memcmp(&a, &b, sizeof(double)), 0)
+          << script << a << " vs " << b;
+    }
+  }
+}
+
 TEST(Executor, ReadMarksDistributed) {
   const DataCatalog catalog = ExecCatalog();
   auto program = CompileScript("A = read(\"ds\");\n", catalog);

@@ -1,8 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <set>
+#include <string>
+#include <vector>
+
+#include "common/string_util.h"
 #include "matrix/kernels.h"
 #include "plan/plan_builder.h"
 #include "plan/plan_node.h"
+#include "runtime/program_runner.h"
 
 namespace remac {
 namespace {
@@ -97,6 +104,22 @@ TEST(PlanBuilder, MatMulDimensionMismatch) {
   EXPECT_EQ(program.status().code(), StatusCode::kDimensionMismatch);
 }
 
+TEST(PlanBuilder, ScalarFunctionOfAMatrixIsADimensionMismatch) {
+  const DataCatalog catalog = TestCatalog();
+  for (const std::string fn : {"abs", "sqrt"}) {
+    auto program =
+        CompileScript("X = read(\"A\");\ny = " + fn + "(X);\n", catalog);
+    ASSERT_EQ(program.status().code(), StatusCode::kDimensionMismatch) << fn;
+    EXPECT_NE(program.status().message().find("in " + fn + "(X)"),
+              std::string::npos)
+        << program.status().ToString();
+  }
+  // A 1x1 matrix is a scalar argument.
+  auto program = CompileScript(
+      "b = read(\"b\");\ny = sqrt(t(b) %*% b) + abs(t(b) %*% b);\n", catalog);
+  EXPECT_TRUE(program.ok()) << program.status().ToString();
+}
+
 TEST(PlanBuilder, UndefinedVariable) {
   const DataCatalog catalog = TestCatalog();
   auto program = CompileScript("y = nope + 1;\n", catalog);
@@ -171,6 +194,107 @@ TEST(PlanNode, ShapeScalarLike) {
   EXPECT_TRUE(scalar.ScalarLike());
   EXPECT_TRUE(one_by_one.ScalarLike());
   EXPECT_FALSE(matrix.ScalarLike());
+}
+
+TEST(PlanOpTable, NamesAreUnique) {
+  std::set<std::string> names;
+  for (const PlanOpInfo& info : kPlanOps) {
+    EXPECT_STRNE(info.name, "?");
+    EXPECT_STREQ(PlanOpName(info.op), info.name);
+    EXPECT_TRUE(names.insert(info.name).second) << info.name;
+  }
+  EXPECT_EQ(names.size(), kNumPlanOps);
+}
+
+TEST(PlanOpTable, FusedOpOfAndPlanOpOfAreInverses) {
+  for (int i = 0; i <= static_cast<int>(FusedOp::kLog); ++i) {
+    const FusedOp op = static_cast<FusedOp>(i);
+    const std::optional<FusedOp> round_trip = FusedOpOf(PlanOpOf(op));
+    ASSERT_TRUE(round_trip.has_value()) << FusedOpName(op);
+    EXPECT_EQ(*round_trip, op) << FusedOpName(op);
+  }
+  for (const PlanOpInfo& info : kPlanOps) {
+    if (const std::optional<FusedOp> cell = FusedOpOf(info.op)) {
+      EXPECT_EQ(PlanOpOf(*cell), info.op) << info.name;
+    }
+  }
+}
+
+TEST(PlanOpTable, EveryCallRowCompilesFromItsName) {
+  const DataCatalog catalog = TestCatalog();
+  for (const PlanOpInfo& info : kPlanOps) {
+    if (info.syntax != OpSyntax::kCall || info.family == OpFamily::kInternal) {
+      continue;
+    }
+    std::vector<std::string> args;
+    if (info.op == PlanOp::kReadData) {
+      args = {"\"A\""};
+    } else if (info.family == OpFamily::kGenerator) {
+      args.assign(static_cast<size_t>(info.arity), "3");
+    } else if (info.shape == ShapeRule::kScalarArg) {
+      args = {"4"};
+    } else {
+      args.assign(static_cast<size_t>(info.arity), "b");
+    }
+    const std::string script = "b = read(\"b\");\ny = " +
+                               std::string(info.name) + "(" +
+                               Join(args, ", ") + ");\n";
+    auto program = CompileScript(script, catalog);
+    ASSERT_TRUE(program.ok()) << script << program.status().ToString();
+    // ncol and nrow fold to constants at build time.
+    const bool folds = info.op == PlanOp::kNcol || info.op == PlanOp::kNrow;
+    EXPECT_EQ(program->statements.back().plan->op,
+              folds ? PlanOp::kConst : info.op)
+        << script;
+  }
+}
+
+TEST(PlanOpTable, OptimizedStatementsRoundTripThroughToString) {
+  const DataCatalog catalog = TestCatalog();
+  // Every op the builder produces: leaves, generators, %*% and t, the
+  // elementwise and comparison families, and every call.
+  const std::string script =
+      "A = read(\"A\");\n"
+      "b = read(\"b\");\n"
+      "I = eye(5);\n"
+      "Z = zeros(5, 1);\n"
+      "O = ones(20, 1);\n"
+      "R = rand(5, 1);\n"
+      "x = t(A) %*% b + I %*% Z - R * 2 / 4;\n"
+      "m = min(O, b) + max(b, O);\n"
+      "s = sum(x) + norm(A) + trace(t(A) %*% A) + sqrt(4) + abs(s0);\n"
+      "e = exp(x) + log(x * x);\n"
+      "r = rowSums(A) + t(colSums(A) %*% t(A));\n"
+      "d = diag(t(A) %*% A) + diag(diag(Z));\n"
+      "c = (s < 1) + (s > 1) + (s <= 1) + (s >= 1) + (s == 1) + (s != 1);\n";
+  auto program = CompileScript("s0 = 2;\n" + script, catalog);
+  ASSERT_TRUE(program.ok()) << program.status().ToString();
+  std::set<PlanOp> used;
+  std::function<void(const PlanNode&)> collect = [&](const PlanNode& node) {
+    used.insert(node.op);
+    for (const auto& child : node.children) collect(*child);
+  };
+  for (const CompiledStmt& stmt : program->statements) collect(*stmt.plan);
+  for (const PlanOpInfo& info : kPlanOps) {
+    const bool reachable = info.family != OpFamily::kInternal &&
+                           info.op != PlanOp::kNcol && info.op != PlanOp::kNrow;
+    EXPECT_EQ(used.count(info.op), reachable ? 1u : 0u) << info.name;
+  }
+  RunConfig config;
+  config.fuse_elementwise = false;  // fused regions have no DML spelling
+  auto optimized = OptimizeCompiled(*program, catalog, config, nullptr);
+  ASSERT_TRUE(optimized.ok()) << optimized.status().ToString();
+  const std::string rendered = optimized->ToString();
+  auto recompiled = CompileScript(rendered, catalog);
+  ASSERT_TRUE(recompiled.ok()) << rendered << recompiled.status().ToString();
+  ASSERT_EQ(recompiled->statements.size(), optimized->statements.size());
+  for (size_t i = 0; i < optimized->statements.size(); ++i) {
+    const CompiledStmt& want = optimized->statements[i];
+    const CompiledStmt& got = recompiled->statements[i];
+    EXPECT_EQ(got.target, want.target);
+    EXPECT_TRUE(PlanNode::Equals(*got.plan, *want.plan))
+        << want.plan->ToString() << " recompiled as " << got.plan->ToString();
+  }
 }
 
 }  // namespace
