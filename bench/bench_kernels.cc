@@ -23,7 +23,10 @@
 // 120000 x 47 dense V (also under --quick), one thread, for information
 // only, and exits non-zero if the one-pass kernel's result differs in any
 // bit, in format or in nnz from the copy-then-modify construction it
-// replaced.
+// replaced. The header line names the register tiles the dense products
+// ran on (scalar, avx2 or avx512f: the widest the CPU supports), and every
+// dense-product line prints absolute GFLOP/s next to its speedup; both
+// are recorded in the JSON (tile_isa, *_gflops) for information only.
 //
 // This binary parses its own flags (it needs gate thresholds the shared
 // harness does not know about): --quick --json --threads=N
@@ -39,6 +42,7 @@
 #include "common/rng.h"
 #include "common/string_util.h"
 #include "matrix/fused_tape.h"
+#include "matrix/kernel_internal.h"
 #include "matrix/kernels.h"
 #include "obs/metrics.h"
 #include "sched/thread_pool.h"
@@ -158,9 +162,15 @@ int RunBench(const Options& options) {
   const int64_t n = 1024;
   const int reps = options.quick ? 2 : 4;
 
-  std::printf("bench_kernels: shape %lldx%lldx%lld dense, best of %d\n",
-              static_cast<long long>(n), static_cast<long long>(n),
-              static_cast<long long>(n), reps);
+  // The register tiles the dense products ran on (the widest this CPU
+  // supports): the GFLOP/s figures below are only comparable between runs
+  // on the same tiles.
+  const char* tile_isa = internal::GemmIsaName(internal::ActiveGemmIsa());
+  std::printf(
+      "bench_kernels: shape %lldx%lldx%lld dense, best of %d, %s tiles\n",
+      static_cast<long long>(n), static_cast<long long>(n),
+      static_cast<long long>(n), reps, tile_isa);
+  const double cube_gflop = 2.0 * static_cast<double>(n * n * n) / 1e9;
 
   const Matrix a = DenseRandom(n, n, 101);
   const Matrix b = DenseRandom(n, n, 102);
@@ -176,8 +186,11 @@ int RunBench(const Options& options) {
     return 1;
   }
   const double gemm_speedup = naive_s / blocked_s;
-  std::printf("  gemm: naive %.3fs  blocked %.3fs  speedup %.2fx (gate %.2fx)\n",
-              naive_s, blocked_s, gemm_speedup, options.min_gemm_speedup);
+  std::printf(
+      "  gemm: naive %.3fs (%.2f GFLOP/s)  blocked %.3fs (%.2f GFLOP/s)  "
+      "speedup %.2fx (gate %.2fx)\n",
+      naive_s, cube_gflop / naive_s, blocked_s, cube_gflop / blocked_s,
+      gemm_speedup, options.min_gemm_speedup);
 
   // --- 2. fused AtB vs materialize-then-multiply ------------------------
   // `materialized_naive` is the pre-PR ExecMultiply path: copy t(A), then
@@ -199,9 +212,10 @@ int RunBench(const Options& options) {
   const double fused_vs_blocked = mat_blocked_s / fused_s;
   std::printf(
       "  fused AtB: materialized(naive) %.3fs  materialized(blocked) %.3fs  "
-      "fused %.3fs  speedup %.2fx (gate %.2fx)  vs-blocked %.2fx\n",
-      mat_naive_s, mat_blocked_s, fused_s, fused_speedup,
-      options.min_fused_speedup, fused_vs_blocked);
+      "fused %.3fs (%.2f GFLOP/s)  speedup %.2fx (gate %.2fx)  vs-blocked "
+      "%.2fx\n",
+      mat_naive_s, mat_blocked_s, fused_s, cube_gflop / fused_s,
+      fused_speedup, options.min_fused_speedup, fused_vs_blocked);
 
   // --- 3. fused elementwise tape vs op-at-a-time ------------------------
   // The 4-op dense chain max((a + b) * a - b, a), exactly as the fusion
@@ -368,20 +382,23 @@ int RunBench(const Options& options) {
   }
   std::fprintf(out,
                "{\"bench\": \"kernels\", \"shape\": %lld, \"reps\": %d,\n"
+               " \"tile_isa\": \"%s\",\n"
                " \"gemm\": {\"naive_seconds\": %.9g, \"blocked_seconds\": "
-               "%.9g, \"speedup\": %.4g, \"min_required\": %.4g},\n"
+               "%.9g, \"naive_gflops\": %.4g, \"blocked_gflops\": %.4g, "
+               "\"speedup\": %.4g, \"min_required\": %.4g},\n"
                " \"fused_atb\": {\"materialized_naive_seconds\": %.9g, "
                "\"materialized_blocked_seconds\": %.9g, \"fused_seconds\": "
-               "%.9g, \"speedup_vs_materialized\": %.4g, "
+               "%.9g, \"fused_gflops\": %.4g, \"speedup_vs_materialized\": %.4g, "
                "\"speedup_vs_materialized_blocked\": %.4g, "
                "\"min_required\": %.4g},\n"
                " \"fusion\": {\"chain_ops\": %d, \"unfused_seconds\": %.9g, "
                "\"fused_seconds\": %.9g, \"speedup\": %.4g, "
                "\"min_required\": %.4g},\n"
                " \"skinny_rows\": %lld,\n \"skinny\": [",
-               static_cast<long long>(n), reps, naive_s, blocked_s,
-               gemm_speedup, options.min_gemm_speedup, mat_naive_s,
-               mat_blocked_s, fused_s, fused_speedup, fused_vs_blocked,
+               static_cast<long long>(n), reps, tile_isa, naive_s, blocked_s,
+               cube_gflop / naive_s, cube_gflop / blocked_s, gemm_speedup,
+               options.min_gemm_speedup, mat_naive_s, mat_blocked_s, fused_s,
+               cube_gflop / fused_s, fused_speedup, fused_vs_blocked,
                options.min_fused_speedup,
                static_cast<int>(tape.steps.size()), fusion_unfused_s,
                fusion_fused_s, fusion_speedup, options.min_fusion_speedup,

@@ -609,7 +609,7 @@ void Estimators(bool) {
     if (ds == "cri2") continue;
     if (!Ran("estimators", ds, EnsureDataset(ds, true))) continue;
     const Matrix a = SharedCatalog().Value(ds).value();
-    const MatrixStats stats = SharedCatalog().Stats(ds).value();
+    const MatrixStats& stats = *SharedCatalog().Stats(ds).value();
     const double truth =
         static_cast<double>(MultiplyNnzExact(Transpose(a), a).value()) /
         (static_cast<double>(a.cols()) * static_cast<double>(a.cols()));

@@ -17,7 +17,8 @@
 #               on-vs-off bitwise identity; emitted span trees checked by
 #               tools/validate_trace.py; the recorded saturation curve
 #               re-gated by tools/check_scaling.py so throughput may not
-#               collapse as effective parallelism grows)
+#               collapse as effective parallelism grows; the trace and
+#               scaling checks run even when bench_load exits non-zero)
 #   perf-floors the wall-clock speedup floors, run after bench-smoke so
 #               that a noisy machine failing a floor never skips the
 #               identity and trace checks above: the bench_kernels gate
@@ -126,15 +127,22 @@ bench_smoke_gate() {
   # trees that validate_trace.py checks for rooted-tree integrity
   # (every parent exists, child intervals and durations within the
   # parent's).
+  # bench_load also exits non-zero on its wall-clock saturation-scaling
+  # floor, so the two checks below run whatever it returned: a loaded
+  # machine failing that floor must not hide a broken span tree. Stale
+  # traces and a stale BENCH_service.json are removed first, so a run that
+  # wrote nothing fails the checks instead of passing on old files.
+  local status=0
   local trace_dir="$BENCH_DIR/bench_load_traces"
-  rm -rf "$trace_dir" && mkdir -p "$trace_dir"
-  run_bench bench_load --quick --json --trace-dir="$trace_dir" || return 1
-  python3 tools/validate_trace.py "$trace_dir"/trace-*.json || return 1
+  rm -rf "$trace_dir" BENCH_service.json && mkdir -p "$trace_dir"
+  run_bench bench_load --quick --json --trace-dir="$trace_dir" || status=1
+  python3 tools/validate_trace.py "$trace_dir"/trace-*.json || status=1
   # Saturation scaling gate: re-apply bench_load's hardware-aware rule to
   # the BENCH_service.json it just wrote, so a recorded curve that
   # collapses as effective parallelism grows fails the check on its own
   # gate line even when bench_load's exit code is swallowed upstream.
-  python3 tools/check_scaling.py BENCH_service.json
+  python3 tools/check_scaling.py BENCH_service.json || status=1
+  return $status
 }
 
 if sanitizer_gate ThreadSanitizer "$TSAN_DIR" thread TSAN_OPTIONS; then

@@ -25,7 +25,7 @@ std::string Signature(const PlanNode& node,
   } else if (node.op == PlanOp::kReadData) {
     out += ":" + node.name;
   } else if (node.op == PlanOp::kConst) {
-    out += StringFormat(":%g", node.value);
+    out += ":" + ExactDoubleString(node.value);
   }
   if (node.children.empty()) return out;
   out += "(";

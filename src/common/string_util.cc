@@ -1,7 +1,10 @@
 #include "common/string_util.h"
 
+#include <charconv>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
+#include <cstring>
 
 namespace remac {
 
@@ -35,6 +38,20 @@ std::string_view StripWhitespace(std::string_view s) {
                    s[e - 1] == '\r'))
     --e;
   return s.substr(b, e - b);
+}
+
+std::string ExactDoubleString(double value) {
+  char buf[64];
+  char* end = std::to_chars(buf, buf + sizeof(buf), value,
+                            std::chars_format::general, 6)
+                  .ptr;
+  double back = 0.0;
+  std::from_chars(buf, end, back);
+  const bool exact = std::isnan(value)
+                         ? std::isnan(back)
+                         : std::memcmp(&back, &value, sizeof(double)) == 0;
+  if (!exact) end = std::to_chars(buf, buf + sizeof(buf), value).ptr;
+  return std::string(buf, end);
 }
 
 bool StartsWith(std::string_view s, std::string_view prefix) {

@@ -23,6 +23,12 @@ bool StartsWith(std::string_view s, std::string_view prefix);
 std::string StringFormat(const char* fmt, ...)
     __attribute__((format(printf, 1, 2)));
 
+/// Renders `value` so that parsing the text gives back the same double:
+/// printf's %g form (6 significant digits, C locale) when that is exact,
+/// otherwise the shortest form that round-trips (std::to_chars). Keys
+/// built from constants must tell 0.1234561 from 0.1234564.
+std::string ExactDoubleString(double value);
+
 /// Renders a byte count with an IEC suffix, e.g., "30.0GB".
 std::string HumanBytes(double bytes);
 

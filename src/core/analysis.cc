@@ -3,6 +3,7 @@
 #include <cassert>
 #include <functional>
 
+#include "common/string_util.h"
 #include "plan/rewriter.h"
 
 namespace remac {
@@ -189,9 +190,7 @@ std::string SymRender(const PlanNode& node) {
     out += ":" + node.name;
   }
   if (node.op == PlanOp::kConst) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), ":%g", node.value);
-    out += buf;
+    out += ":" + ExactDoubleString(node.value);
   }
   if (node.children.empty()) return out;
   out += "(";

@@ -42,9 +42,9 @@ Result<CostedStats> CostModel::DatasetStats(const std::string& name) const {
   if (catalog_ == nullptr) {
     return Status::Internal("cost model has no catalog");
   }
-  REMAC_ASSIGN_OR_RETURN(const MatrixStats stats, catalog_->Stats(name));
+  REMAC_ASSIGN_OR_RETURN(const MatrixStatsPtr stats, catalog_->Stats(name));
   CostedStats out;
-  out.stats = estimator_->LeafStats(name, stats);
+  out.stats = estimator_->LeafStats(name, *stats);
   // Input datasets live distributed (the executor's read() contract:
   // they are the cluster-scale payloads).
   out.distributed = true;

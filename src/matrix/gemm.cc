@@ -3,27 +3,29 @@
 #include <atomic>
 #include <bit>
 
-/// AVX2 tiles are compiled (behind a runtime CPU check) only for x86-64
-/// GCC/Clang; everything else runs the scalar tile.
+/// The AVX2 and AVX-512F tiles are compiled (behind a runtime CPU check)
+/// only for x86-64 GCC/Clang; everything else runs the scalar tile.
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define REMAC_KERNEL_AVX2 1
+#define REMAC_KERNEL_X86 1
 #include <immintrin.h>
 #else
-#define REMAC_KERNEL_AVX2 0
+#define REMAC_KERNEL_X86 0
 #endif
 
 namespace remac {
 namespace internal {
 namespace {
 
-/// A tile is kGemmTileRows output rows x kGemmTileCols columns
-/// (kGemvTileRows rows x 1 column when n = 1), held in registers while it
-/// accumulates one kGemmDepthBlock-long block of the shared index. Per
-/// block, the left rows of a group of kGemmGroupTiles row tiles
-/// (64 x 256 doubles = 128 KB) stay in L2 and a 256 x 16 slice of B
-/// (32 KB) in L1 while the group's tiles sweep them (sized for 48 KB L1d
-/// and 2 MiB L2 per core).
+/// A tile is kGemmTileRows output rows (kAvx512TileRows on AVX-512F,
+/// whose 32 vector registers hold twice the accumulators) x kGemmTileCols
+/// columns (kGemvTileRows rows x 1 column when n = 1), held in registers
+/// while it accumulates one kGemmDepthBlock-long block of the shared
+/// index. Per block, the left rows of a group of kGemmGroupTiles row tiles
+/// (at most 128 x 256 doubles = 256 KB) stay in L2 and a 256 x 16 slice
+/// of B (32 KB) in L1 while the group's tiles sweep them (sized for 48 KB
+/// L1d and 2 MiB L2 per core).
 constexpr int64_t kGemmTileRows = 4;
+constexpr int64_t kAvx512TileRows = 8;
 constexpr int64_t kGemmTileCols = 16;
 constexpr int64_t kGemvTileRows = 16;
 constexpr int64_t kGemmDepthBlock = 256;
@@ -78,7 +80,7 @@ int64_t TileScalar(const GemmOperands& g, int64_t i0, int64_t x0, int64_t j0,
   return count ? nnz : 0;
 }
 
-#if REMAC_KERNEL_AVX2
+#if REMAC_KERNEL_X86
 // Compiled for AVX2 via the target attribute instead of a TU-wide flag, so
 // the rest of the build keeps the baseline ISA. AVX2 does not imply FMA,
 // so nothing here can be contracted: every lane rounds exactly like the
@@ -223,21 +225,189 @@ constexpr TileFn kGemvAvx2[2][4] = {
      GemvAvx2<false, 4>},
     {GemvAvx2<true, 1>, GemvAvx2<true, 2>, GemvAvx2<true, 3>,
      GemvAvx2<true, 4>}};
-#endif  // REMAC_KERNEL_AVX2
 
-/// True when the running CPU supports AVX2 (cached after the first call).
-/// Dispatching on this cannot change any result: the AVX2 tiles are
-/// bitwise-identical to the scalar one lane-for-lane.
-bool HasAvx2() {
-#if REMAC_KERNEL_AVX2
-  static const bool has = __builtin_cpu_supports("avx2");
-  return has;
-#else
-  return false;
-#endif
+// AVX-512F brings FMA with it, so here the rule that nothing contracts is
+// kept by construction rather than by the ISA: every add is the masked-add
+// builtin, which the compiler never fuses with the multiply feeding it.
+// `_mm512_add_pd` is a plain vector `+` in GCC's headers, and under the
+// default -ffp-contract=fast GCC does fuse it with a `_mm512_mul_pd`.
+#define REMAC_AVX512 __attribute__((target("avx512f")))
+
+/// Lanes [0, count) set (count in 1..8).
+REMAC_AVX512 inline __mmask8 LaneMask8(int64_t count) {
+  return static_cast<__mmask8>((1u << count) - 1u);
 }
 
+REMAC_AVX512 inline __m512d Load8(const double* p, bool masked,
+                                  __mmask8 mask) {
+  return masked ? _mm512_maskz_loadu_pd(mask, p) : _mm512_loadu_pd(p);
+}
+
+REMAC_AVX512 inline void Store8(double* p, __m512d v, bool masked,
+                                __mmask8 mask) {
+  if (masked) {
+    _mm512_mask_storeu_pd(p, mask, v);
+  } else {
+    _mm512_storeu_pd(p, v);
+  }
+}
+
+/// Lanes of v that are `!= 0.0` (unordered compare: NaN is non-zero).
+REMAC_AVX512 inline __mmask8 NonZero8(__m512d v) {
+  return _mm512_cmp_pd_mask(v, _mm512_setzero_pd(), _CMP_NEQ_UQ);
+}
+
+/// The reference kernel's `if (v == 0.0) continue; acc += v * b;` per
+/// lane: the add is masked to the lanes whose left value is non-zero, so a
+/// skipped lane keeps acc's exact bits (no +0.0 is added, and 0 * Inf or
+/// 0 * NaN never reaches acc).
+REMAC_AVX512 inline __m512d MulAddSkip8(__m512d acc, __mmask8 nonzero,
+                                        __m512d v, __m512d b) {
+  return _mm512_mask_add_pd(acc, nonzero, acc, _mm512_mul_pd(v, b));
+}
+
+/// TileAvx2 with 8-double vectors: R rows x NV vectors of columns.
+template <int R, int NV>
+REMAC_AVX512 int64_t TileAvx512(const GemmOperands& g, int64_t i0, int64_t x0,
+                                int64_t j0, int64_t j1, int64_t /*rows*/,
+                                int64_t cols, bool count) {
+  const __mmask8 tail = LaneMask8(cols - 8 * (NV - 1));
+  const int64_t rs = g.rs, js = g.js, ldb = g.ldb, ldc = g.ldc;
+  const double* a = g.a + i0 * rs + j0 * js;
+  const double* bj = g.b + j0 * ldb + x0;
+  double* c = g.c + i0 * ldc + x0;
+  __m512d acc[R][NV];
+#pragma GCC unroll 8
+  for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 2
+    for (int q = 0; q < NV; ++q) {
+      acc[r][q] = Load8(c + r * ldc + 8 * q, q == NV - 1, tail);
+    }
+  }
+  for (int64_t j = j0; j < j1; ++j, a += js, bj += ldb) {
+    __m512d bv[NV];
+#pragma GCC unroll 2
+    for (int q = 0; q < NV; ++q) bv[q] = Load8(bj + 8 * q, q == NV - 1, tail);
+#pragma GCC unroll 8
+    for (int r = 0; r < R; ++r) {
+      const __m512d v = _mm512_set1_pd(a[r * rs]);
+      const __mmask8 nonzero = NonZero8(v);
+#pragma GCC unroll 2
+      for (int q = 0; q < NV; ++q) {
+        acc[r][q] = MulAddSkip8(acc[r][q], nonzero, v, bv[q]);
+      }
+    }
+  }
+#pragma GCC unroll 8
+  for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 2
+    for (int q = 0; q < NV; ++q) {
+      Store8(c + r * ldc + 8 * q, acc[r][q], q == NV - 1, tail);
+    }
+  }
+  if (!count) return 0;
+  int64_t nnz = 0;
+  for (int r = 0; r < R; ++r) {
+    for (int q = 0; q < NV; ++q) {
+      const __mmask8 lanes = q == NV - 1 ? tail : __mmask8{0xff};
+      nnz += std::popcount(static_cast<unsigned>(NonZero8(acc[r][q]) & lanes));
+    }
+  }
+  return nnz;
+}
+
+/// GemvAvx2 with 8-double vectors: up to 16 output rows in NV vectors.
+template <bool kContiguous, int NV>
+REMAC_AVX512 int64_t GemvAvx512(const GemmOperands& g, int64_t i0, int64_t x0,
+                                int64_t j0, int64_t j1, int64_t rows,
+                                int64_t /*cols*/, bool count) {
+  const __mmask8 tail = LaneMask8(rows - 8 * (NV - 1));
+  const int64_t rs = g.rs, js = g.js, ldb = g.ldb;
+  const __m512i offsets =
+      _mm512_setr_epi64(0, rs, 2 * rs, 3 * rs, 4 * rs, 5 * rs, 6 * rs, 7 * rs);
+  const double* aj = g.a + i0 * rs + j0 * js;
+  const double* bj = g.b + j0 * ldb + x0;
+  double* c = g.c + i0 * g.ldc + x0;  // ldc = 1: the rows are contiguous
+  __m512d acc[NV];
+#pragma GCC unroll 2
+  for (int q = 0; q < NV; ++q) acc[q] = Load8(c + 8 * q, q == NV - 1, tail);
+  for (int64_t j = j0; j < j1; ++j, aj += js, bj += ldb) {
+    const __m512d b = _mm512_set1_pd(*bj);
+#pragma GCC unroll 2
+    for (int q = 0; q < NV; ++q) {
+      const __mmask8 lanes = q == NV - 1 ? tail : __mmask8{0xff};
+      const __m512d v =
+          kContiguous ? Load8(aj + 8 * q, q == NV - 1, tail)
+                      : _mm512_mask_i64gather_pd(_mm512_setzero_pd(), lanes,
+                                                 offsets, aj + 8 * q * rs, 8);
+      acc[q] = MulAddSkip8(acc[q], NonZero8(v) & lanes, v, b);
+    }
+  }
+#pragma GCC unroll 2
+  for (int q = 0; q < NV; ++q) Store8(c + 8 * q, acc[q], q == NV - 1, tail);
+  if (!count) return 0;
+  int64_t nnz = 0;
+  for (int q = 0; q < NV; ++q) {
+    const __mmask8 lanes = q == NV - 1 ? tail : __mmask8{0xff};
+    nnz += std::popcount(static_cast<unsigned>(NonZero8(acc[q]) & lanes));
+  }
+  return nnz;
+}
+
+/// Indexed by [rows - 1][vectors - 1] and [contiguous][vectors - 1].
+constexpr TileFn kTilesAvx512[kAvx512TileRows][2] = {{TileAvx512<1, 1>, TileAvx512<1, 2>},
+                                       {TileAvx512<2, 1>, TileAvx512<2, 2>},
+                                       {TileAvx512<3, 1>, TileAvx512<3, 2>},
+                                       {TileAvx512<4, 1>, TileAvx512<4, 2>},
+                                       {TileAvx512<5, 1>, TileAvx512<5, 2>},
+                                       {TileAvx512<6, 1>, TileAvx512<6, 2>},
+                                       {TileAvx512<7, 1>, TileAvx512<7, 2>},
+                                       {TileAvx512<8, 1>, TileAvx512<8, 2>}};
+constexpr TileFn kGemvAvx512[2][2] = {
+    {GemvAvx512<false, 1>, GemvAvx512<false, 2>},
+    {GemvAvx512<true, 1>, GemvAvx512<true, 2>}};
+#endif  // REMAC_KERNEL_X86
+
+/// The widest tile set the running CPU supports. Dispatching on it cannot
+/// change any result: every vector tile is bitwise-identical to the scalar
+/// one lane for lane.
+GemmIsa DetectGemmIsa() {
+#if REMAC_KERNEL_X86
+  if (__builtin_cpu_supports("avx512f")) return GemmIsa::kAvx512;
+  if (__builtin_cpu_supports("avx2")) return GemmIsa::kAvx2;
+#endif
+  return GemmIsa::kScalar;
+}
+
+std::atomic<GemmIsa> gemm_isa_limit{GemmIsa::kAvx512};
+
 }  // namespace
+
+GemmIsa SupportedGemmIsa() {
+  static const GemmIsa isa = DetectGemmIsa();
+  return isa;
+}
+
+GemmIsa ActiveGemmIsa() {
+  return std::min(SupportedGemmIsa(),
+                  gemm_isa_limit.load(std::memory_order_relaxed));
+}
+
+GemmIsa SetGemmIsaLimit(GemmIsa isa) {
+  return gemm_isa_limit.exchange(isa, std::memory_order_relaxed);
+}
+
+const char* GemmIsaName(GemmIsa isa) {
+  switch (isa) {
+    case GemmIsa::kScalar:
+      return "scalar";
+    case GemmIsa::kAvx2:
+      return "avx2";
+    case GemmIsa::kAvx512:
+      return "avx512f";
+  }
+  return "?";
+}
 
 DenseMatrix MultiplyDenseDenseNaive(const DenseMatrix& a,
                                     const DenseMatrix& b) {
@@ -284,17 +454,22 @@ Matrix MultiplyDenseDense(const DenseMatrix& a, bool a_transposed,
   const GemmOperands g{a.data(), a_transposed ? 1 : depth,
                        a_transposed ? rows : 1, pb, n, c.data(), n};
   const bool gemv = n == 1;
-  const int64_t tile_rows = gemv ? kGemvTileRows : kGemmTileRows;
+  const GemmIsa isa = ActiveGemmIsa();
+  const int64_t tile_rows =
+      gemv ? kGemvTileRows
+           : (isa == GemmIsa::kAvx512 ? kAvx512TileRows : kGemmTileRows);
   const int64_t tile_cols = gemv ? 1 : kGemmTileCols;
-  [[maybe_unused]] const bool avx = HasAvx2();
   // Each tile counts its non-zeros as it stores its last j-block (with
   // depth 0 no block runs and C stays all zero).
   auto run_tile = [&](int64_t i0, int64_t x0, int64_t j0, int64_t j1) {
     const int64_t tr = std::min(tile_rows, rows - i0);
     const int64_t tc = std::min(tile_cols, n - x0);
     TileFn tile = TileScalar;
-#if REMAC_KERNEL_AVX2
-    if (avx) {
+#if REMAC_KERNEL_X86
+    if (isa == GemmIsa::kAvx512) {
+      tile = gemv ? kGemvAvx512[g.rs == 1][(tr + 7) / 8 - 1]
+                  : kTilesAvx512[tr - 1][(tc + 7) / 8 - 1];
+    } else if (isa == GemmIsa::kAvx2) {
       tile = gemv ? kGemvAvx2[g.rs == 1][(tr + 3) / 4 - 1]
                   : kTilesAvx2[tr - 1][(tc + 3) / 4 - 1];
     }

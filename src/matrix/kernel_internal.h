@@ -269,6 +269,21 @@ CsrMatrix MultiplySparseSparseCore(const LeftRows& a, const RightRows& b,
   return c;
 }
 
+/// Instruction sets the dense multiply's register tiles are built for,
+/// narrowest first. Every set computes the same bits (gemm.cc).
+enum class GemmIsa { kScalar, kAvx2, kAvx512 };
+
+/// The widest tile set the running CPU supports (detected once).
+GemmIsa SupportedGemmIsa();
+/// The tile set the dense multiply runs: SupportedGemmIsa(), capped by
+/// SetGemmIsaLimit.
+GemmIsa ActiveGemmIsa();
+/// Caps the tile set at `isa` (kAvx512, the default, caps nothing) and
+/// returns the previous cap. For tests that run every path the CPU has.
+GemmIsa SetGemmIsaLimit(GemmIsa isa);
+/// "scalar", "avx2" or "avx512f".
+const char* GemmIsaName(GemmIsa isa);
+
 /// Naive reference GEMM (the i-j-x loop). Kept as the bitwise oracle for
 /// the tiled kernel and as the bench baseline.
 DenseMatrix MultiplyDenseDenseNaive(const DenseMatrix& a,

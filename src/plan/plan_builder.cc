@@ -4,6 +4,7 @@
 
 #include "common/string_util.h"
 #include "lang/parser.h"
+#include "sparsity/sketch.h"
 
 namespace remac {
 
@@ -15,13 +16,17 @@ void DataCatalog::Register(const std::string& name, Matrix value) {
   RowColCounts counts = value.CountRowsAndCols();
   stats.row_counts = std::move(counts.row_counts);
   stats.col_counts = std::move(counts.col_counts);
-  stats_[name] = std::move(stats);
   values_.insert_or_assign(name, std::move(value));
-  ++versions_[name];
+  RegisterStats(name, std::move(stats));
 }
 
 void DataCatalog::RegisterStats(const std::string& name, MatrixStats stats) {
-  stats_[name] = std::move(stats);
+  if (stats.sketch == nullptr && !stats.row_counts.empty() &&
+      !stats.col_counts.empty()) {
+    stats.sketch = MncSketch::FromCounts(stats.rows, stats.cols,
+                                         stats.row_counts, stats.col_counts);
+  }
+  stats_[name] = std::make_shared<const MatrixStats>(std::move(stats));
   ++versions_[name];
 }
 
@@ -34,7 +39,7 @@ bool DataCatalog::Contains(const std::string& name) const {
   return stats_.count(name) > 0;
 }
 
-Result<MatrixStats> DataCatalog::Stats(const std::string& name) const {
+Result<MatrixStatsPtr> DataCatalog::Stats(const std::string& name) const {
   auto it = stats_.find(name);
   if (it == stats_.end()) {
     return Status::NotFound("no dataset named '" + name + "' in catalog");
@@ -225,11 +230,12 @@ class Builder {
         return Status::InvalidArgument("read() expects a string literal");
       }
       const std::string& dataset = expr.children[0]->name;
-      REMAC_ASSIGN_OR_RETURN(const MatrixStats stats, catalog_.Stats(dataset));
+      REMAC_ASSIGN_OR_RETURN(const MatrixStatsPtr stats,
+                             catalog_.Stats(dataset));
       auto node = std::make_shared<PlanNode>();
       node->op = PlanOp::kReadData;
       node->name = dataset;
-      node->shape = Shape{stats.rows, stats.cols, false};
+      node->shape = Shape{stats->rows, stats->cols, false};
       return node;
     }
     const PlanOpInfo* info = CallOp(expr.name);

@@ -2,6 +2,7 @@
 #define REMAC_PLAN_PLAN_BUILDER_H_
 
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -13,6 +14,8 @@
 
 namespace remac {
 
+struct MncSketch;
+
 /// \brief Statistics of a named dataset, as the optimizer sees it before
 /// execution: dimensions and sparsity (plus, optionally, the exact
 /// per-row/per-column non-zero counts consumed by the MNC estimator).
@@ -22,7 +25,14 @@ struct MatrixStats {
   double sparsity = 1.0;
   std::vector<int64_t> row_counts;  // may be empty if sketches not built
   std::vector<int64_t> col_counts;
+  /// The MNC leaf sketch of the counts, built once when a catalog
+  /// registers them; null without counts or outside a catalog.
+  std::shared_ptr<const MncSketch> sketch;
 };
+
+/// A catalog's statistics of one dataset version: immutable and shared,
+/// so readers never copy the count vectors.
+using MatrixStatsPtr = std::shared_ptr<const MatrixStats>;
 
 /// \brief Registry of datasets available to read("...").
 ///
@@ -39,7 +49,7 @@ class DataCatalog {
   void RegisterStats(const std::string& name, MatrixStats stats);
 
   bool Contains(const std::string& name) const;
-  Result<MatrixStats> Stats(const std::string& name) const;
+  Result<MatrixStatsPtr> Stats(const std::string& name) const;
   Result<Matrix> Value(const std::string& name) const;
 
   /// Monotonic registration count of `name` (0 if never registered).
@@ -51,7 +61,7 @@ class DataCatalog {
   std::vector<std::string> Names() const;
 
  private:
-  std::map<std::string, MatrixStats> stats_;
+  std::map<std::string, MatrixStatsPtr> stats_;
   std::map<std::string, Matrix> values_;
   std::map<std::string, int64_t> versions_;
 };

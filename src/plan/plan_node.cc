@@ -118,7 +118,7 @@ std::string PlanNode::ToString() const {
     case PlanOp::kInput:
       return name;
     case PlanOp::kConst:
-      return StringFormat("%g", value);
+      return ExactDoubleString(value);
     case PlanOp::kReadData:
       return "read(\"" + name + "\")";
     case PlanOp::kBlockRef:

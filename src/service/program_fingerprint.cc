@@ -145,12 +145,12 @@ int SparsityBucket(double sparsity) {
 
 Result<std::string> DatasetMetadataFragment(const std::string& name,
                                             const DataCatalog& catalog) {
-  REMAC_ASSIGN_OR_RETURN(const MatrixStats stats, catalog.Stats(name));
+  REMAC_ASSIGN_OR_RETURN(const MatrixStatsPtr stats, catalog.Stats(name));
   return StringFormat("%s=%lldx%lld,%s,b%d;", name.c_str(),
-                      static_cast<long long>(stats.rows),
-                      static_cast<long long>(stats.cols),
-                      stats.rows == stats.cols ? "sq" : "rc",
-                      SparsityBucket(stats.sparsity));
+                      static_cast<long long>(stats->rows),
+                      static_cast<long long>(stats->cols),
+                      stats->rows == stats->cols ? "sq" : "rc",
+                      SparsityBucket(stats->sparsity));
 }
 
 Result<std::string> InputMetadataKey(const std::vector<std::string>& datasets,

@@ -11,7 +11,9 @@ NodeStats MncEstimator::LeafStats(const std::string& name,
   s.rows = static_cast<double>(stats.rows);
   s.cols = static_cast<double>(stats.cols);
   s.sparsity = stats.sparsity;
-  if (!stats.row_counts.empty() && !stats.col_counts.empty()) {
+  if (stats.sketch != nullptr) {
+    s.sketch = stats.sketch;
+  } else if (!stats.row_counts.empty() && !stats.col_counts.empty()) {
     s.sketch = MncSketch::FromCounts(stats.rows, stats.cols, stats.row_counts,
                                      stats.col_counts);
   } else {

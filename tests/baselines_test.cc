@@ -56,6 +56,28 @@ TEST(SystemDs, ExplicitCseExtractsIdenticalSubtrees) {
       RunProgram(*optimized, catalog, "q", 1).ApproxEquals(expected, 1e-9));
 }
 
+/// Products that differ only in a constant %g renders alike are not
+/// common subexpressions: c = a - b is what the script as written gives.
+TEST(SystemDs, CseTellsNearbyConstantsApart) {
+  const DataCatalog catalog = BaselineCatalog();
+  auto program = CompileScript(
+      "X = read(\"ds\");\n"
+      "a = sum(t(X * 0.1234561) %*% X);\n"
+      "b = sum(t(X * 0.1234564) %*% X);\n"
+      "c = a - b;\n",
+      catalog);
+  ASSERT_TRUE(program.ok()) << program.status().ToString();
+  MetadataEstimator estimator;
+  auto optimized =
+      SystemDsOptimize(*program, ClusterModel(), &estimator, &catalog);
+  ASSERT_TRUE(optimized.ok());
+  for (const auto& stmt : optimized->statements) EXPECT_FALSE(stmt.is_temp);
+  const Matrix as_written = RunProgram(*program, catalog, "c", 1);
+  const Matrix got = RunProgram(*optimized, catalog, "c", 1);
+  ASSERT_NE(as_written.At(0, 0), 0.0);
+  EXPECT_EQ(got.At(0, 0), as_written.At(0, 0));
+}
+
 TEST(SystemDs, CseRespectsVariableVersions) {
   const DataCatalog catalog = BaselineCatalog();
   // The same text (B %*% v) appears before and after B changes; it must

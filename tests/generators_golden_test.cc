@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -36,6 +37,10 @@ class Digest {
   void Add(const std::vector<T>& values) {
     Add(static_cast<uint64_t>(values.size()));
     for (const T& v : values) Add(v);
+  }
+  void Add(std::span<const double> values) {
+    Add(static_cast<uint64_t>(values.size()));
+    for (double v : values) Add(v);
   }
   void Add(const std::vector<int32_t>& values) {
     Add(static_cast<uint64_t>(values.size()));
@@ -121,7 +126,7 @@ TEST(GeneratorsGolden, CatalogStatsMatchRecordedDigests) {
         name == "serve" ? ServeSpec() : PaperDatasetSpec(name).value();
     DataCatalog catalog;
     catalog.Register(name, GenerateMatrix(spec));
-    const MatrixStats stats = catalog.Stats(name).value();
+    const MatrixStats& stats = *catalog.Stats(name).value();
     EXPECT_EQ(StatsDigest(stats), digest)
         << name << ": 0x" << std::hex << StatsDigest(stats);
   }

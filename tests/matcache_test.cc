@@ -380,6 +380,29 @@ TEST(MatCacheService, DimensionChangeCascadesThroughBothCaches) {
   EXPECT_GE(stats.matcache.invalidations, 1);
 }
 
+/// Constants that %g renders alike (6 significant digits) are different
+/// fused regions: the second script must not be served the first one's
+/// intermediate, and must compute what a fresh service computes.
+TEST(MatCacheService, NearbyConstantsAreDistinctIntermediates) {
+  DataCatalog catalog;
+  RegisterServiceDataset(&catalog);
+  auto script = [](const std::string& c) {
+    return "g = (read(\"ds\") * " + c +
+           " + read(\"ds\")) / (read(\"ds\") + 2);\nx = sum(g);\n";
+  };
+  PlanService service(&catalog);
+  ASSERT_TRUE(service.Run({script("0.1234561"), RunConfig{}}).ok());
+  auto second = service.Run({script("0.1234564"), RunConfig{}});
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_EQ(second->matcache.hits, 0);
+
+  PlanService fresh_service(&catalog);
+  auto fresh = fresh_service.Run({script("0.1234564"), RunConfig{}});
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  ExpectBitwiseEqual(second->run.env.at("x"), fresh->run.env.at("x"),
+                     "second constant vs a fresh service");
+}
+
 TEST(MatCacheService, DisabledCacheLeavesRequestsUntouched) {
   DataCatalog catalog;
   RegisterServiceDataset(&catalog);

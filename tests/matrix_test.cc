@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstring>
 #include <limits>
 #include <tuple>
 #include <utility>
@@ -46,6 +48,59 @@ TEST(DenseMatrix, ApproxEquals) {
   EXPECT_TRUE(a.ApproxEquals(b));
   EXPECT_FALSE(a.ApproxEquals(c));
   EXPECT_FALSE(a.ApproxEquals(DenseMatrix(2, 1)));
+}
+
+/// All +0.0: every cell's bits are zero.
+bool AllPositiveZero(const DenseMatrix& m) {
+  for (double v : m.values()) {
+    if (std::bit_cast<uint64_t>(v) != 0) return false;
+  }
+  return true;
+}
+
+/// Buffers just below and at or above the huge-page threshold (calloc vs
+/// a 2 MiB-aligned mapping) start all +0.0 and keep their cells through
+/// copy and move, in both directions between the two allocation paths.
+TEST(DenseMatrix, BuffersAroundTheHugePageThresholdStartZeroAndCopy) {
+  const int64_t threshold_cells =
+      static_cast<int64_t>(kDenseHugeBufferBytes / sizeof(double));
+  const int64_t cells[] = {threshold_cells - 1, threshold_cells,
+                           threshold_cells + 1, 3 * threshold_cells + 7};
+  for (const int64_t n : cells) {
+    SCOPED_TRACE(n);
+    DenseMatrix m(n, 1);
+    ASSERT_EQ(m.size(), n);
+    EXPECT_TRUE(AllPositiveZero(m));
+    for (int64_t i = 0; i < n; i += 4099) m.data()[i] = static_cast<double>(i);
+    m.data()[n - 1] = -1.0;
+
+    const DenseMatrix copy(m);
+    ASSERT_NE(copy.data(), m.data());
+    EXPECT_EQ(std::memcmp(copy.data(), m.data(), n * sizeof(double)), 0);
+
+    DenseMatrix assigned(2, 2);
+    assigned = m;
+    EXPECT_EQ(std::memcmp(assigned.data(), m.data(), n * sizeof(double)), 0);
+    DenseMatrix small(3, 3);
+    small.At(2, 2) = 4.0;
+    assigned = small;
+    EXPECT_EQ(assigned.size(), 9);
+    EXPECT_EQ(assigned.At(2, 2), 4.0);
+
+    const double* buffer = m.data();
+    DenseMatrix moved(std::move(m));
+    EXPECT_EQ(moved.data(), buffer);
+    EXPECT_EQ(m.size(), 0);
+    EXPECT_EQ(m.data(), nullptr);
+    EXPECT_EQ(std::memcmp(moved.data(), copy.data(), n * sizeof(double)), 0);
+
+    DenseMatrix target(5, 5);
+    target = std::move(moved);
+    EXPECT_EQ(target.data(), buffer);
+    EXPECT_EQ(target.rows(), n);
+    EXPECT_EQ(target.At(n - 1, 0), -1.0);
+    EXPECT_EQ(target.BytesUsed(), n * static_cast<int64_t>(sizeof(double)));
+  }
 }
 
 TEST(CsrMatrix, FromTripletsSortsAndMerges) {

@@ -27,15 +27,17 @@ DataCatalog TestCatalog() {
 
 TEST(Catalog, RegisterDerivesStats) {
   const DataCatalog catalog = TestCatalog();
-  auto stats = catalog.Stats("A");
-  ASSERT_TRUE(stats.ok());
+  auto stats_result = catalog.Stats("A");
+  ASSERT_TRUE(stats_result.ok());
+  const MatrixStatsPtr stats = *stats_result;
   EXPECT_EQ(stats->rows, 20);
   EXPECT_EQ(stats->cols, 5);
   EXPECT_DOUBLE_EQ(stats->sparsity, 1.0);
   EXPECT_EQ(stats->row_counts, std::vector<int64_t>(20, 5));
   EXPECT_EQ(stats->col_counts, std::vector<int64_t>(5, 20));
-  auto b = catalog.Stats("b");
-  ASSERT_TRUE(b.ok());
+  auto b_result = catalog.Stats("b");
+  ASSERT_TRUE(b_result.ok());
+  const MatrixStatsPtr b = *b_result;
   EXPECT_EQ(b->row_counts, std::vector<int64_t>(20, 1));
   EXPECT_EQ(b->col_counts, std::vector<int64_t>{20});
 
@@ -46,13 +48,15 @@ TEST(Catalog, RegisterDerivesStats) {
                           2, 3, {0.0, 2.0, -0.0, 1.0, 0.0, 3.0})));
   mixed.Register("S", Matrix::WrapCsr(CsrMatrix::FromTriplets(
                           3, 2, {{0, 1, 4.0}, {2, 0, 5.0}, {2, 1, 6.0}})));
-  auto d = mixed.Stats("D");
-  ASSERT_TRUE(d.ok());
+  auto d_result = mixed.Stats("D");
+  ASSERT_TRUE(d_result.ok());
+  const MatrixStatsPtr d = *d_result;
   EXPECT_DOUBLE_EQ(d->sparsity, 0.5);
   EXPECT_EQ(d->row_counts, (std::vector<int64_t>{1, 2}));
   EXPECT_EQ(d->col_counts, (std::vector<int64_t>{1, 1, 1}));
-  auto s = mixed.Stats("S");
-  ASSERT_TRUE(s.ok());
+  auto s_result = mixed.Stats("S");
+  ASSERT_TRUE(s_result.ok());
+  const MatrixStatsPtr s = *s_result;
   EXPECT_DOUBLE_EQ(s->sparsity, 0.5);
   EXPECT_EQ(s->row_counts, (std::vector<int64_t>{1, 0, 2}));
   EXPECT_EQ(s->col_counts, (std::vector<int64_t>{1, 2}));

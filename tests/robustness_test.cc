@@ -94,7 +94,7 @@ TEST(Robustness, EmptyProgram) {
 TEST(SamplingEstimator, ProducesUsableEstimatesAndRunsEndToEnd) {
   const DataCatalog catalog = RobustCatalog();
   const SamplingEstimator estimator(16);
-  auto stats = catalog.Stats("ds").value();
+  const MatrixStats& stats = *catalog.Stats("ds").value();
   const NodeStats leaf = estimator.LeafStats("ds", stats);
   EXPECT_NEAR(leaf.sparsity, stats.sparsity, 1e-9);
   const NodeStats product =
