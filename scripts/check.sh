@@ -4,8 +4,12 @@
 #   tsan        build with -DREMAC_SANITIZE=thread and run the concurrent
 #               suites (pool, ledger, task graph, plan service, metrics
 #               registry), the parser's and the MatrixMarket reader's
-#               hostile-input cases and the catalog's statistics counting
-#               (Catalog, Generators*, MatrixCounts) under ThreadSanitizer
+#               hostile-input cases, the catalog's statistics counting
+#               (Catalog, Generators*, MatrixCounts), the dense buffers
+#               (DenseMatrix), the sparsity estimators and their
+#               per-call memo (Sketch*, Estimator*) and the plan-level
+#               suites (SystemDs, PlanGolden, PlanOpTable) under
+#               ThreadSanitizer
 #   asan        the same suites under AddressSanitizer
 #   ubsan       the same suites under UndefinedBehaviorSanitizer, in a
 #               Debug build so that assert()s run too
@@ -48,7 +52,7 @@ ASAN_DIR="${2:-build-asan}"
 BENCH_DIR="${3:-build}"
 UBSAN_DIR="${4:-build-ubsan}"
 # Parameterized suites print as Prefix/Suite.Test, hence */Kernels*.*.
-FILTER='ThreadPool.*:LanePool.*:Ledger.*:TaskGraph.*:Sched*.*:Kernels*.*:*/Kernels*.*:Fingerprint*.*:PlanCache*.*:Service*.*:Admission*.*:MatCache*.*:MatrixBytes.*:Obs*.*:Chaos*.*:Fault*.*:Trace*.*:Contention*.*:Fusion*.*:Sketch*.*:Executor*.*:CostModel*.*:Parser.*:Catalog.*:Generators*.*:MatrixCounts.*:MatrixMarket.*'
+FILTER='ThreadPool.*:LanePool.*:Ledger.*:TaskGraph.*:Sched*.*:Kernels*.*:*/Kernels*.*:Fingerprint*.*:PlanCache*.*:Service*.*:Admission*.*:MatCache*.*:MatrixBytes.*:Obs*.*:Chaos*.*:Fault*.*:Trace*.*:Contention*.*:Fusion*.*:Sketch*.*:Executor*.*:CostModel*.*:Parser.*:Catalog.*:Generators*.*:MatrixCounts.*:MatrixMarket.*:DenseMatrix.*:SystemDs.*:PlanGolden.*:PlanOpTable.*:Estimator*.*:*/Estimator*.*'
 
 GATES=()
 RESULTS=()

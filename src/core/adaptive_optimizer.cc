@@ -42,6 +42,17 @@ std::string TempName(int option_id) {
   return StringFormat("__t%d", option_id);
 }
 
+/// `plan` read transposed. t(t(X)) folds to X, so a production read
+/// backward whose plan is already t(A) emits A, not two transposes.
+PlanNodePtr TransposeOf(PlanNodePtr plan) {
+  if (plan->op == PlanOp::kTranspose) return plan->children[0];
+  plan = MakeUnary(PlanOp::kTranspose, std::move(plan));
+  const Status st = InferShapes(plan.get());
+  assert(st.ok());
+  (void)st;
+  return plan;
+}
+
 /// Builds executable plans out of chosen splits and temp references.
 class Emitter {
  public:
@@ -109,13 +120,7 @@ class Emitter {
         const bool forward =
             WindowIsForward(block, static_cast<size_t>(split.range.begin),
                             static_cast<size_t>(split.range.end));
-        if (!forward) {
-          ref = MakeUnary(PlanOp::kTranspose, std::move(ref));
-          const Status st = InferShapes(ref.get());
-          assert(st.ok());
-          (void)st;
-        }
-        return ref;
+        return forward ? ref : TransposeOf(std::move(ref));
       }
       return FactorPlan(block.factors[static_cast<size_t>(split.range.begin)]);
     }
@@ -148,13 +153,7 @@ class Emitter {
                                              opt.IsLse()),
                               &split);
     PlanNodePtr plan = BuildFromSplit(site.block_id, *split);
-    if (!site.forward) {
-      plan = MakeUnary(PlanOp::kTranspose, std::move(plan));
-      const Status st = InferShapes(plan.get());
-      assert(st.ok());
-      (void)st;
-    }
-    return plan;
+    return site.forward ? plan : TransposeOf(std::move(plan));
   }
 
   /// Output plan: skeleton with every block reference replaced.

@@ -52,7 +52,7 @@ enum class PlanOp {
   kEye,       // eye(n)
   kZeros,     // zeros(r, c)
   kOnes,      // ones(r, c)
-  kRand,      // rand(r, c): standard-normal dense matrix
+  kRand,      // rand(r, c): dense matrix uniform on [0.1, 1.1)
   // Internal: a reference to a decomposed block (value = block index).
   // Never produced by the plan builder; used by chain decomposition.
   kBlockRef,

@@ -1,8 +1,12 @@
 #ifndef REMAC_SPARSITY_ESTIMATOR_H_
 #define REMAC_SPARSITY_ESTIMATOR_H_
 
+#include <cstdint>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <tuple>
 
 #include "matrix/matrix.h"
 #include "plan/plan_builder.h"
@@ -73,6 +77,16 @@ class MetadataEstimator : public SparsityEstimator {
 
 /// MNC estimator: exploits exact row/column non-zero counts of the leaf
 /// matrices and propagates skew-aware sketches.
+///
+/// Each propagation is a pure function of its input sketches, so the
+/// estimator computes it once: a repeated Multiply, Transpose, union or
+/// intersect of the same input sketches (by identity) returns the sketch
+/// built the first time, and the uniform sketch that stands in for a
+/// sketch-less input is built once per (rows, cols, sparsity). The memo
+/// holds its inputs alive, so no address is reused while it lives. It has
+/// no bound: one estimator serves one optimize, layout or audit call. A
+/// mutex guards it; no caller shares an instance across threads, so it is
+/// never contended.
 class MncEstimator : public SparsityEstimator {
  public:
   const char* Name() const override { return "MNC"; }
@@ -82,6 +96,27 @@ class MncEstimator : public SparsityEstimator {
   NodeStats Transpose(const NodeStats& a) const override;
   NodeStats Elementwise(PlanOp op, const NodeStats& a,
                         const NodeStats& b) const override;
+
+ private:
+  using SketchPtr = std::shared_ptr<const MncSketch>;
+  enum class Rule : uint8_t { kMultiply, kTranspose, kUnion, kIntersect };
+  struct Propagated {
+    SketchPtr a, b, out;  // b is null for a transpose
+  };
+
+  /// The memoized `rule` of a and b (b is null for a transpose).
+  NodeStats Propagate(Rule rule, const NodeStats& a,
+                      const NodeStats* b) const;
+  /// The sketch of `s`, or the memoized uniform one; `mu_` is held.
+  SketchPtr SketchOf(const NodeStats& s) const;
+  SketchPtr UniformSketch(int64_t rows, int64_t cols, double sparsity) const;
+
+  mutable std::mutex mu_;
+  mutable std::map<std::tuple<Rule, const MncSketch*, const MncSketch*>,
+                   Propagated>
+      propagated_;
+  mutable std::map<std::tuple<int64_t, int64_t, uint64_t>, SketchPtr>
+      uniform_;
 };
 
 /// Sampling-based estimator (in the spirit of MATFAST): samples the leaf

@@ -26,23 +26,24 @@ NodeStats SamplingEstimator::LeafStats(const std::string& name,
   sketch->nnz = stats.sparsity * static_cast<double>(stats.rows) *
                 static_cast<double>(stats.cols);
   Rng rng(0x5a3f11ULL ^ static_cast<uint64_t>(stats.rows * 131 + stats.cols));
-  auto sample = [&](const std::vector<int64_t>& counts, int64_t dim,
-                    std::vector<double>* out) {
-    out->assign(static_cast<size_t>(dim), 0.0);
+  auto sample = [&](const std::vector<int64_t>& counts, int64_t dim) {
     const int n = std::min<int>(sample_size_, static_cast<int>(dim));
-    if (n == 0) return;
-    double total = 0.0;
-    for (int k = 0; k < n; ++k) {
-      total += static_cast<double>(
-          counts[rng.NextBounded(static_cast<uint64_t>(counts.size()))]);
+    double mean = 0.0;
+    if (n > 0) {
+      double total = 0.0;
+      for (int k = 0; k < n; ++k) {
+        total += static_cast<double>(
+            counts[rng.NextBounded(static_cast<uint64_t>(counts.size()))]);
+      }
+      mean = total / n;
     }
-    const double mean = total / n;
     // Spread the sampled mean uniformly; skew within the vector is lost,
     // which is exactly the estimation error the sampling trades for speed.
-    for (auto& v : *out) v = mean;
+    return std::make_shared<const std::vector<double>>(
+        static_cast<size_t>(dim), mean);
   };
-  sample(stats.row_counts, stats.rows, &sketch->row_counts);
-  sample(stats.col_counts, stats.cols, &sketch->col_counts);
+  sketch->row_counts = sample(stats.row_counts, stats.rows);
+  sketch->col_counts = sample(stats.col_counts, stats.cols);
   s.sketch = std::move(sketch);
   return s;
 }

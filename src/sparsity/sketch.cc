@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <iterator>
 #include <limits>
+#include <utility>
 
 namespace remac {
 
@@ -40,6 +41,17 @@ void ScaleTo(std::vector<double>* counts, double target_total, double cap) {
   }
 }
 
+/// A count vector of `n` copies of `value`.
+MncSketch::Counts Filled(int64_t n, double value) {
+  return std::make_shared<const std::vector<double>>(static_cast<size_t>(n),
+                                                     value);
+}
+
+/// Freezes a count vector built in place (its buffer moves, no copy).
+MncSketch::Counts Share(std::vector<double> counts) {
+  return std::make_shared<const std::vector<double>>(std::move(counts));
+}
+
 }  // namespace
 
 std::shared_ptr<const MncSketch> MncSketch::FromMatrix(const Matrix& m) {
@@ -53,9 +65,11 @@ std::shared_ptr<const MncSketch> MncSketch::FromCounts(
   auto s = std::make_shared<MncSketch>();
   s->rows = rows;
   s->cols = cols;
-  s->row_counts.assign(row_counts.begin(), row_counts.end());
-  s->col_counts.assign(col_counts.begin(), col_counts.end());
-  s->nnz = SumOf(s->row_counts);
+  s->row_counts = std::make_shared<const std::vector<double>>(
+      row_counts.begin(), row_counts.end());
+  s->col_counts = std::make_shared<const std::vector<double>>(
+      col_counts.begin(), col_counts.end());
+  s->nnz = SumOf(*s->row_counts);
   return s;
 }
 
@@ -65,10 +79,8 @@ std::shared_ptr<const MncSketch> MncSketch::Uniform(int64_t rows, int64_t cols,
   s->rows = rows;
   s->cols = cols;
   s->nnz = sparsity * static_cast<double>(rows) * static_cast<double>(cols);
-  s->row_counts.assign(static_cast<size_t>(rows),
-                       sparsity * static_cast<double>(cols));
-  s->col_counts.assign(static_cast<size_t>(cols),
-                       sparsity * static_cast<double>(rows));
+  s->row_counts = Filled(rows, sparsity * static_cast<double>(cols));
+  s->col_counts = Filled(cols, sparsity * static_cast<double>(rows));
   return s;
 }
 
@@ -154,14 +166,19 @@ std::shared_ptr<const MncSketch> SketchMultiply(const MncSketch& a,
   auto out = std::make_shared<MncSketch>();
   out->rows = a.rows;
   out->cols = b.cols;
+  const std::vector<double>& a_rows = *a.row_counts;
+  const std::vector<double>& a_cols = *a.col_counts;
+  const std::vector<double>& b_rows = *b.row_counts;
+  const std::vector<double>& b_cols = *b.col_counts;
+  const auto empty = [&] {
+    out->nnz = 0;
+    out->row_counts = Filled(a.rows, 0.0);
+    out->col_counts = Filled(b.cols, 0.0);
+    return out;
+  };
   const double cells =
       static_cast<double>(a.rows) * static_cast<double>(b.cols);
-  if (cells <= 0.0 || a.nnz <= 0.0 || b.nnz <= 0.0) {
-    out->nnz = 0;
-    out->row_counts.assign(static_cast<size_t>(a.rows), 0.0);
-    out->col_counts.assign(static_cast<size_t>(b.cols), 0.0);
-    return out;
-  }
+  if (cells <= 0.0 || a.nnz <= 0.0 || b.nnz <= 0.0) return empty();
   // Structure-exploiting collision model (MNC's key idea): approximate
   // the expected number of scalar products landing in output cell (i, k)
   // by a rank-1 intensity
@@ -172,23 +189,19 @@ std::shared_ptr<const MncSketch> SketchMultiply(const MncSketch& a,
   // which saturates for heavy rows/columns — exactly the concentration a
   // uniform model misses on skewed data.
   double total_products = 0.0;
-  const size_t inner = std::min(a.col_counts.size(), b.row_counts.size());
+  const size_t inner = std::min(a_cols.size(), b_rows.size());
   for (size_t j = 0; j < inner; ++j) {
-    total_products += a.col_counts[j] * b.row_counts[j];
+    total_products += a_cols[j] * b_rows[j];
   }
-  if (total_products <= 0.0) {
-    out->nnz = 0;
-    out->row_counts.assign(static_cast<size_t>(a.rows), 0.0);
-    out->col_counts.assign(static_cast<size_t>(b.cols), 0.0);
-    return out;
-  }
+  if (total_products <= 0.0) return empty();
   const double alpha = total_products / (a.nnz * b.nnz);
-  const auto col_buckets = BucketCounts(b.col_counts);
+  const auto col_buckets = BucketCounts(b_cols);
   // Per-output-row expected counts: h_r^C[i] = sum_k P(C[i,k] != 0).
   // Rows with equal input counts get equal outputs, so the (expensive)
   // bucket sum is memoized per distinct input count; nnz still sums the
   // rows in index order.
-  out->row_counts.resize(a.row_counts.size());
+  std::vector<double> row_counts;
+  row_counts.reserve(a_rows.size());
   double nnz = 0.0;
   CountMemo row_memo;
   const auto row_expected = [&](double r) {
@@ -198,14 +211,15 @@ std::shared_ptr<const MncSketch> SketchMultiply(const MncSketch& a,
     }
     return expected;
   };
-  for (size_t i = 0; i < a.row_counts.size(); ++i) {
-    out->row_counts[i] = row_memo.Get(a.row_counts[i], row_expected);
-    nnz += out->row_counts[i];
+  for (const double r : a_rows) {
+    row_counts.push_back(row_memo.Get(r, row_expected));
+    nnz += row_counts.back();
   }
   out->nnz = nnz;
   // Per-output-column expected counts, from the row buckets of A.
-  const auto row_buckets = BucketCounts(a.row_counts);
-  out->col_counts.resize(b.col_counts.size());
+  const auto row_buckets = BucketCounts(a_rows);
+  std::vector<double> col_counts;
+  col_counts.reserve(b_cols.size());
   CountMemo col_memo;
   const auto col_expected = [&](double c) {
     double expected = 0.0;
@@ -214,10 +228,12 @@ std::shared_ptr<const MncSketch> SketchMultiply(const MncSketch& a,
     }
     return expected;
   };
-  for (size_t k = 0; k < b.col_counts.size(); ++k) {
-    out->col_counts[k] = col_memo.Get(b.col_counts[k], col_expected);
+  for (const double c : b_cols) {
+    col_counts.push_back(col_memo.Get(c, col_expected));
   }
-  ScaleTo(&out->col_counts, out->nnz, static_cast<double>(a.rows));
+  ScaleTo(&col_counts, out->nnz, static_cast<double>(a.rows));
+  out->row_counts = Share(std::move(row_counts));
+  out->col_counts = Share(std::move(col_counts));
   return out;
 }
 
@@ -236,25 +252,33 @@ std::shared_ptr<const MncSketch> SketchAdd(const MncSketch& a,
   auto out = std::make_shared<MncSketch>();
   out->rows = a.rows;
   out->cols = a.cols;
-  out->row_counts.resize(a.row_counts.size());
+  const std::vector<double>& a_rows = *a.row_counts;
+  const std::vector<double>& a_cols = *a.col_counts;
+  const std::vector<double>& b_rows = *b.row_counts;
+  const std::vector<double>& b_cols = *b.col_counts;
+  std::vector<double> row_counts;
+  row_counts.reserve(a_rows.size());
   const double cols = static_cast<double>(a.cols);
-  for (size_t i = 0; i < a.row_counts.size(); ++i) {
-    const double bc = i < b.row_counts.size() ? b.row_counts[i] : 0.0;
+  for (size_t i = 0; i < a_rows.size(); ++i) {
+    const double bc = i < b_rows.size() ? b_rows[i] : 0.0;
     // Union under independence within the row.
-    const double pa = std::min(1.0, a.row_counts[i] / std::max(1.0, cols));
+    const double pa = std::min(1.0, a_rows[i] / std::max(1.0, cols));
     const double pb = std::min(1.0, bc / std::max(1.0, cols));
-    out->row_counts[i] = cols * (pa + pb - pa * pb);
+    row_counts.push_back(cols * (pa + pb - pa * pb));
   }
-  out->nnz = SumOf(out->row_counts);
+  out->nnz = SumOf(row_counts);
   const double rows = static_cast<double>(a.rows);
-  out->col_counts.resize(a.col_counts.size());
-  for (size_t j = 0; j < a.col_counts.size(); ++j) {
-    const double bc = j < b.col_counts.size() ? b.col_counts[j] : 0.0;
-    const double pa = std::min(1.0, a.col_counts[j] / std::max(1.0, rows));
+  std::vector<double> col_counts;
+  col_counts.reserve(a_cols.size());
+  for (size_t j = 0; j < a_cols.size(); ++j) {
+    const double bc = j < b_cols.size() ? b_cols[j] : 0.0;
+    const double pa = std::min(1.0, a_cols[j] / std::max(1.0, rows));
     const double pb = std::min(1.0, bc / std::max(1.0, rows));
-    out->col_counts[j] = rows * (pa + pb - pa * pb);
+    col_counts.push_back(rows * (pa + pb - pa * pb));
   }
-  ScaleTo(&out->col_counts, out->nnz, rows);
+  ScaleTo(&col_counts, out->nnz, rows);
+  out->row_counts = Share(std::move(row_counts));
+  out->col_counts = Share(std::move(col_counts));
   return out;
 }
 
@@ -263,20 +287,28 @@ std::shared_ptr<const MncSketch> SketchElemMul(const MncSketch& a,
   auto out = std::make_shared<MncSketch>();
   out->rows = a.rows;
   out->cols = a.cols;
-  out->row_counts.resize(a.row_counts.size());
+  const std::vector<double>& a_rows = *a.row_counts;
+  const std::vector<double>& a_cols = *a.col_counts;
+  const std::vector<double>& b_rows = *b.row_counts;
+  const std::vector<double>& b_cols = *b.col_counts;
+  std::vector<double> row_counts;
+  row_counts.reserve(a_rows.size());
   const double cols = std::max<double>(1, a.cols);
-  for (size_t i = 0; i < a.row_counts.size(); ++i) {
-    const double bc = i < b.row_counts.size() ? b.row_counts[i] : 0.0;
-    out->row_counts[i] = a.row_counts[i] * bc / cols;  // intersection
+  for (size_t i = 0; i < a_rows.size(); ++i) {
+    const double bc = i < b_rows.size() ? b_rows[i] : 0.0;
+    row_counts.push_back(a_rows[i] * bc / cols);  // intersection
   }
-  out->nnz = SumOf(out->row_counts);
+  out->nnz = SumOf(row_counts);
   const double rows = std::max<double>(1, a.rows);
-  out->col_counts.resize(a.col_counts.size());
-  for (size_t j = 0; j < a.col_counts.size(); ++j) {
-    const double bc = j < b.col_counts.size() ? b.col_counts[j] : 0.0;
-    out->col_counts[j] = a.col_counts[j] * bc / rows;
+  std::vector<double> col_counts;
+  col_counts.reserve(a_cols.size());
+  for (size_t j = 0; j < a_cols.size(); ++j) {
+    const double bc = j < b_cols.size() ? b_cols[j] : 0.0;
+    col_counts.push_back(a_cols[j] * bc / rows);
   }
-  ScaleTo(&out->col_counts, out->nnz, rows);
+  ScaleTo(&col_counts, out->nnz, rows);
+  out->row_counts = Share(std::move(row_counts));
+  out->col_counts = Share(std::move(col_counts));
   return out;
 }
 

@@ -16,12 +16,17 @@ namespace remac {
 /// for accuracy (footnote 1); we keep the row/column count vectors, which
 /// capture the skew structure the experiments in Sections 6.3.2 / 6.5
 /// depend on.
+///
+/// The count vectors are immutable once built, so sketches share them:
+/// a transpose swaps its operand's two pointers and copies no count.
 struct MncSketch {
+  using Counts = std::shared_ptr<const std::vector<double>>;
+
   int64_t rows = 0;
   int64_t cols = 0;
   double nnz = 0;  // fractional after propagation
-  std::vector<double> row_counts;  // length rows (may be scaled estimates)
-  std::vector<double> col_counts;  // length cols
+  Counts row_counts;  // length rows (may be scaled estimates)
+  Counts col_counts;  // length cols
 
   double Sparsity() const {
     if (rows == 0 || cols == 0) return 0.0;

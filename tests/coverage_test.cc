@@ -72,8 +72,8 @@ TEST(Coverage, SketchOfEmptyMatrix) {
 TEST(Coverage, SketchUniformConsistency) {
   auto sketch = MncSketch::Uniform(100, 50, 0.1);
   EXPECT_NEAR(sketch->Sparsity(), 0.1, 1e-12);
-  EXPECT_EQ(sketch->row_counts.size(), 100u);
-  EXPECT_NEAR(sketch->row_counts[0], 5.0, 1e-12);
+  EXPECT_EQ(sketch->row_counts->size(), 100u);
+  EXPECT_NEAR((*sketch->row_counts)[0], 5.0, 1e-12);
 }
 
 TEST(Coverage, SketchMultiplyBoundedBySize) {

@@ -82,6 +82,33 @@ TEST(Executor, Generators) {
   EXPECT_EQ(rnd->AsMatrix().nnz(), 16);  // strictly positive generator
 }
 
+// rand() is uniform on [0.1, 1.1), and each call draws its own stream.
+TEST(Executor, RandIsUniformFromPointOneAndEachCallDiffers) {
+  const DataCatalog catalog = ExecCatalog();
+  auto program = CompileScript("R = rand(200, 50);\nS = rand(200, 50);\n",
+                               catalog);
+  ASSERT_TRUE(program.ok());
+  Executor executor(ClusterModel(), &catalog, nullptr);
+  ASSERT_TRUE(executor.Run(program->statements).ok());
+  const Matrix& r = executor.env().at("R").matrix;
+  const Matrix& s = executor.env().at("S").matrix;
+  double sum = 0.0;
+  int64_t same = 0;
+  for (int64_t i = 0; i < r.rows(); ++i) {
+    for (int64_t j = 0; j < r.cols(); ++j) {
+      const double v = r.At(i, j);
+      ASSERT_GE(v, 0.1) << i << ", " << j;
+      ASSERT_LT(v, 1.1) << i << ", " << j;
+      sum += v;
+      if (v == s.At(i, j)) ++same;
+    }
+  }
+  // Mean 0.6; 10000 draws put the sample mean within 5 standard errors
+  // (0.0029 each) of it.
+  EXPECT_NEAR(sum / 10000.0, 0.6, 0.015);
+  EXPECT_LT(same, 10);
+}
+
 TEST(Executor, MatrixScalarBroadcasts) {
   const DataCatalog catalog = ExecCatalog();
   auto v = RunAndGet("M = ones(2, 2);\nY = 2 * M + 1;\n", "Y", catalog);

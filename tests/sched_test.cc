@@ -654,6 +654,14 @@ TEST(SchedDeterminism, DynamicRandLoopKeepsTheStreamAligned) {
     ASSERT_TRUE(parallel.Run(program->statements, 10).ok());
     ExpectEnvBitwise(serial.env(), parallel.env());
   }
+  // The draw after the loop lies in rand()'s [0.1, 1.1).
+  const Matrix& last = serial.env().at("T").matrix;
+  for (int64_t r = 0; r < last.rows(); ++r) {
+    for (int64_t c = 0; c < last.cols(); ++c) {
+      ASSERT_GE(last.At(r, c), 0.1);
+      ASSERT_LT(last.At(r, c), 1.1);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

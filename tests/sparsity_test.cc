@@ -5,10 +5,14 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "algorithms/scripts.h"
 #include "common/rng.h"
+#include "common/string_util.h"
+#include "cost/cost_model.h"
 #include "data/generators.h"
 #include "matrix/kernels.h"
 #include "sparsity/estimator.h"
@@ -63,7 +67,7 @@ TEST(Sketch, FromMatrixExactCounts) {
   EXPECT_EQ(sketch->cols, 20);
   EXPECT_DOUBLE_EQ(sketch->nnz, static_cast<double>(m.nnz()));
   double row_sum = 0.0;
-  for (double c : sketch->row_counts) row_sum += c;
+  for (double c : *sketch->row_counts) row_sum += c;
   EXPECT_DOUBLE_EQ(row_sum, sketch->nnz);
 }
 
@@ -73,8 +77,24 @@ TEST(Sketch, TransposeSwapsCounts) {
   auto t = SketchTranspose(*sketch);
   EXPECT_EQ(t->rows, 40);
   EXPECT_EQ(t->cols, 10);
-  EXPECT_EQ(t->row_counts, sketch->col_counts);
-  EXPECT_EQ(t->col_counts, sketch->row_counts);
+  EXPECT_EQ(*t->row_counts, *sketch->col_counts);
+  EXPECT_EQ(*t->col_counts, *sketch->row_counts);
+}
+
+// A transpose swaps its operand's count vectors without copying them,
+// and transposing twice gives back the original counts bit for bit.
+TEST(Sketch, TransposeSharesCountVectors) {
+  const auto sketch = MncSketch::FromMatrix(UniformSparse(10, 40, 0.1, 2));
+  const auto t = SketchTranspose(*sketch);
+  EXPECT_EQ(t->row_counts.get(), sketch->col_counts.get());
+  EXPECT_EQ(t->col_counts.get(), sketch->row_counts.get());
+  const auto tt = SketchTranspose(*t);
+  EXPECT_EQ(tt->rows, sketch->rows);
+  EXPECT_EQ(tt->cols, sketch->cols);
+  EXPECT_EQ(std::bit_cast<uint64_t>(tt->nnz),
+            std::bit_cast<uint64_t>(sketch->nnz));
+  EXPECT_EQ(tt->row_counts.get(), sketch->row_counts.get());
+  EXPECT_EQ(tt->col_counts.get(), sketch->col_counts.get());
 }
 
 TEST(Metadata, UniformMultiplyCloseToTruth) {
@@ -267,30 +287,38 @@ MncSketch ReferenceSketchMultiply(const MncSketch& a, const MncSketch& b) {
   MncSketch out;
   out.rows = a.rows;
   out.cols = b.cols;
+  const std::vector<double>& a_rows = *a.row_counts;
+  const std::vector<double>& a_cols = *a.col_counts;
+  const std::vector<double>& b_rows = *b.row_counts;
+  const std::vector<double>& b_cols = *b.col_counts;
   double total_products = 0.0;
-  const size_t inner = std::min(a.col_counts.size(), b.row_counts.size());
+  const size_t inner = std::min(a_cols.size(), b_rows.size());
   for (size_t j = 0; j < inner; ++j) {
-    total_products += a.col_counts[j] * b.row_counts[j];
+    total_products += a_cols[j] * b_rows[j];
   }
   const double alpha = total_products / (a.nnz * b.nnz);
-  const auto col_buckets = ReferenceBuckets(b.col_counts);
-  for (const double r : a.row_counts) {
+  const auto col_buckets = ReferenceBuckets(b_cols);
+  std::vector<double> row_counts;
+  for (const double r : a_rows) {
     double expected = 0.0;
     for (const auto& [value, count] : col_buckets) {
       expected += count * -std::expm1(-alpha * r * value);
     }
-    out.row_counts.push_back(expected);
+    row_counts.push_back(expected);
     out.nnz += expected;
   }
-  const auto row_buckets = ReferenceBuckets(a.row_counts);
-  for (const double c : b.col_counts) {
+  const auto row_buckets = ReferenceBuckets(a_rows);
+  std::vector<double> col_counts;
+  for (const double c : b_cols) {
     double expected = 0.0;
     for (const auto& [value, count] : row_buckets) {
       expected += count * -std::expm1(-alpha * value * c);
     }
-    out.col_counts.push_back(expected);
+    col_counts.push_back(expected);
   }
-  ReferenceScaleTo(&out.col_counts, out.nnz, static_cast<double>(a.rows));
+  ReferenceScaleTo(&col_counts, out.nnz, static_cast<double>(a.rows));
+  out.row_counts = std::make_shared<const std::vector<double>>(row_counts);
+  out.col_counts = std::make_shared<const std::vector<double>>(col_counts);
   return out;
 }
 
@@ -300,9 +328,11 @@ MncSketch SketchWith(std::vector<double> row_counts,
   MncSketch s;
   s.rows = static_cast<int64_t>(row_counts.size());
   s.cols = static_cast<int64_t>(col_counts.size());
-  s.row_counts = std::move(row_counts);
-  s.col_counts = std::move(col_counts);
-  for (double c : s.row_counts) s.nnz += c;
+  for (double c : row_counts) s.nnz += c;
+  s.row_counts =
+      std::make_shared<const std::vector<double>>(std::move(row_counts));
+  s.col_counts =
+      std::make_shared<const std::vector<double>>(std::move(col_counts));
   return s;
 }
 
@@ -336,8 +366,8 @@ void ExpectBitwiseEqual(const std::vector<double>& got,
 void ExpectMatchesReference(const MncSketch& a, const MncSketch& b) {
   const auto got = SketchMultiply(a, b);
   const MncSketch want = ReferenceSketchMultiply(a, b);
-  ExpectBitwiseEqual(got->row_counts, want.row_counts, "row_counts");
-  ExpectBitwiseEqual(got->col_counts, want.col_counts, "col_counts");
+  ExpectBitwiseEqual(*got->row_counts, *want.row_counts, "row_counts");
+  ExpectBitwiseEqual(*got->col_counts, *want.col_counts, "col_counts");
   EXPECT_TRUE(SameBits(got->nnz, want.nnz)) << got->nnz << " vs " << want.nnz;
 }
 
@@ -402,6 +432,118 @@ TEST(Sketch, MultiplyEstimateIndependentOfSampledWidth) {
     const auto b = MncSketch::Uniform(50, n, 0.05);
     EXPECT_NEAR(SketchMultiply(*a, *b)->Sparsity(), base, 1e-12 * base)
         << "n=" << n;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// One MNC estimator computes each propagation once per distinct input
+// sketches. Propagation is pure, so the memo must change no estimate.
+
+/// Hands every call to a new MncEstimator, so nothing is memoized.
+class FreshMncEstimator : public SparsityEstimator {
+ public:
+  const char* Name() const override { return "MNC"; }
+  NodeStats LeafStats(const std::string& name,
+                      const MatrixStats& stats) const override {
+    return MncEstimator().LeafStats(name, stats);
+  }
+  NodeStats Multiply(const NodeStats& a, const NodeStats& b) const override {
+    return MncEstimator().Multiply(a, b);
+  }
+  NodeStats Transpose(const NodeStats& a) const override {
+    return MncEstimator().Transpose(a);
+  }
+  NodeStats Elementwise(PlanOp op, const NodeStats& a,
+                        const NodeStats& b) const override {
+    return MncEstimator().Elementwise(op, a, b);
+  }
+};
+
+/// PropagateProgramStats of `program`, one line per variable, in %a.
+std::string PropagatedStats(const CompiledProgram& program,
+                            const SparsityEstimator& estimator,
+                            const DataCatalog& catalog) {
+  const CostModel model(ClusterModel(), &estimator, &catalog);
+  const Result<VarStats> vars = PropagateProgramStats(program, model);
+  if (!vars.ok()) return vars.status().ToString();
+  std::string out;
+  for (const auto& [name, costed] : vars->vars) {
+    out += StringFormat("%s %a %a %a %d %a\n", name.c_str(),
+                        costed.stats.rows, costed.stats.cols,
+                        costed.stats.sparsity, costed.distributed ? 1 : 0,
+                        costed.seconds);
+  }
+  return out;
+}
+
+TEST(EstimatorMnc, MemoizedPropagationMatchesFreshPerCall) {
+  DataCatalog catalog;
+  for (const char* ds : {"cri1", "cri3"}) {
+    ASSERT_TRUE(RegisterDataset(&catalog, PaperDatasetSpec(ds).value()).ok());
+  }
+  for (const std::string ds : {"cri1", "cri3"}) {
+    for (const std::string& script :
+         {GdScript(ds, 5), DfpScript(ds, 5), BfgsScript(ds, 5),
+          GnmfScript(ds, 10, 5)}) {
+      const Result<CompiledProgram> program = CompileScript(script, catalog);
+      ASSERT_TRUE(program.ok()) << program.status().ToString();
+      const MncEstimator memoized;
+      const std::string want =
+          PropagatedStats(*program, FreshMncEstimator(), catalog);
+      EXPECT_EQ(PropagatedStats(*program, memoized, catalog), want)
+          << ds << ":\n" << script;
+      // A second pass over the same estimator is served from its memo.
+      EXPECT_EQ(PropagatedStats(*program, memoized, catalog), want) << ds;
+    }
+  }
+}
+
+TEST(EstimatorMnc, RepeatedSubexpressionReturnsTheSameSketch) {
+  const MncEstimator mnc;
+  const NodeStats a =
+      mnc.LeafStats("a", StatsOf(SkewedSparse(500, 40, 0.05, 1.5, 12)));
+  const NodeStats at = mnc.Transpose(a);
+  EXPECT_EQ(mnc.Transpose(a).sketch, at.sketch);
+  const NodeStats gram = mnc.Multiply(at, a);
+  EXPECT_EQ(mnc.Multiply(mnc.Transpose(a), a).sketch, gram.sketch);
+  EXPECT_EQ(mnc.Elementwise(PlanOp::kAdd, a, a).sketch,
+            mnc.Elementwise(PlanOp::kAdd, a, a).sketch);
+  EXPECT_EQ(mnc.Elementwise(PlanOp::kMul, a, a).sketch,
+            mnc.Elementwise(PlanOp::kMul, a, a).sketch);
+  // Inputs without a sketch share one uniform stand-in per shape and
+  // sparsity, so their products are memoized too.
+  NodeStats dense;
+  dense.rows = 40;
+  dense.cols = 3;
+  const NodeStats product = mnc.Multiply(a, dense);
+  EXPECT_EQ(mnc.Multiply(a, dense).sketch, product.sketch);
+  // A different estimator computes its own, equal, sketch.
+  const MncEstimator other;
+  const NodeStats again = other.Multiply(other.Transpose(a), a);
+  EXPECT_NE(again.sketch, gram.sketch);
+  EXPECT_EQ(*again.sketch->row_counts, *gram.sketch->row_counts);
+  EXPECT_EQ(*again.sketch->col_counts, *gram.sketch->col_counts);
+  EXPECT_EQ(std::bit_cast<uint64_t>(again.sparsity),
+            std::bit_cast<uint64_t>(gram.sparsity));
+}
+
+// The transpose of an estimate without a sketch keeps its sparsity bit
+// for bit; a uniform stand-in would report (sp*r*c)/(c*r) instead.
+TEST(EstimatorMnc, SketchlessTransposeKeepsSparsity) {
+  const MncEstimator mnc;
+  Rng rng(27);
+  for (int draw = 0; draw < 200; ++draw) {
+    NodeStats s;
+    s.rows = static_cast<double>(1 + rng.NextBounded(100000));
+    s.cols = static_cast<double>(1 + rng.NextBounded(5000));
+    s.sparsity = rng.NextDouble();
+    const NodeStats t = mnc.Transpose(s);
+    EXPECT_EQ(t.rows, s.cols);
+    EXPECT_EQ(t.cols, s.rows);
+    ASSERT_EQ(std::bit_cast<uint64_t>(t.sparsity),
+              std::bit_cast<uint64_t>(s.sparsity))
+        << "draw " << draw << ": " << s.rows << " x " << s.cols << " sp "
+        << s.sparsity << " -> " << t.sparsity;
   }
 }
 
