@@ -23,10 +23,17 @@
 // 120000 x 47 dense V (also under --quick), one thread, for information
 // only, and exits non-zero if the one-pass kernel's result differs in any
 // bit, in format or in nnz from the copy-then-modify construction it
-// replaced. The header line names the register tiles the dense products
-// ran on (scalar, avx2 or avx512f: the widest the CPU supports), and every
-// dense-product line prints absolute GFLOP/s next to its speedup; both
-// are recorded in the JSON (tile_isa, *_gflops) for information only.
+// replaced. The sparse phase times CSR x dense products on one thread:
+// serve-shaped t(W) %*% V and V %*% t(H) (V 8000 x 64 CSR at sparsity 0.3
+// and 0.05, rank 6) and A %*% x, t(A) %*% y on the cri2 dataset. It prints
+// ms and GFLOP/s on 2 * nnz * k FLOPs (k the dense operand's short side),
+// records them as sparse_products in the JSON (information only, no
+// floor), and exits non-zero if any result differs from the product of
+// the materialized operands on the scalar cores. The header line names
+// the register tiles the dense products ran on (scalar, avx2 or avx512f:
+// the widest the CPU supports), and every dense-product line prints
+// absolute GFLOP/s next to its speedup; both are recorded in the JSON
+// (tile_isa, *_gflops) for information only.
 //
 // This binary parses its own flags (it needs gate thresholds the shared
 // harness does not know about): --quick --json --threads=N
@@ -41,6 +48,7 @@
 
 #include "common/rng.h"
 #include "common/string_util.h"
+#include "data/generators.h"
 #include "matrix/fused_tape.h"
 #include "matrix/kernel_internal.h"
 #include "matrix/kernels.h"
@@ -153,6 +161,18 @@ bool BitwiseEqualDense(const Matrix& a, const Matrix& b) {
   return a.dense().size() == 0 ||
          std::memcmp(a.dense().data(), b.dense().data(),
                      a.dense().size() * sizeof(double)) == 0;
+}
+
+/// Same format, shape and nnz, and the same cell bits.
+bool BitwiseEqualAnyFormat(const Matrix& a, const Matrix& b) {
+  if (a.is_dense() != b.is_dense() || a.nnz() != b.nnz() ||
+      a.rows() != b.rows() || a.cols() != b.cols()) {
+    return false;
+  }
+  const DenseMatrix da = a.ToDense();
+  const DenseMatrix db = b.ToDense();
+  return da.size() == 0 ||
+         std::memcmp(da.data(), db.data(), da.size() * sizeof(double)) == 0;
 }
 
 int RunBench(const Options& options) {
@@ -344,7 +364,89 @@ int RunBench(const Options& options) {
     SetKernelThreads(options.threads);  // 0 restores the hardware default
   }
 
-  // --- 6. thread scaling (informational) --------------------------------
+  // --- 6. sparse x dense, one thread (informational + bitwise check) ----
+  // The serve workload's factor products on its 8000 x 64 CSR data at two
+  // sparsities, rank 6, and the paper's GD products on cri2. Each result
+  // must equal the product of the materialized operands on the scalar
+  // cores in every bit.
+  struct SparseRow {
+    std::string name;
+    int64_t nnz;
+    int64_t k;
+    double seconds;
+    double gflops;
+  };
+  std::vector<SparseRow> sparse;
+  {
+    SetKernelThreads(1);
+    const int64_t rank = 6;
+    const Matrix w = DenseRandom(8000, rank, 117);
+    const Matrix h = DenseRandom(rank, 64, 118);
+    const Matrix cri2 = GenerateMatrix(PaperDatasetSpec("cri2").value());
+    const Matrix x = DenseRandom(cri2.cols(), 1, 119);
+    const Matrix y = DenseRandom(cri2.rows(), 1, 120);
+    const struct {
+      const char* sparsity;
+      double density;
+    } serve_data[] = {{"0.3", 0.3}, {"0.05", 0.05}};
+    struct Product {
+      std::string name;
+      Matrix a;
+      bool a_t;
+      Matrix b;
+      bool b_t;
+      const Matrix* sparse;
+      int64_t k;
+    };
+    std::vector<Product> products;
+    std::vector<Matrix> serve_v;
+    serve_v.reserve(2);
+    for (const auto& d : serve_data) {
+      serve_v.push_back(GenerateMatrix(
+          DatasetSpec{"serve", 8000, 64, d.density, 0.0, 0.0, 121}));
+    }
+    for (size_t i = 0; i < serve_v.size(); ++i) {
+      const Matrix& v = serve_v[i];
+      const std::string sp = serve_data[i].sparsity;
+      products.push_back({"WtV sp" + sp, w, true, v, false, &v, rank});
+      products.push_back({"VHt sp" + sp, v, false, h, true, &v, rank});
+    }
+    products.push_back({"cri2 Ax", cri2, false, x, false, &cri2, 1});
+    products.push_back({"cri2 Aty", cri2, true, y, false, &cri2, 1});
+    for (const Product& p : products) {
+      if (p.sparse->is_dense()) {
+        std::fprintf(stderr, "FATAL: sparse %s operand is not CSR\n",
+                     p.name.c_str());
+        return 1;
+      }
+      auto run = [&] {
+        return MultiplyTransposed(p.a, p.a_t, p.b, p.b_t).value();
+      };
+      const Matrix out = run();
+      const internal::GemmIsa isa =
+          internal::SetGemmIsaLimit(internal::GemmIsa::kScalar);
+      const Matrix expected = Multiply(p.a_t ? Transpose(p.a) : p.a,
+                                       p.b_t ? Transpose(p.b) : p.b)
+                                  .value();
+      internal::SetGemmIsaLimit(isa);
+      if (!BitwiseEqualAnyFormat(out, expected)) {
+        std::fprintf(stderr, "FATAL: sparse %s differs from scalar\n",
+                     p.name.c_str());
+        return 1;
+      }
+      const double seconds = BestOf(reps * 10, [&] { run(); });
+      const int64_t nnz = p.sparse->nnz();
+      const double gflops =
+          2.0 * static_cast<double>(nnz * p.k) / seconds / 1e9;
+      sparse.push_back({p.name, nnz, p.k, seconds, gflops});
+      std::printf("  sparse %-12s (nnz %lld, k %lld): %.4f ms  %.2f GFLOP/s\n",
+                  p.name.c_str(), static_cast<long long>(nnz),
+                  static_cast<long long>(p.k), seconds * 1e3, gflops);
+    }
+    SetKernelThreads(options.threads);  // 0 restores the hardware default
+  }
+
+  // --- 7. thread scaling (informational) --------------------------------
   const int64_t sn = options.quick ? 512 : 1024;
   const Matrix sa = DenseRandom(sn, sn, 103);
   const Matrix sb = DenseRandom(sn, sn, 104);
@@ -374,7 +476,7 @@ int RunBench(const Options& options) {
   const bool fusion_ok = fusion_speedup >= options.min_fusion_speedup;
   const bool all_ok = gemm_ok && fused_ok && fusion_ok;
 
-  // --- 7. BENCH_kernels.json --------------------------------------------
+  // --- 8. BENCH_kernels.json --------------------------------------------
   FILE* out = std::fopen("BENCH_kernels.json", "w");
   if (out == nullptr) {
     std::fprintf(stderr, "cannot write BENCH_kernels.json\n");
@@ -409,6 +511,16 @@ int RunBench(const Options& options) {
                  "\"gflops\": %.4g}",
                  i == 0 ? "" : ", ", skinny[i].name, skinny[i].seconds,
                  skinny[i].gflops);
+  }
+  std::fprintf(out, "],\n \"sparse_threads\": 1,\n \"sparse_products\": [");
+  for (size_t i = 0; i < sparse.size(); ++i) {
+    std::fprintf(out,
+                 "%s{\"shape\": \"%s\", \"nnz\": %lld, \"k\": %lld, "
+                 "\"seconds\": %.9g, \"gflops\": %.4g}",
+                 i == 0 ? "" : ", ", sparse[i].name.c_str(),
+                 static_cast<long long>(sparse[i].nnz),
+                 static_cast<long long>(sparse[i].k), sparse[i].seconds,
+                 sparse[i].gflops);
   }
   std::fprintf(out,
                "],\n \"elementwise\": {\"rows\": %lld, \"cols\": %lld, "

@@ -3,7 +3,9 @@
 #
 #   tsan        build with -DREMAC_SANITIZE=thread and run the concurrent
 #               suites (pool, ledger, task graph, plan service, metrics
-#               registry), the parser's and the MatrixMarket reader's
+#               registry), the kernel suites (Kernels*, and the format
+#               pairings MultiplyFormat, TransposeProduct and
+#               Associativity), the parser's and the MatrixMarket reader's
 #               hostile-input cases, the catalog's statistics counting
 #               (Catalog, Generators*, MatrixCounts), the dense buffers
 #               (DenseMatrix), the sparsity estimators and their
@@ -52,7 +54,7 @@ ASAN_DIR="${2:-build-asan}"
 BENCH_DIR="${3:-build}"
 UBSAN_DIR="${4:-build-ubsan}"
 # Parameterized suites print as Prefix/Suite.Test, hence */Kernels*.*.
-FILTER='ThreadPool.*:LanePool.*:Ledger.*:TaskGraph.*:Sched*.*:Kernels*.*:*/Kernels*.*:Fingerprint*.*:PlanCache*.*:Service*.*:Admission*.*:MatCache*.*:MatrixBytes.*:Obs*.*:Chaos*.*:Fault*.*:Trace*.*:Contention*.*:Fusion*.*:Sketch*.*:Executor*.*:CostModel*.*:Parser.*:Catalog.*:Generators*.*:MatrixCounts.*:MatrixMarket.*:DenseMatrix.*:SystemDs.*:PlanGolden.*:PlanOpTable.*:Estimator*.*:*/Estimator*.*'
+FILTER='ThreadPool.*:LanePool.*:Ledger.*:TaskGraph.*:Sched*.*:Kernels*.*:*/Kernels*.*:*/MultiplyFormatTest.*:*/TransposeProductTest.*:*/AssociativityTest.*:Fingerprint*.*:PlanCache*.*:Service*.*:Admission*.*:MatCache*.*:MatrixBytes.*:Obs*.*:Chaos*.*:Fault*.*:Trace*.*:Contention*.*:Fusion*.*:Sketch*.*:Executor*.*:CostModel*.*:Parser.*:Catalog.*:Generators*.*:MatrixCounts.*:MatrixMarket.*:DenseMatrix.*:SystemDs.*:PlanGolden.*:PlanOpTable.*:Estimator*.*:*/Estimator*.*'
 
 GATES=()
 RESULTS=()

@@ -15,7 +15,8 @@
 #include "sched/thread_pool.h"
 
 /// \brief Internals shared by the local kernel translation units
-/// (kernels.cc, gemm.cc, fused_multiply.cc). Not part of the public API.
+/// (kernels.cc, gemm.cc, sparse_dense.cc, fused_multiply.cc). Not part of
+/// the public API.
 ///
 /// Determinism contract (docs/INTERNALS.md Section 12): every kernel here
 /// produces bitwise-identical results at any thread count. Parallel
@@ -89,12 +90,13 @@ void ParallelForRows(int64_t rows, int64_t row_work,
 
 /// --- sparse row providers -------------------------------------------------
 ///
-/// The sparse multiply cores below are templated over a row provider, so
-/// the same loop body (and therefore the exact same floating-point
-/// operation sequence) runs for a CSR operand and for the column view of
-/// a CSR operand that stands in for its transpose.
+/// The sparse multiply cores run on a row provider, so the same loop body
+/// (and therefore the exact same floating-point operation sequence) runs
+/// for a CSR operand and for the column view of a CSR operand that stands
+/// in for its transpose.
 
-/// Rows of a CsrMatrix as stored.
+/// Row arrays of a sparse operand: a CsrMatrix's rows as stored, or the
+/// columns of a CscView.
 struct CsrRows {
   const int64_t* ptr;
   const int32_t* idx;
@@ -108,6 +110,9 @@ struct CsrRows {
         val(m.values().data()),
         rows_count(m.rows()),
         nnz_count(m.nnz()) {}
+  CsrRows(const int64_t* p, const int32_t* i, const double* v, int64_t rows,
+          int64_t nnz)
+      : ptr(p), idx(i), val(v), rows_count(rows), nnz_count(nnz) {}
 
   int64_t rows() const { return rows_count; }
   int64_t nnz() const { return nnz_count; }
@@ -150,33 +155,13 @@ struct CscView {
   int64_t end(int64_t r) const { return ptr[r + 1]; }
   int32_t col(int64_t p) const { return idx[p]; }
   double value(int64_t p) const { return val[p]; }
+  /// The view's row arrays (valid while the view lives).
+  CsrRows Rows() const {
+    return CsrRows(ptr.data(), idx.data(), val.data(), rows(), nnz());
+  }
 };
 
 /// --- shared multiply cores ------------------------------------------------
-
-/// Sparse-left x dense-right: C(i, :) += v * B(j, :) for each stored
-/// (j, v) in row i of `a`. `out_rows` x b.cols().
-template <typename LeftRows>
-DenseMatrix MultiplySparseDenseCore(const LeftRows& a, int64_t out_rows,
-                                    const DenseMatrix& b) {
-  const int64_t n = b.cols();
-  DenseMatrix c(out_rows, n);
-  const double* pb = b.data();
-  double* pc = c.data();
-  const int64_t row_work =
-      n * std::max<int64_t>(1, a.nnz() / std::max<int64_t>(1, out_rows));
-  ParallelForRows(out_rows, row_work, [&](int64_t r0, int64_t r1) {
-    for (int64_t i = r0; i < r1; ++i) {
-      double* ci = pc + i * n;
-      for (int64_t p = a.begin(i); p < a.end(i); ++p) {
-        const double v = a.value(p);
-        const double* bj = pb + static_cast<int64_t>(a.col(p)) * n;
-        for (int64_t x = 0; x < n; ++x) ci[x] += v * bj[x];
-      }
-    }
-  });
-  return c;
-}
 
 /// Sparse x sparse Gustavson row-merge. Identical operation sequence to
 /// the historical MultiplySparseSparse for CSR providers; the column-view
@@ -269,8 +254,9 @@ CsrMatrix MultiplySparseSparseCore(const LeftRows& a, const RightRows& b,
   return c;
 }
 
-/// Instruction sets the dense multiply's register tiles are built for,
-/// narrowest first. Every set computes the same bits (gemm.cc).
+/// Instruction sets the dense multiply's register tiles and the sparse x
+/// dense cores are built for, narrowest first. Every set computes the
+/// same bits (gemm.cc, sparse_dense.cc).
 enum class GemmIsa { kScalar, kAvx2, kAvx512 };
 
 /// The widest tile set the running CPU supports (detected once).
@@ -288,6 +274,25 @@ const char* GemmIsaName(GemmIsa isa);
 /// the tiled kernel and as the bench baseline.
 DenseMatrix MultiplyDenseDenseNaive(const DenseMatrix& a,
                                     const DenseMatrix& b);
+
+/// op(A) op(B) with A sparse and B dense, op = transpose where flagged
+/// (sparse_dense.cc, core S): per output row, C(i, :) += v * P(col, :)
+/// for each stored (col, v) of op(A)'s row i in stored order, vector
+/// lanes along C's columns and no skip on v. op(A)'s rows are A's CSR
+/// rows or its CscView; P is B, or Bᵀ packed into a panel, so every
+/// variant is bitwise-identical to Multiply(op(A), op(B)) on the
+/// materialized operands. Counts the stored non-zeros (no scan).
+Matrix MultiplyCsrDense(const CsrMatrix& a, bool a_transposed,
+                        const DenseMatrix& b, bool b_transposed);
+
+/// op(A) op(B) with A dense and B sparse (sparse_dense.cc, core D): for
+/// each stored (j, col, v) of op(B)'s live rows, j ascending, C(i, col)
+/// += L(i, j) * v with L = op(A) and vector lanes along C's rows; a lane
+/// whose L(i, j) is ±0 adds nothing (NaN is not skipped), and an empty
+/// row of op(B) adds no term at all. Bitwise-identical to the reference
+/// loop on the materialized operands. Counts the stored non-zeros.
+Matrix MultiplyDenseCsr(const DenseMatrix& a, bool a_transposed,
+                        const CsrMatrix& b, bool b_transposed);
 
 /// op(A) op(B) for dense operands, op = transpose where flagged: the
 /// register-tiled core behind Multiply and MultiplyTransposed, bitwise

@@ -63,8 +63,9 @@ using internal::kReductionChunk;
 using internal::CsrRows;
 using internal::Metrics;
 using internal::MultiplyDenseDense;
+using internal::MultiplyCsrDense;
+using internal::MultiplyDenseCsr;
 using internal::MultiplyDenseDenseNaive;
-using internal::MultiplySparseDenseCore;
 using internal::MultiplySparseSparseCore;
 using internal::ParallelForRows;
 
@@ -72,40 +73,6 @@ std::atomic<int> g_kernel_threads{0};
 
 Status ShapeError(const char* op, const Matrix& a, const Matrix& b) {
   return internal::ShapeErrorDims(op, a.rows(), a.cols(), b.rows(), b.cols());
-}
-
-/// C = A * B with B sparse: for each stored B(j, x), C(i, x) += A(i, j) *
-/// B(j, x), j ascending. Only the rows of B that hold entries are visited
-/// (an empty row adds no term, even against a NaN or Inf in A), so an
-/// all-zero B costs nothing beyond the zero result.
-DenseMatrix MultiplyDenseSparse(const DenseMatrix& a, const CsrMatrix& b) {
-  const int64_t m = a.rows();
-  const int64_t k = a.cols();
-  const int64_t n = b.cols();
-  DenseMatrix c(m, n);
-  if (b.nnz() == 0) return c;
-  std::vector<int64_t> live_rows;
-  for (int64_t j = 0; j < k; ++j) {
-    if (b.row_ptr()[j] < b.row_ptr()[j + 1]) live_rows.push_back(j);
-  }
-  const double* pa = a.data();
-  double* pc = c.data();
-  const int64_t row_work =
-      std::max<int64_t>(static_cast<int64_t>(live_rows.size()), b.nnz());
-  ParallelForRows(m, row_work, [&](int64_t r0, int64_t r1) {
-    for (int64_t i = r0; i < r1; ++i) {
-      double* ci = pc + i * n;
-      const double* ai = pa + i * k;
-      for (const int64_t j : live_rows) {
-        const double v = ai[j];
-        if (v == 0.0) continue;
-        for (int64_t p = b.row_ptr()[j]; p < b.row_ptr()[j + 1]; ++p) {
-          ci[b.col_idx()[p]] += v * b.values()[p];
-        }
-      }
-    }
-  });
-  return c;
 }
 
 CsrMatrix TransposeCsr(const CsrMatrix& a) {
@@ -223,34 +190,63 @@ Result<Matrix> ElementwiseBinary(const char* name, const Matrix& a,
   }
   Metrics().elementwise_ops->Add();
   if (!a.is_dense() && !b.is_dense()) {
-    // Every op maps (0, 0) to 0: merge the two CSR row lists.
+    // Every op maps (0, 0) to 0: merge the two CSR row lists, written
+    // through raw pointers. A row stores at most min(its two lengths'
+    // sum, cols) cells. The arrays start at the larger operand's nnz plus
+    // one row, which two operands of one pattern (V * V) never outgrow,
+    // and double only when a row's bound would overflow them; the stored
+    // count trims them once at the end.
     const CsrMatrix& sa = a.csr();
     const CsrMatrix& sb = b.csr();
     CsrMatrix out(a.rows(), a.cols());
     auto& row_ptr = out.mutable_row_ptr();
     auto& cols = out.mutable_col_idx();
     auto& vals = out.mutable_values();
+    const int64_t width = a.cols();
+    int64_t capacity = std::max(sa.nnz(), sb.nnz()) + width;
+    cols.resize(static_cast<size_t>(capacity));
+    vals.resize(static_cast<size_t>(capacity));
+    const int64_t* ra = sa.row_ptr().data();
+    const int64_t* rb = sb.row_ptr().data();
+    const int32_t* ia = sa.col_idx().data();
+    const int32_t* ib = sb.col_idx().data();
+    const double* xa = sa.values().data();
+    const double* xb = sb.values().data();
+    int32_t* oc = cols.data();
+    double* ov = vals.data();
+    int64_t count = 0;
     for (int64_t r = 0; r < a.rows(); ++r) {
-      int64_t pa = sa.row_ptr()[r];
-      int64_t pb = sb.row_ptr()[r];
-      const int64_t ea = sa.row_ptr()[r + 1];
-      const int64_t eb = sb.row_ptr()[r + 1];
+      int64_t pa = ra[r];
+      int64_t pb = rb[r];
+      const int64_t ea = ra[r + 1];
+      const int64_t eb = rb[r + 1];
+      const int64_t bound = count + std::min(width, (ea - pa) + (eb - pb));
+      if (bound > capacity) {
+        capacity = std::max(2 * capacity, bound);
+        cols.resize(static_cast<size_t>(capacity));
+        vals.resize(static_cast<size_t>(capacity));
+        oc = cols.data();
+        ov = vals.data();
+      }
       while (pa < ea || pb < eb) {
-        const int32_t ca = pa < ea ? sa.col_idx()[pa] : INT32_MAX;
-        const int32_t cb = pb < eb ? sb.col_idx()[pb] : INT32_MAX;
+        const int32_t ca = pa < ea ? ia[pa] : INT32_MAX;
+        const int32_t cb = pb < eb ? ib[pb] : INT32_MAX;
         const int32_t col = std::min(ca, cb);
         double va = 0.0;
         double vb = 0.0;
-        if (ca == col) va = sa.values()[pa++];
-        if (cb == col) vb = sb.values()[pb++];
+        if (ca == col) va = xa[pa++];
+        if (cb == col) vb = xb[pb++];
         const double v = op(va, vb);
         if (v != 0.0) {
-          cols.push_back(col);
-          vals.push_back(v);
+          oc[count] = col;
+          ov[count] = v;
+          ++count;
         }
       }
-      row_ptr[r + 1] = static_cast<int64_t>(vals.size());
+      row_ptr[r + 1] = count;
     }
+    cols.resize(static_cast<size_t>(count));
+    vals.resize(static_cast<size_t>(count));
     return Matrix::FromCsr(std::move(out));
   }
   return ZipDense(a, b, op);
@@ -300,11 +296,10 @@ Result<Matrix> Multiply(const Matrix& a, const Matrix& b) {
     return MultiplyDenseDense(a.dense(), false, b.dense(), false);
   }
   if (!a.is_dense() && b.is_dense()) {
-    return Matrix::FromDense(
-        MultiplySparseDenseCore(CsrRows(a.csr()), a.rows(), b.dense()));
+    return MultiplyCsrDense(a.csr(), false, b.dense(), false);
   }
   if (a.is_dense() && !b.is_dense()) {
-    return Matrix::FromDense(MultiplyDenseSparse(a.dense(), b.csr()));
+    return MultiplyDenseCsr(a.dense(), false, b.csr(), false);
   }
   return Matrix::FromCsr(MultiplySparseSparseCore(
       CsrRows(a.csr()), CsrRows(b.csr()), a.rows(), b.cols()));

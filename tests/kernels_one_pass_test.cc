@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <string>
@@ -165,6 +167,59 @@ TEST_P(KernelsOnePassTest, ElementwiseMatchesCopyThenModify) {
   }
 }
 
+/// The CSR x CSR merge as it was written before it wrote through raw
+/// pointers into arrays sized nnz(a) + nnz(b): one push_back per stored
+/// cell.
+template <typename Op>
+Matrix PushBackMerge(const CsrMatrix& sa, const CsrMatrix& sb, Op op) {
+  CsrMatrix out(sa.rows(), sa.cols());
+  for (int64_t r = 0; r < sa.rows(); ++r) {
+    int64_t pa = sa.row_ptr()[r];
+    int64_t pb = sb.row_ptr()[r];
+    while (pa < sa.row_ptr()[r + 1] || pb < sb.row_ptr()[r + 1]) {
+      const int32_t ca =
+          pa < sa.row_ptr()[r + 1] ? sa.col_idx()[pa] : INT32_MAX;
+      const int32_t cb =
+          pb < sb.row_ptr()[r + 1] ? sb.col_idx()[pb] : INT32_MAX;
+      const int32_t col = std::min(ca, cb);
+      const double va = ca == col ? sa.values()[pa++] : 0.0;
+      const double vb = cb == col ? sb.values()[pb++] : 0.0;
+      const double v = op(va, vb);
+      if (v != 0.0) {
+        out.mutable_col_idx().push_back(col);
+        out.mutable_values().push_back(v);
+      }
+    }
+    out.mutable_row_ptr()[r + 1] = out.nnz();
+  }
+  return Matrix::FromCsr(std::move(out));
+}
+
+/// Two CSR operands take the merge path: same structure, bits and format
+/// as the push_back merge, with cancellations (a - a, overlapping
+/// patterns) dropping cells, for every elementwise op and shape.
+TEST_P(KernelsOnePassTest, CsrMergeMatchesPushBackMerge) {
+  uint64_t seed = 70;
+  for (const auto& [rows, cols] : kShapes) {
+    for (const double b_zeros : {0.5, 0.9}) {
+      const Matrix a = Cells(rows, cols, 0.7, seed++, false);
+      const Matrix b = Cells(rows, cols, b_zeros, seed++, false);
+      for (const BinaryKernel& k : kBinaryKernels) {
+        const std::string where = std::string(k.name) + " " +
+                                  std::to_string(rows) + "x" +
+                                  std::to_string(cols) +
+                                  " b_zeros=" + std::to_string(b_zeros);
+        EXPECT_TRUE(Identical(k.kernel(a, b).value(),
+                              PushBackMerge(a.csr(), b.csr(), k.cell)))
+            << where;
+        EXPECT_TRUE(Identical(k.kernel(a, a).value(),
+                              PushBackMerge(a.csr(), a.csr(), k.cell)))
+            << where << " aliased";
+      }
+    }
+  }
+}
+
 TEST_P(KernelsOnePassTest, ElementwiseCrossesTheCsrThreshold) {
   // 70% zeros in b: the dense .* product is stored as CSR, the sum stays
   // dense.
@@ -268,7 +323,7 @@ TEST_P(KernelsOnePassTest, FusedTapeDenseOutputMatchesCopyThenModify) {
   EXPECT_TRUE(Identical(run.output, want));
 }
 
-/// The loop MultiplyDenseSparse ran before it skipped B's empty rows:
+/// The dense x sparse loop before it skipped B's empty rows:
 /// every j of A's row, zero A cells skipped.
 DenseMatrix DenseSparseAllRows(const DenseMatrix& a, const CsrMatrix& b) {
   DenseMatrix c(a.rows(), b.cols());
