@@ -25,7 +25,9 @@
 // bit, in format or in nnz from the copy-then-modify construction it
 // replaced. The sparse phase times CSR x dense products on one thread:
 // serve-shaped t(W) %*% V and V %*% t(H) (V 8000 x 64 CSR at sparsity 0.3
-// and 0.05, rank 6) and A %*% x, t(A) %*% y on the cri2 dataset. It prints
+// and 0.05, rank 6), A %*% x, t(A) %*% y on the cri2 dataset, and the
+// DFP/BFGS products t(d) %*% t(A) and H %*% t(A) on cri3 (H a 64-row
+// block of the 1500 x 1500 inverse Hessian). It prints
 // ms and GFLOP/s on 2 * nnz * k FLOPs (k the dense operand's short side),
 // records them as sparse_products in the JSON (information only, no
 // floor), and exits non-zero if any result differs from the product of
@@ -366,7 +368,8 @@ int RunBench(const Options& options) {
 
   // --- 6. sparse x dense, one thread (informational + bitwise check) ----
   // The serve workload's factor products on its 8000 x 64 CSR data at two
-  // sparsities, rank 6, and the paper's GD products on cri2. Each result
+  // sparsities, rank 6, the paper's GD products on cri2, and DFP/BFGS's
+  // products with t(A) on cri3 (its 30000 columns make C wide). Each result
   // must equal the product of the materialized operands on the scalar
   // cores in every bit.
   struct SparseRow {
@@ -385,6 +388,9 @@ int RunBench(const Options& options) {
     const Matrix cri2 = GenerateMatrix(PaperDatasetSpec("cri2").value());
     const Matrix x = DenseRandom(cri2.cols(), 1, 119);
     const Matrix y = DenseRandom(cri2.rows(), 1, 120);
+    const Matrix cri3 = GenerateMatrix(PaperDatasetSpec("cri3").value());
+    const Matrix dir = DenseRandom(cri3.cols(), 1, 122);
+    const Matrix hessian = DenseRandom(64, cri3.cols(), 123);
     const struct {
       const char* sparsity;
       double density;
@@ -413,6 +419,8 @@ int RunBench(const Options& options) {
     }
     products.push_back({"cri2 Ax", cri2, false, x, false, &cri2, 1});
     products.push_back({"cri2 Aty", cri2, true, y, false, &cri2, 1});
+    products.push_back({"cri3 dtAt", dir, true, cri3, true, &cri3, 1});
+    products.push_back({"cri3 HAt", hessian, false, cri3, true, &cri3, 64});
     for (const Product& p : products) {
       if (p.sparse->is_dense()) {
         std::fprintf(stderr, "FATAL: sparse %s operand is not CSR\n",

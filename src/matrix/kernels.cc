@@ -247,6 +247,13 @@ Result<Matrix> ElementwiseBinary(const char* name, const Matrix& a,
     }
     cols.resize(static_cast<size_t>(count));
     vals.resize(static_cast<size_t>(count));
+    // A result that cancels most cells (a - a, .* over patterns that
+    // barely overlap) gives the slack back, so the arrays hold at most
+    // twice the cells that BytesUsed (their size) charges for.
+    if (cols.capacity() > 2 * cols.size()) {
+      cols.shrink_to_fit();
+      vals.shrink_to_fit();
+    }
     return Matrix::FromCsr(std::move(out));
   }
   return ZipDense(a, b, op);

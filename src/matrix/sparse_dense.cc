@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <atomic>
 #include <optional>
 
@@ -11,10 +12,11 @@
 /// - core S: a sparse operand's rows times a dense panel, vector lanes
 ///   along C's columns. A B and Aᵀ B with A sparse read B in place; A Bᵀ
 ///   and Aᵀ Bᵀ read Bᵀ packed into a panel. Aᵀ's rows come from a CscView.
-/// - core D: a dense operand times a sparse operand's live rows, vector
-///   lanes along C's rows, accumulated in a transposed tile. The left
-///   lanes are read in place for Aᵀ and packed per row tile for A; Bᵀ's
-///   rows come from a CscView.
+/// - core D: a dense operand times a sparse operand, vector lanes along
+///   C's rows. For B it scatters B's live rows into a transposed tile;
+///   for Bᵀ it reads B's rows in place, each one a column of C summed in
+///   registers. The left lanes are read in place for Aᵀ and packed per
+///   row tile for A.
 ///
 /// Every variant is bitwise-identical to the reference loop on the
 /// materialized operands: per C cell the terms add in the reference order
@@ -195,12 +197,15 @@ int64_t SparseTileCols(GemmIsa isa) {
 
 // --- core D ----------------------------------------------------------------
 
-/// One row tile of C = L R, accumulated transposed: tile[col * height + l]
-/// holds C(i0 + l, col) and starts at +0.0. The lanes of L(i0 .., j) for
-/// R's live row j = live[t] start at lanes + t * t_stride + j * j_stride:
-/// in place in A's row j when L is Aᵀ (t_stride 0), or a packed panel row
-/// when L is A (j_stride 0). Lanes at or past `lanes_valid` are never
-/// loaded.
+/// One row tile and column block [x0, x1) of C = L B, accumulated
+/// transposed: tile[(col - x0) * height + l] holds C(i0 + l, col) and
+/// starts at +0.0. The lanes of L(i0 .., j) for B's live row j = live[t]
+/// start at lanes + t * t_stride + j * j_stride: in place in A's row j
+/// when L is Aᵀ (t_stride 0), or a packed panel row when L is A (j_stride
+/// 0). Lanes at or past `lanes_valid` are never loaded. cursor[t] is the
+/// first stored entry of row live[t] at or past column x0; the kernel
+/// moves it to the first one at or past x1 (or to the row's end when
+/// every lane skips the row, which then adds nothing in any block).
 struct LaneTileOperands {
   CsrRows r;
   const int64_t* live;
@@ -211,29 +216,39 @@ struct LaneTileOperands {
   int64_t lanes_valid;
   int64_t height;
   double* tile;
+  int64_t* cursor;
+  int64_t x0;
+  int64_t x1;
 };
 
 /// Adds L(i, j) * v into tile cell (col, i) for each live row j ascending
-/// and each stored (col, v) of R's row j in stored order, skipping the
-/// lanes whose L(i, j) is ±0 (the reference's `v == 0.0` skip; NaN is
-/// not skipped).
+/// and each stored (col, v) of B's row j in the block, in stored order,
+/// skipping the lanes whose L(i, j) is ±0 (the reference's `v == 0.0`
+/// skip; NaN is not skipped).
 using LaneTileFn = void (*)(const LaneTileOperands& g);
 
-/// Core D's transposed tile holds at most this many cells (512 KiB); a
-/// wider C is accumulated in place, row by row.
-constexpr int64_t kLaneTileCells = int64_t{1} << 16;
+/// Core D's transposed tile holds at most this many cells (256 KiB, so it
+/// stays in L2); a wider C is swept in column blocks, each C cell still
+/// adding its terms in ascending j.
+constexpr int64_t kLaneTileCells = int64_t{1} << 15;
 
 void LaneTileScalar(const LaneTileOperands& g) {
   const CsrRows& r = g.r;
   for (int64_t t = 0; t < g.live_count; ++t) {
     const int64_t j = g.live[t];
     const double* lv = g.lanes + t * g.t_stride + j * g.j_stride;
-    for (int64_t q = r.ptr[j]; q < r.ptr[j + 1]; ++q) {
-      const double v = r.val[q];
-      double* tc = g.tile + static_cast<int64_t>(r.idx[q]) * g.height;
-      for (int64_t l = 0; l < g.lanes_valid; ++l) {
-        if (lv[l] == 0.0) continue;
-        tc[l] += lv[l] * v;
+    const int64_t q0 = g.cursor[t];
+    const int64_t q_end =
+        std::lower_bound(r.idx + q0, r.idx + r.ptr[j + 1], g.x1) - r.idx;
+    g.cursor[t] = q_end;
+    // Lane by lane: each tile cell still gets row j's term after row
+    // live[t - 1]'s, and L(i, j) stays in a register.
+    for (int64_t l = 0; l < g.lanes_valid; ++l) {
+      const double x = lv[l];
+      if (x == 0.0) continue;
+      double* tl = g.tile + l;
+      for (int64_t q = q0; q < q_end; ++q) {
+        tl[(r.idx[q] - g.x0) * g.height] += x * r.val[q];
       }
     }
   }
@@ -258,6 +273,9 @@ REMAC_AVX2 void LaneTileAvx2(const LaneTileOperands& g) {
   const int64_t t_stride = g.t_stride;
   const int64_t j_stride = g.j_stride;
   double* tile = g.tile;
+  int64_t* cursor = g.cursor;
+  const int64_t x0 = g.x0;
+  const int64_t x1 = g.x1;
   for (int64_t t = 0; t < g.live_count; ++t) {
     const int64_t j = live[t];
     const double* lp = lanes + t * t_stride + j * j_stride;
@@ -269,17 +287,19 @@ REMAC_AVX2 void LaneTileAvx2(const LaneTileOperands& g) {
       any |= _mm256_movemask_pd(
           _mm256_cmp_pd(lv[k], _mm256_setzero_pd(), _CMP_NEQ_UQ));
     }
-    if (any == 0) continue;  // every lane skips this row
     const int64_t q1 = ptr[j + 1];
-    for (int64_t q = ptr[j]; q < q1; ++q) {
+    int64_t q = cursor[t];
+    if (any == 0) q = q1;  // every lane skips this row, in every block
+    for (; q < q1 && idx[q] < x1; ++q) {
       const __m256d v = _mm256_broadcast_sd(val + q);
-      double* tc = tile + static_cast<int64_t>(idx[q]) * kHeight;
+      double* tc = tile + (idx[q] - x0) * kHeight;
 #pragma GCC unroll 2
       for (int k = 0; k < NV; ++k) {
         _mm256_storeu_pd(tc + 4 * k,
                          MulAddSkip(_mm256_loadu_pd(tc + 4 * k), lv[k], v));
       }
     }
+    cursor[t] = q;
   }
 }
 
@@ -298,6 +318,9 @@ REMAC_AVX512 void LaneTileAvx512(const LaneTileOperands& g) {
   const int64_t t_stride = g.t_stride;
   const int64_t j_stride = g.j_stride;
   double* tile = g.tile;
+  int64_t* cursor = g.cursor;
+  const int64_t x0 = g.x0;
+  const int64_t x1 = g.x1;
   for (int64_t t = 0; t < g.live_count; ++t) {
     const int64_t j = live[t];
     const double* lp = lanes + t * t_stride + j * j_stride;
@@ -310,17 +333,19 @@ REMAC_AVX512 void LaneTileAvx512(const LaneTileOperands& g) {
       nonzero[k] = NonZero8(lv[k]);
       any |= nonzero[k];
     }
-    if (any == 0) continue;  // every lane skips this row
     const int64_t q1 = ptr[j + 1];
-    for (int64_t q = ptr[j]; q < q1; ++q) {
+    int64_t q = cursor[t];
+    if (any == 0) q = q1;  // every lane skips this row, in every block
+    for (; q < q1 && idx[q] < x1; ++q) {
       const __m512d v = _mm512_set1_pd(val[q]);
-      double* tc = tile + static_cast<int64_t>(idx[q]) * kHeight;
+      double* tc = tile + (idx[q] - x0) * kHeight;
 #pragma GCC unroll 2
       for (int k = 0; k < NV; ++k) {
         _mm512_storeu_pd(tc + 8 * k, MulAddSkip8(_mm512_loadu_pd(tc + 8 * k),
                                                  nonzero[k], lv[k], v));
       }
     }
+    cursor[t] = q;
   }
 }
 
@@ -336,6 +361,147 @@ LaneTileFn PickLaneTile(GemmIsa isa, [[maybe_unused]] int64_t vectors) {
   if (isa == GemmIsa::kAvx2) return kLaneTilesAvx2[vectors - 1];
 #endif
   return LaneTileScalar;
+}
+
+/// One row tile of C = L Bᵀ with B's rows read in place: B's row col is
+/// C's column col, so C(i0 + l, col) is the sum, from +0.0, of L(i0 + l, j)
+/// * v over the stored (j, v) of B's row col, j ascending, skipping the
+/// lanes whose L(i0 + l, j) is ±0. That is the term order of the tile
+/// scatter over Bᵀ's rows (j ascending per C cell), without building Bᵀ.
+/// The lanes of L(i0 .., j) start at lanes + j * j_stride; lanes at or
+/// past `lanes_valid` are never loaded. C(i0 + l, col) is c[l * ldc + col].
+struct LaneColumnsOperands {
+  CsrRows b;
+  const double* lanes;
+  int64_t j_stride;
+  int64_t lanes_valid;
+  double* c;
+  int64_t ldc;
+};
+
+/// Stores C(i0 + l, col) for every l < lanes_valid and every column of C;
+/// returns how many are non-zero (`!= 0.0`).
+using LaneColumnsFn = int64_t (*)(const LaneColumnsOperands& g);
+
+int64_t LaneColumnsScalar(const LaneColumnsOperands& g) {
+  const CsrRows& b = g.b;
+  int64_t nnz = 0;
+  for (int64_t l = 0; l < g.lanes_valid; ++l) {
+    const double* lv = g.lanes + l;
+    double* cl = g.c + l * g.ldc;
+    for (int64_t col = 0; col < b.rows(); ++col) {
+      double acc = 0.0;
+      for (int64_t q = b.ptr[col]; q < b.ptr[col + 1]; ++q) {
+        const double x = lv[static_cast<int64_t>(b.idx[q]) * g.j_stride];
+        if (x == 0.0) continue;
+        acc += x * b.val[q];
+      }
+      cl[col] = acc;
+      nnz += acc != 0.0 ? 1 : 0;
+    }
+  }
+  return nnz;
+}
+
+#if REMAC_KERNEL_X86
+/// NV vectors of C's rows; the last one is masked to `lanes_valid`.
+template <int NV>
+REMAC_AVX2 int64_t LaneColumnsAvx2(const LaneColumnsOperands& g) {
+  const int64_t tail_lanes = g.lanes_valid - 4 * (NV - 1);
+  const bool partial = tail_lanes < 4;
+  const __m256i tail = LaneMask(tail_lanes);
+  // Locals, not g's fields, so no store to C makes the compiler reload
+  // them.
+  const int64_t* ptr = g.b.ptr;
+  const int32_t* idx = g.b.idx;
+  const double* val = g.b.val;
+  const double* lanes = g.lanes;
+  const int64_t j_stride = g.j_stride;
+  const int64_t lanes_valid = g.lanes_valid;
+  double* c = g.c;
+  const int64_t ldc = g.ldc;
+  const int64_t n = g.b.rows();
+  alignas(32) double out[4 * NV];
+  int64_t nnz = 0;
+  for (int64_t col = 0; col < n; ++col) {
+    __m256d acc[NV];
+#pragma GCC unroll 2
+    for (int k = 0; k < NV; ++k) acc[k] = _mm256_setzero_pd();
+    const int64_t q1 = ptr[col + 1];
+    for (int64_t q = ptr[col]; q < q1; ++q) {
+      const __m256d v = _mm256_broadcast_sd(val + q);
+      const double* lp = lanes + static_cast<int64_t>(idx[q]) * j_stride;
+#pragma GCC unroll 2
+      for (int k = 0; k < NV; ++k) {
+        acc[k] = MulAddSkip(
+            acc[k], Load(lp + 4 * k, partial && k == NV - 1, tail), v);
+      }
+    }
+#pragma GCC unroll 2
+    for (int k = 0; k < NV; ++k) _mm256_store_pd(out + 4 * k, acc[k]);
+    for (int64_t l = 0; l < lanes_valid; ++l) {
+      c[l * ldc + col] = out[l];
+      nnz += out[l] != 0.0 ? 1 : 0;
+    }
+  }
+  return nnz;
+}
+
+/// LaneColumnsAvx2 with 8-double vectors and the skip as an add mask.
+template <int NV>
+REMAC_AVX512 int64_t LaneColumnsAvx512(const LaneColumnsOperands& g) {
+  const int64_t tail_lanes = g.lanes_valid - 8 * (NV - 1);
+  const bool partial = tail_lanes < 8;
+  const __mmask8 tail = LaneMask8(tail_lanes);
+  const int64_t* ptr = g.b.ptr;
+  const int32_t* idx = g.b.idx;
+  const double* val = g.b.val;
+  const double* lanes = g.lanes;
+  const int64_t j_stride = g.j_stride;
+  const int64_t lanes_valid = g.lanes_valid;
+  double* c = g.c;
+  const int64_t ldc = g.ldc;
+  const int64_t n = g.b.rows();
+  alignas(64) double out[8 * NV];
+  int64_t nnz = 0;
+  for (int64_t col = 0; col < n; ++col) {
+    __m512d acc[NV];
+#pragma GCC unroll 2
+    for (int k = 0; k < NV; ++k) acc[k] = _mm512_setzero_pd();
+    const int64_t q1 = ptr[col + 1];
+    for (int64_t q = ptr[col]; q < q1; ++q) {
+      const __m512d v = _mm512_set1_pd(val[q]);
+      const double* lp = lanes + static_cast<int64_t>(idx[q]) * j_stride;
+#pragma GCC unroll 2
+      for (int k = 0; k < NV; ++k) {
+        const __m512d lv = Load8(lp + 8 * k, partial && k == NV - 1, tail);
+        acc[k] = MulAddSkip8(acc[k], NonZero8(lv), lv, v);
+      }
+    }
+#pragma GCC unroll 2
+    for (int k = 0; k < NV; ++k) _mm512_store_pd(out + 8 * k, acc[k]);
+    for (int64_t l = 0; l < lanes_valid; ++l) {
+      c[l * ldc + col] = out[l];
+      nnz += out[l] != 0.0 ? 1 : 0;
+    }
+  }
+  return nnz;
+}
+
+/// Indexed by [vectors - 1].
+constexpr LaneColumnsFn kLaneColumnsAvx2[2] = {LaneColumnsAvx2<1>,
+                                               LaneColumnsAvx2<2>};
+constexpr LaneColumnsFn kLaneColumnsAvx512[2] = {LaneColumnsAvx512<1>,
+                                                 LaneColumnsAvx512<2>};
+#endif  // REMAC_KERNEL_X86
+
+LaneColumnsFn PickLaneColumns(GemmIsa isa,
+                              [[maybe_unused]] int64_t vectors) {
+#if REMAC_KERNEL_X86
+  if (isa == GemmIsa::kAvx512) return kLaneColumnsAvx512[vectors - 1];
+  if (isa == GemmIsa::kAvx2) return kLaneColumnsAvx2[vectors - 1];
+#endif
+  return LaneColumnsScalar;
 }
 
 }  // namespace
@@ -394,15 +560,16 @@ Matrix MultiplyDenseCsr(const DenseMatrix& a, bool a_transposed,
   const int64_t n = b_transposed ? b.rows() : b.cols();
   DenseMatrix c(rows, n);
   if (b.nnz() == 0 || rows == 0) return Matrix::FromDense(std::move(c), 0);
-  std::optional<CscView> bt;
-  if (b_transposed) bt.emplace(b);
-  const CsrRows r = b_transposed ? bt->Rows() : CsrRows(b);
-  // Only R's live rows are visited: an empty row adds no term, even
-  // against a NaN or Inf in L.
+  const CsrRows r(b);
+  // For B, only its live rows are visited: an empty row adds no term,
+  // even against a NaN or Inf in L. (For Bᵀ, an empty row of Bᵀ is a
+  // column j that no row of B stores, so it is never read either.)
   std::vector<int64_t> live;
-  live.reserve(static_cast<size_t>(depth));
-  for (int64_t j = 0; j < depth; ++j) {
-    if (r.ptr[j] < r.ptr[j + 1]) live.push_back(j);
+  if (!b_transposed) {
+    live.reserve(static_cast<size_t>(depth));
+    for (int64_t j = 0; j < depth; ++j) {
+      if (r.ptr[j] < r.ptr[j + 1]) live.push_back(j);
+    }
   }
   const int64_t live_count = static_cast<int64_t>(live.size());
   // L(i, j) = pa[i * rs + j * js].
@@ -410,46 +577,40 @@ Matrix MultiplyDenseCsr(const DenseMatrix& a, bool a_transposed,
   const int64_t rs = a_transposed ? 1 : depth;
   const int64_t js = a_transposed ? rows : 1;
   double* pc = c.data();
-  const int64_t live_work = live_count + r.nnz();
-  const GemmIsa isa = ActiveGemmIsa();
-  const int64_t lanes = isa == GemmIsa::kAvx512 ? 8 : 4;
+  const int64_t tile_work = (b_transposed ? n : live_count) + r.nnz();
+  // A one-row C (a vector-matrix product) runs the scalar kernels on
+  // one-lane tiles on every instruction set: a lone lane gains nothing
+  // from a vector.
+  const GemmIsa isa = rows == 1 ? GemmIsa::kScalar : ActiveGemmIsa();
+  const int64_t lanes = rows == 1 ? 1 : isa == GemmIsa::kAvx512 ? 8 : 4;
   const int64_t max_height =
       std::min(2 * lanes, (rows + lanes - 1) / lanes * lanes);
-  std::atomic<int64_t> nnz{0};
-
-  if (n * max_height > kLaneTileCells) {
-    // Wide C: each row accumulates in place, in the same term order.
-    ParallelForRows(rows, live_work, [&](int64_t r0, int64_t r1) {
-      int64_t local = 0;
-      for (int64_t i = r0; i < r1; ++i) {
-        double* ci = pc + i * n;
-        for (const int64_t j : live) {
-          const double v = pa[i * rs + j * js];
-          if (v == 0.0) continue;
-          for (int64_t q = r.ptr[j]; q < r.ptr[j + 1]; ++q) {
-            ci[r.idx[q]] += v * r.val[q];
-          }
-        }
-        for (int64_t x = 0; x < n; ++x) local += ci[x] != 0.0 ? 1 : 0;
-      }
-      nnz.fetch_add(local, std::memory_order_relaxed);
-    });
-    return Matrix::FromDense(std::move(c),
-                             nnz.load(std::memory_order_relaxed));
-  }
-
   // Lanes of A (not transposed) are strided by depth: each row tile packs
-  // them per live row into a panel, addressed by live position.
+  // them into a panel, one panel row per live row of B (addressed by live
+  // position) or per column j of A for Bᵀ.
+  const int64_t panel_rows = a_transposed ? 0 : b_transposed ? depth
+                                                             : live_count;
   const int64_t row_tiles = (rows + max_height - 1) / max_height;
+  // A one-row C is its own tile: at height 1 the tile is laid out like
+  // C's row, which starts at +0.0, so it accumulates there in one block.
+  const bool row_is_tile = rows == 1;
+  const int64_t block_cols =
+      row_is_tile ? n
+                  : std::min(n, std::max<int64_t>(
+                                    1, kLaneTileCells / max_height));
+  std::atomic<int64_t> nnz{0};
   ParallelForRows(
-      row_tiles, max_height * live_work, [&](int64_t t0, int64_t t1) {
+      row_tiles, max_height * tile_work, [&](int64_t t0, int64_t t1) {
         // Tile and panel rows start on 64-byte boundaries, so no vector
         // access splits a cache line.
         std::vector<double> tile_buffer(
-            static_cast<size_t>(n * max_height + 8));
+            b_transposed || row_is_tile
+                ? 0
+                : static_cast<size_t>(block_cols * max_height + 8));
         double* tile = AlignTo64(tile_buffer.data());
+        std::vector<int64_t> cursor(static_cast<size_t>(live_count));
         std::vector<double> panel_buffer(
-            a_transposed ? 0 : static_cast<size_t>(live_count * max_height + 8));
+            static_cast<size_t>(panel_rows * max_height + 8));
         double* panel = AlignTo64(panel_buffer.data());
         int64_t local = 0;
         for (int64_t tt = t0; tt < t1; ++tt) {
@@ -457,27 +618,42 @@ Matrix MultiplyDenseCsr(const DenseMatrix& a, bool a_transposed,
           const int64_t tile_rows = std::min(max_height, rows - i0);
           const int64_t vectors = (tile_rows + lanes - 1) / lanes;
           const int64_t height = vectors * lanes;
-          std::fill(tile, tile + n * height, 0.0);
-          LaneTileOperands g{r,  live.data(), live_count, pa + i0, 0,
-                             js, tile_rows,   height,     tile};
+          const double* lane_base = pa + i0;
+          int64_t t_stride = 0;
+          int64_t j_stride = js;
           if (!a_transposed) {
             for (int64_t l = 0; l < height; ++l) {
-              for (int64_t t = 0; t < live_count; ++t) {
+              for (int64_t t = 0; t < panel_rows; ++t) {
+                const int64_t j = b_transposed ? t : live[t];
                 panel[t * height + l] =
-                    l < tile_rows ? pa[(i0 + l) * rs + live[t]] : 0.0;
+                    l < tile_rows ? pa[(i0 + l) * rs + j] : 0.0;
               }
             }
-            g.lanes = panel;
-            g.t_stride = height;
-            g.j_stride = 0;
+            lane_base = panel;
+            t_stride = b_transposed ? 0 : height;
+            j_stride = b_transposed ? height : 0;
           }
-          PickLaneTile(isa, vectors)(g);
-          for (int64_t l = 0; l < tile_rows; ++l) {
-            double* ci = pc + (i0 + l) * n;
-            for (int64_t x = 0; x < n; ++x) {
-              const double v = tile[x * height + l];
-              ci[x] = v;
-              local += v != 0.0 ? 1 : 0;
+          if (b_transposed) {
+            local += PickLaneColumns(isa, vectors)(
+                {r, lane_base, j_stride, tile_rows, pc + i0 * n, n});
+            continue;
+          }
+          for (int64_t t = 0; t < live_count; ++t) cursor[t] = r.ptr[live[t]];
+          const LaneTileFn tile_fn = PickLaneTile(isa, vectors);
+          for (int64_t x0 = 0; x0 < n; x0 += block_cols) {
+            const int64_t x1 = std::min(n, x0 + block_cols);
+            double* block = row_is_tile ? pc + x0 : tile;
+            if (!row_is_tile) std::fill(tile, tile + (x1 - x0) * height, 0.0);
+            tile_fn({r, live.data(), live_count, lane_base, t_stride,
+                     j_stride, tile_rows, height, block, cursor.data(), x0,
+                     x1});
+            for (int64_t l = 0; l < tile_rows; ++l) {
+              double* ci = pc + (i0 + l) * n;
+              for (int64_t x = x0; x < x1; ++x) {
+                const double v = block[(x - x0) * height + l];
+                ci[x] = v;
+                local += v != 0.0 ? 1 : 0;
+              }
             }
           }
         }

@@ -167,9 +167,8 @@ TEST_P(KernelsOnePassTest, ElementwiseMatchesCopyThenModify) {
   }
 }
 
-/// The CSR x CSR merge as it was written before it wrote through raw
-/// pointers into arrays sized nnz(a) + nnz(b): one push_back per stored
-/// cell.
+/// The push_back merge that ElementwiseBinary ran before its CSR x CSR
+/// branch wrote through raw pointers: one push_back per stored cell.
 template <typename Op>
 Matrix PushBackMerge(const CsrMatrix& sa, const CsrMatrix& sb, Op op) {
   CsrMatrix out(sa.rows(), sa.cols());
@@ -216,6 +215,33 @@ TEST_P(KernelsOnePassTest, CsrMergeMatchesPushBackMerge) {
                               PushBackMerge(a.csr(), a.csr(), k.cell)))
             << where << " aliased";
       }
+    }
+  }
+  // Results that cancel most cells (a - a, and .* over patterns that
+  // barely overlap) keep at most twice their cells' worth of array, as the
+  // push_back merge did.
+  for (const auto& [rows, cols] : kShapes) {
+    const Matrix a = Cells(rows, cols, 0.5, seed++, false);
+    const Matrix b = Cells(rows, cols, 0.9, seed++, false);
+    const struct {
+      const char* name;
+      Matrix got;
+      Matrix want;
+    } cancelled[] = {
+        {"a - a", Subtract(a, a).value(),
+         PushBackMerge(a.csr(), a.csr(), kBinaryKernels[1].cell)},
+        {"a .* b", ElementwiseMultiply(a, b).value(),
+         PushBackMerge(a.csr(), b.csr(), kBinaryKernels[2].cell)}};
+    for (const auto& [name, got, want] : cancelled) {
+      const std::string where =
+          std::string(name) + " " + std::to_string(rows) + "x" +
+          std::to_string(cols);
+      EXPECT_TRUE(Identical(got, want)) << where;
+      ASSERT_FALSE(got.is_dense()) << where;
+      const CsrMatrix& csr = got.csr();
+      const size_t cells = static_cast<size_t>(csr.nnz());
+      EXPECT_LE(csr.col_idx().capacity(), 2 * cells) << where;
+      EXPECT_LE(csr.values().capacity(), 2 * cells) << where;
     }
   }
 }

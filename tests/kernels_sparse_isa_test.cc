@@ -220,12 +220,19 @@ TEST_P(KernelsSparseIsaTest, DenseLeftEveryLaneCount) {
   CheckAllVariants(l, r, "dense-left rows=40");
 }
 
-/// Core D with C wider than the transposed tile holds (65536 cells): one
-/// row on the narrow vectors and nine rows on two vectors.
+/// Core D with C wider than one column block of its transposed tile
+/// (32768 cells: 2048 columns at height 16, 4096 at height 8): one row
+/// (C's row is its own tile), one vector and two vectors of rows. Every
+/// third column of L is all ±0, so whole rows of R are skipped and the
+/// block cursors must still move past them.
 TEST_P(KernelsSparseIsaTest, DenseLeftWideOutputs) {
   uint64_t seed = 300;
-  for (const int64_t rows : {1, 9}) {
-    const Matrix l = Matrix::WrapDense(DenseCells(rows, 12, ++seed, true));
+  for (const int64_t rows : {1, 4, 9}) {
+    DenseMatrix left = DenseCells(rows, 12, ++seed, true);
+    for (int64_t i = 0; i < rows; ++i) {
+      for (int64_t j = 0; j < 12; j += 3) left.At(i, j) = i % 2 ? -0.0 : 0.0;
+    }
+    const Matrix l = Matrix::WrapDense(std::move(left));
     const Matrix r = Matrix::WrapCsr(SparseCells(12, 9000, 0.05, 4, ++seed,
                                                  /*specials=*/true));
     CheckAllVariants(l, r, "dense-left wide rows=" + std::to_string(rows));
